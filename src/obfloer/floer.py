@@ -18,7 +18,7 @@ that kills every boundary yet evaluates to 1 on it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .heegaard import HeegaardDiagram
 from .nicify import lazy_frontier, make_nice
@@ -60,6 +60,9 @@ class Verdict:
     certificate: tuple       # chain w (VANISHING) or functional (NONVANISHING)
     generator_count: int
     rank: int                # rank of the boundary operator, -1 if skipped
+    # the diagram decide_lazy decided on; None from decide_vanishing
+    diagram: HeegaardDiagram | None = field(default=None, compare=False,
+                                            repr=False)
 
 
 def generators(diagram: HeegaardDiagram) -> list[tuple]:
@@ -273,8 +276,7 @@ def differentials(diagram: HeegaardDiagram, x: tuple):
     return out
 
 
-def boundary_matrix(diagram: HeegaardDiagram,
-                    threads: int = 1) -> BoundaryMatrix:
+def boundary_matrix(diagram: HeegaardDiagram) -> BoundaryMatrix:
     """Assemble the full boundary operator of a flattened diagram."""
     if diagram.bad_regions():
         raise ValueError(
@@ -292,13 +294,8 @@ def boundary_matrix(diagram: HeegaardDiagram,
                 hits ^= {index[y]}
         return tuple(sorted(hits))
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cols = tuple(pool.map(column, gens))
-    else:
-        cols = tuple(column(x) for x in gens)
-    m = BoundaryMatrix(generators=tuple(gens), columns=cols)
+    m = BoundaryMatrix(generators=tuple(gens),
+                       columns=tuple(column(x) for x in gens))
     _check_square_zero(m)
     return m
 
@@ -316,22 +313,8 @@ def _check_square_zero(m: BoundaryMatrix) -> None:
 
 
 def contact_class(diagram: HeegaardDiagram) -> tuple:
-    """The distinguished generator: the page crossing on every circle.
-
-    On a flattened diagram its boundary is verified to vanish; this is
-    a structural fact, so a failure is an internal error.
-    """
-    c = diagram.contact_tuple()
-    if not diagram.bad_regions():
-        hits = set()
-        for dom in domain_census(diagram):
-            y = _move(diagram, c, dom)
-            if y is not None:
-                hits ^= {y}
-        if hits:
-            raise RuntimeError(
-                "internal error: the distinguished generator is not a cycle")
-    return c
+    """The distinguished generator: the page crossing on every circle."""
+    return diagram.contact_tuple()
 
 
 def _eliminate(columns):
@@ -368,10 +351,15 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
     comes with a functional (a set of generators) that evaluates to 0
     on every column of the boundary and to 1 on c.  Both are re-checked
     here by direct multiplication, independently of the elimination.
+    That c is a cycle is a structural fact, so an entry in its column
+    is an internal error.
     """
     if c not in m.generators:
         raise ValueError("c is not a generator of this complex")
     c_idx = m.generators.index(c)
+    if m.columns[c_idx]:
+        raise RuntimeError(
+            "internal error: the distinguished generator is not a cycle")
     basis, combos = _eliminate(m.columns)
     rank = len(basis)
     vec = {c_idx}
@@ -407,14 +395,16 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
                    generator_count=m.n, rank=rank)
 
 
-def decide_lazy(diagram: HeegaardDiagram) -> Verdict:
+def decide_lazy(diagram: HeegaardDiagram, trace=None) -> Verdict:
     """Cheap decision: flatten only next to the page, look for disks into c.
 
     When no generator's boundary can hit the distinguished generator it
-    is not a boundary and the answer is NONVANISHING outright; otherwise
-    the diagram is flattened fully and the complete complex decides.
+    is not a boundary and the answer is NONVANISHING outright, with rank
+    -1; otherwise the diagram is flattened fully and the complete
+    complex decides.  trace gets one line per flattening move, and the
+    verdict carries the diagram it was decided on.
     """
-    lz = lazy_frontier(diagram)
+    lz = lazy_frontier(diagram, trace=trace)
     c = lz.contact_tuple()
     cs = set(c)
     sources = set()
@@ -443,9 +433,11 @@ def decide_lazy(diagram: HeegaardDiagram) -> Verdict:
         sources ^= {tuple(x)}
     if not sources:
         return Verdict(outcome=NONVANISHING, certificate=(),
-                       generator_count=len(generators(lz)), rank=-1)
-    nice = make_nice(lz)
-    return decide_vanishing(boundary_matrix(nice), contact_class(nice))
+                       generator_count=len(generators(lz)), rank=-1,
+                       diagram=lz)
+    nice = make_nice(lz, trace=trace)
+    verdict = decide_vanishing(boundary_matrix(nice), contact_class(nice))
+    return replace(verdict, diagram=nice)
 
 
 def homology_rank(m: BoundaryMatrix) -> int:

@@ -9,8 +9,9 @@ skipped, and the directives are:
     option <key>=<value>
 
 The page line must come first.  Twist letters apply rightmost first.
-Recognized options are lazy, rank, trace, threads, format, export-pre,
-export-post, and report; command line flags override them.
+Recognized options are lazy, rank, trace, format, export-pre,
+export-post, and report; command line flags override them.  lazy, rank
+and trace take true or false.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from dataclasses import dataclass
 from . import floer
 from .heegaard import HeegaardDiagram, build_diagram
 from .mapping import TwistWord
-from .nicify import lazy_frontier, make_nice
+from .nicify import make_nice
 from .surface import make_page, parse_curve
 
 _OPTION_KEYS = ("export-post", "export-pre", "format", "lazy", "rank",
-                "report", "threads", "trace")
+                "report", "trace")
+_BOOLEAN_KEYS = ("lazy", "rank", "trace")
 
 
 @dataclass(frozen=True)
@@ -141,6 +143,9 @@ def parse_input(text: str) -> OpenBookFile:
                 _fail(ln, tokens[1][1], f"unknown option '{key}'")
             if key in options:
                 _fail(ln, tokens[1][1], f"option '{key}' is already set")
+            if key in _BOOLEAN_KEYS and value not in ("true", "false"):
+                _fail(ln, tokens[1][1] + len(key) + 1,
+                      f"option '{key}' takes true or false, not '{value}'")
             options[key] = value
         else:
             _fail(ln, col0, f"unknown directive '{head}'")
@@ -208,8 +213,8 @@ class Report:
 
 
 def _check_book(book: OpenBookFile, name: str, *, lazy: bool, rank: bool,
-                threads: int, export_pre=None, export_post=None,
-                fmt: str = "text", trace=None) -> Report:
+                export_pre=None, export_post=None, fmt: str = "text",
+                trace=None) -> Report:
     """Run the pipeline on a parsed book and measure it."""
     t0 = time.perf_counter()
     if book.page.n_arcs == 0:
@@ -223,21 +228,21 @@ def _check_book(book: OpenBookFile, name: str, *, lazy: bool, rank: bool,
     dia = build_diagram(book.page, book.word)
     if export_pre:
         export_diagram(dia, fmt, export_pre)
-    rank_val = None
     if lazy:
-        verdict = floer.decide_lazy(dia)
-        post = lazy_frontier(dia, trace=trace)
-        if verdict.rank != -1 or rank:
-            post = make_nice(post, trace=trace)
-        if rank:
-            rank_val = floer.homology_rank(
-                floer.boundary_matrix(post, threads=threads))
+        verdict = floer.decide_lazy(dia, trace=trace)
+        post = verdict.diagram
     else:
         post = make_nice(dia, trace=trace)
-        m = floer.boundary_matrix(post, threads=threads)
-        verdict = floer.decide_vanishing(m, floer.contact_class(post))
-        if rank:
-            rank_val = floer.homology_rank(m)
+        verdict = floer.decide_vanishing(floer.boundary_matrix(post),
+                                         floer.contact_class(post))
+    rank_val = None
+    if rank:
+        if verdict.rank == -1:
+            # the lazy test decided without the full complex
+            post = make_nice(post, trace=trace)
+            rank_val = floer.homology_rank(floer.boundary_matrix(post))
+        else:
+            rank_val = verdict.generator_count - 2 * verdict.rank
     if export_post:
         export_diagram(post, fmt, export_post)
     return Report(
@@ -252,7 +257,7 @@ def _check_book(book: OpenBookFile, name: str, *, lazy: bool, rank: bool,
 
 def run_check(path: str, *, lazy: bool = False, rank: bool = False,
               trace: bool = False, export_pre=None, export_post=None,
-              fmt: str = None, threads: int = None, out=None):
+              fmt: str = None, out=None):
     """Check one input file.  Returns (exit code, Report or None)."""
     out = sys.stdout if out is None else out
     try:
@@ -268,13 +273,11 @@ def run_check(path: str, *, lazy: bool = False, rank: bool = False,
         fmt = fmt or opts.get("format", "text")
         if fmt not in ("text", "svg"):
             raise ValueError(f"format must be 'text' or 'svg', not '{fmt}'")
-        threads = threads or int(opts.get("threads", "1"))
         name = path.rsplit("/", 1)[-1]
         trace_lines = []
         report = _check_book(book, name, lazy=lazy, rank=rank,
-                             threads=threads, export_pre=export_pre,
-                             export_post=export_post, fmt=fmt,
-                             trace=trace_lines.append)
+                             export_pre=export_pre, export_post=export_post,
+                             fmt=fmt, trace=trace_lines.append)
         if trace:
             for line in trace_lines:
                 print(line, file=out)
@@ -476,13 +479,11 @@ def main(argv=None) -> int:
                      help="write the diagram after flattening")
     chk.add_argument("--format", choices=("text", "svg"), default=None,
                      help="export format (default text)")
-    chk.add_argument("--threads", type=int, default=None, metavar="N",
-                     help="worker threads for assembling the complex")
     args = parser.parse_args(argv)
     code, _report = run_check(
         args.file, lazy=args.lazy, rank=args.rank, trace=args.trace,
         export_pre=args.export_pre, export_post=args.export_post,
-        fmt=args.format, threads=args.threads)
+        fmt=args.format)
     return code
 
 

@@ -25,7 +25,6 @@ sheet.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .mapping import TwistWord, apply_word
@@ -105,16 +104,6 @@ class HeegaardDiagram:
     def n_edges(self) -> int:
         return len(self.edge_label)
 
-    @property
-    def alpha_order(self) -> list:
-        """Vertices along each arc circle, in walk order."""
-        return [[self.he_origin[h] for h in walk] for walk in self.alpha_walk]
-
-    @property
-    def beta_order(self) -> list:
-        """Vertices along each pushoff circle, in walk order."""
-        return [[self.he_origin[h] for h in walk] for walk in self.beta_walk]
-
     def twin(self, h: int) -> int:
         return h ^ 1
 
@@ -140,11 +129,6 @@ class HeegaardDiagram:
             he_region=list(self.he_region),
             z0_region=self.z0_region)
 
-    def intersections(self, i: int, j: int) -> tuple[int, ...]:
-        """Vertices where arc circle i meets pushoff circle j."""
-        return tuple(v for v in range(self.n_vertices)
-                     if self.v_alpha[v] == i and self.v_beta[v] == j)
-
     def contact_tuple(self) -> tuple[int, ...]:
         """The distinguished generator: the top-sheet point on each arc."""
         out = []
@@ -155,17 +139,6 @@ class HeegaardDiagram:
                 raise RuntimeError("internal error: missing contact point")
             out.append(hits[0])
         return tuple(out)
-
-    def corners(self, r: int):
-        """Corner walk of region r: per cycle, (vertex, h_in, h_out)."""
-        out = []
-        for cycle in self.regions[r].cycles:
-            walk = []
-            for t, h in enumerate(cycle):
-                nxt = cycle[(t + 1) % len(cycle)]
-                walk.append((self.head(h), h, nxt))
-            out.append(walk)
-        return out
 
     def bad_regions(self) -> list[int]:
         """Regions that keep the diagram from being combinatorially flat.
@@ -180,34 +153,6 @@ class HeegaardDiagram:
                 continue
             out.append(r)
         return out
-
-    def region_distances(self) -> list[int]:
-        """Fewest pushoff-circle crossings from the basepoint region.
-
-        An arc from the basepoint into a region crosses a sequence of
-        edges; arc-circle edges are free, pushoff edges each cost one.
-        Computed as a 0/1 breadth-first search over region adjacency.
-        """
-        dist = [None] * len(self.regions)
-        dist[self.z0_region] = 0
-        dq = deque([(0, self.z0_region)])
-        while dq:
-            d, r = dq.popleft()
-            if d > dist[r]:
-                continue
-            for cycle in self.regions[r].cycles:
-                for h in cycle:
-                    w = 0 if self.label(h)[0] == "a" else 1
-                    nb = self.he_region[h ^ 1]
-                    if dist[nb] is None or d + w < dist[nb]:
-                        dist[nb] = d + w
-                        if w:
-                            dq.append((d + w, nb))
-                        else:
-                            dq.appendleft((d, nb))
-        if any(d is None for d in dist):
-            raise RuntimeError("internal error: unreachable region")
-        return dist
 
     # -- consistency ---------------------------------------------------
 

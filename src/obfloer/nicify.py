@@ -14,10 +14,10 @@ is pushed onward, which turns the previous tip bigon into a plain
 square of the tunnel.  Fingers never cross "b" edges, since circles of
 one family stay disjoint, so all routing happens across "a" edges.
 
-The flattening strategy chops one square off the worst oversized
-region per finger and routes the tip straight through squares until it
-can rest in a bigon or the basepoint region, where the damage of
-resting (two extra sides) is harmless.  When no harmless entry exists
+The flattening strategy chops one square off the lowest-numbered
+oversized region per finger and routes the tip straight through
+squares until it can rest in a bigon or the basepoint region, where
+the damage of resting (two extra sides) is harmless.  When no harmless entry exists
 the finger accepts collateral damage on a neighboring region and the
 main loop picks the pieces up later; a global move budget turns any
 failure of this process into a loud error instead of a spin.
@@ -43,18 +43,6 @@ class FingerMoveSpec:
     source: int
     crossings: tuple
     terminal: int
-
-
-def bad_regions(diagram: HeegaardDiagram) -> list[int]:
-    """Non-disk regions and oversized disks, worst first.
-
-    Ordered by decreasing distance from the basepoint region, ties by
-    region id.  For doubled-page diagrams every region ends up at
-    distance zero, because the complement of the "b" family stays
-    connected, so the order is the stable id order in practice.
-    """
-    dist = diagram.region_distances()
-    return sorted(diagram.bad_regions(), key=lambda r: (-dist[r], r))
 
 
 def _poke(d: HeegaardDiagram, h_beta: int, h_alpha: int) -> tuple:
@@ -366,8 +354,7 @@ def _flatten(diagram: HeegaardDiagram, frontier_only: bool,
     moves = 0
     budget = 64 + 16 * (d.n_vertices + d.n_edges) ** 2
     while True:
-        dist = d.region_distances()
-        bad = sorted(d.bad_regions(), key=lambda r: (-dist[r], r))
+        bad = d.bad_regions()
         non_disks = [r for r in bad if not d.regions[r].is_disk]
         if non_disks:
             target = non_disks[0]
@@ -441,5 +428,5 @@ def lazy_frontier(diagram: HeegaardDiagram, trace=None) -> HeegaardDiagram:
     return _flatten(diagram, frontier_only=True, trace=trace)
 
 
-__all__ = ["FingerMoveSpec", "bad_regions", "elementary_moves",
-           "finger_move", "lazy_frontier", "make_nice"]
+__all__ = ["FingerMoveSpec", "elementary_moves", "finger_move",
+           "lazy_frontier", "make_nice"]

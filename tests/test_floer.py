@@ -167,9 +167,10 @@ def test_decide_vanishing_rejects_foreign_cycle():
         decide_vanishing(m, (7,))
 
 
-def test_threaded_assembly_is_identical():
-    nice = make_nice(lantern_book())
-    assert boundary_matrix(nice, threads=3) == boundary_matrix(nice)
+def test_decide_vanishing_rejects_non_cycle():
+    m = BoundaryMatrix(generators=((0,), (1,)), columns=((1,), ()))
+    with pytest.raises(RuntimeError, match="not a cycle"):
+        decide_vanishing(m, (0,))
 
 
 def test_empty_page_complex_has_rank_one():

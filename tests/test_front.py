@@ -3,6 +3,7 @@
 import glob
 import io
 import os
+import re
 
 import pytest
 
@@ -11,6 +12,17 @@ from obfloer.heegaard import build_diagram
 from obfloer.nicify import make_nice
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+
+TORUS = "page g=1 b=1\ncurve a: 1+\ncurve b: 2+\n"
+LANTERN = ("page g=0 b=4\ncurve d4: 1+ 2+ 3+\ncurve f1: 1+ 3+\n"
+           "curve f2: 1+ 2+\n")
+LADDER = {
+    "torus_ab2.obk": TORUS + "twists: +a +b +a +b\n",
+    "torus_ab3.obk": TORUS + "twists: +a +b +a +b +a +b\n",
+    "torus_abinv1.obk": TORUS + "twists: +a -b\n",
+    "torus_abinv2.obk": TORUS + "twists: +a -b +a -b\n",
+    "lantern_word1.obk": LANTERN + "twists: +d4 -f1 +f2\n",
+}
 
 
 def corpus_path(name):
@@ -73,6 +85,14 @@ def test_parse_skips_comments_and_blanks():
     ("page g=0 b=2\n", "line 2, column 1: the file never gives a twist word"),
     ("page g=0 b=2\ncurve core: 9+\ntwists:\n",
      "line 2, column 13: unknown arc index 9 (page has 1 arcs)"),
+    ("page g=0 b=2\ntwists:\noption threads=2\n",
+     "line 3, column 8: unknown option 'threads'"),
+    ("page g=0 b=2\ntwists:\noption lazy=yes\n",
+     "line 3, column 13: option 'lazy' takes true or false, not 'yes'"),
+    ("page g=0 b=2\ntwists:\noption rank=1\n",
+     "line 3, column 13: option 'rank' takes true or false, not '1'"),
+    ("page g=0 b=2\ntwists:\noption trace=TRUE\n",
+     "line 3, column 14: option 'trace' takes true or false, not 'TRUE'"),
 ])
 def test_parse_errors_carry_positions(text, message):
     with pytest.raises(ValueError) as err:
@@ -169,6 +189,21 @@ def test_lazy_flag_reports_lazy_complex():
     assert report.lazy_mode is True
     assert report.verdict == "NONVANISHING"
     assert report.moves == 2
+
+
+def test_lazy_rank_trace_comes_from_one_flattening(tmp_path):
+    paths = sorted(glob.glob(corpus_path("*.obk")))
+    for name, text in LADDER.items():
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    for path in paths:
+        sink = io.StringIO()
+        _, lazy = run_check(path, lazy=True, rank=True, trace=True, out=sink)
+        pokes = sum(map(int, re.findall(r"^finger .* crossings=(\d+) ",
+                                        sink.getvalue(), re.M)))
+        assert pokes == lazy.moves, path
+        _, full = run_check(path, rank=True, out=io.StringIO())
+        assert (lazy.verdict, lazy.rank) == (full.verdict, full.rank), path
 
 
 def test_trace_prints_finger_lines():

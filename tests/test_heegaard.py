@@ -133,9 +133,9 @@ def test_random_books_build_consistent_diagrams():
         # each circle closes up through as many edges as crossings
         for i in range(1, dia.n + 1):
             on_alpha = sum(1 for lab in dia.edge_label if lab == ("a", i))
-            assert on_alpha == len(dia.alpha_order[i - 1])
+            assert on_alpha == len(dia.alpha_walk[i - 1])
             on_beta = sum(1 for lab in dia.edge_label if lab == ("b", i))
-            assert on_beta == len(dia.beta_order[i - 1])
+            assert on_beta == len(dia.beta_walk[i - 1])
         # exactly one region holds the basepoint
         assert sum(1 for r in dia.regions if r.pointed) == 1
 

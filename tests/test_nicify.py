@@ -4,8 +4,8 @@ import pytest
 
 from obfloer.heegaard import build_diagram
 from obfloer.mapping import TwistWord
-from obfloer.nicify import (FingerMoveSpec, bad_regions, elementary_moves,
-                            finger_move, lazy_frontier, make_nice)
+from obfloer.nicify import (FingerMoveSpec, elementary_moves, finger_move,
+                            lazy_frontier, make_nice)
 from obfloer.surface import make_page, parse_curve
 
 annulus = make_page(0, 2)
@@ -52,7 +52,7 @@ def test_lantern_flattening_census_and_trace():
     assert region_shapes(dia) == [
         (1, 4, 1, False), (1, 4, 1, False), (1, 4, 1, False),
         (1, 6, 1, False), (1, 6, 1, False), (1, 16, 1, True)]
-    assert bad_regions(dia) == [1, 3]
+    assert dia.bad_regions() == [1, 3]
 
     lines = []
     nice = make_nice(dia, trace=lines.append)
