@@ -33,12 +33,17 @@ _FLAT_PATTERNS = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))
 
 @dataclass(frozen=True)
 class DomainCandidate:
-    """A connected union of regions gluing to one bigon or rectangle."""
+    """A connected union of regions gluing to one bigon or rectangle.
+
+    swap holds one (b circle, source, target) triple per β circle the
+    corners sit on, sorted by circle: the boundary leaves the source
+    corner along b and the target corner along a, and the disk moves a
+    generator from its source corners to its target corners.
+    """
 
     regions: tuple
     kind: str                # "bigon" or "rectangle"
-    source: tuple            # corner vertices the boundary leaves along b
-    target: tuple            # corner vertices the boundary leaves along a
+    swap: tuple              # (b circle, source corner, target corner)
     passthrough: tuple       # boundary/interior vertices that are not corners
 
 
@@ -129,7 +134,9 @@ def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
     oversized regions never tile a differential, so on a partially
     flattened diagram the census only sees domains avoiding them.
     Enumeration grows connected unions, branching to repair vertices
-    whose quadrant pattern is not yet that of a disk boundary.
+    whose quadrant pattern is not yet that of a disk boundary.  A disk
+    is kept only when each β circle its corners touch carries exactly
+    one source and one target corner; any other disk fits no generator.
     """
     quads = _quadrants(diagram)
     eligible = frozenset(
@@ -202,16 +209,16 @@ def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
             for r in U:
                 edges |= edges_of[r]
             if len(touched) - len(edges) + len(U) == 1:
-                source = tuple(sorted(
-                    v for v, h_out in corners
-                    if diagram.label(h_out)[0] == "b"))
-                target = tuple(sorted(
-                    v for v, h_out in corners
-                    if diagram.label(h_out)[0] == "a"))
-                if len(source) == len(target):
+                ends = {}
+                for v, h_out in corners:
+                    ends.setdefault(diagram.v_beta[v], {})[
+                        diagram.label(h_out)[0]] = v
+                if 2 * len(ends) == len(corners) and all(
+                        len(e) == 2 for e in ends.values()):
                     out.append(DomainCandidate(
                         regions=tuple(sorted(U)), kind=kind,
-                        source=source, target=target,
+                        swap=tuple(sorted((j, e["b"], e["a"])
+                                          for j, e in ends.items())),
                         passthrough=tuple(sorted(passthrough))))
         # clean unions may still extend to larger ones
         for r in U:
@@ -221,39 +228,27 @@ def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
                     if nxt not in seen:
                         seen.add(nxt)
                         queue.append(nxt)
-    out.sort(key=lambda c: (c.regions, c.source))
+    out.sort(key=lambda c: c.regions)
     return out
 
 
-def _move(diagram, x, dom):
-    """Target generator of dom from source x, or None when inapplicable."""
-    xs = set(x)
-    for v in dom.source:
-        if v not in xs:
-            return None
-    for v in dom.passthrough:
-        if v in xs:
-            return None
-    for v in dom.target:
-        if v in xs:
-            return None
-    src_betas = set()
-    for v in dom.source:
-        j = diagram.v_beta[v]
-        if j in src_betas:
-            return None
-        src_betas.add(j)
-    tgt_by_beta = {}
-    for v in dom.target:
-        j = diagram.v_beta[v]
-        if j in tgt_by_beta:
-            return None
-        tgt_by_beta[j] = v
-    if src_betas != set(tgt_by_beta):
-        return None
+def _move(diagram, x, dom, back=False):
+    """Generator dom moves x to, or None when dom does not fit x.
+
+    Forward, x must hold every source corner and the result holds the
+    targets instead; back=True swaps the roles, giving the source whose
+    forward move is x.  Either way the moved generator avoids the
+    passthrough vertices and keeps its α circles distinct.
+    """
     y = list(x)
-    for j, v in tgt_by_beta.items():
-        y[j - 1] = v
+    for j, src, tgt in dom.swap:
+        if back:
+            src, tgt = tgt, src
+        if y[j - 1] != src:
+            return None
+        y[j - 1] = tgt
+    if not set(y).isdisjoint(dom.passthrough):
+        return None
     if len({diagram.v_alpha[v] for v in y}) != len(y):
         return None
     return tuple(y)
@@ -406,31 +401,11 @@ def decide_lazy(diagram: HeegaardDiagram, trace=None) -> Verdict:
     """
     lz = lazy_frontier(diagram, trace=trace)
     c = lz.contact_tuple()
-    cs = set(c)
     sources = set()
     for dom in domain_census(lz):
-        if not set(dom.target) <= cs:
-            continue
-        x = list(c)
-        for v in dom.target:
-            x[lz.v_beta[v] - 1] = None
-        src_by_beta = {}
-        ok = True
-        for v in dom.source:
-            j = lz.v_beta[v]
-            if j in src_by_beta or x[j - 1] is not None:
-                ok = False
-                break
-            src_by_beta[j] = v
-        if not ok or len(src_by_beta) != len(dom.target):
-            continue
-        for j, v in src_by_beta.items():
-            x[j - 1] = v
-        if set(x) & set(dom.passthrough):
-            continue
-        if len({lz.v_alpha[v] for v in x}) != len(x):
-            continue
-        sources ^= {tuple(x)}
+        x = _move(lz, c, dom, back=True)
+        if x is not None:
+            sources ^= {x}
     if not sources:
         return Verdict(outcome=NONVANISHING, certificate=(),
                        generator_count=len(generators(lz)), rank=-1,

@@ -235,12 +235,13 @@ def _check_book(book: OpenBookFile, name: str, *, lazy: bool, rank: bool,
         post = make_nice(dia, trace=trace)
         verdict = floer.decide_vanishing(floer.boundary_matrix(post),
                                          floer.contact_class(post))
-    rank_val = None
+    n_gens, rank_val = verdict.generator_count, None
     if rank:
         if verdict.rank == -1:
             # the lazy test decided without the full complex
             post = make_nice(post, trace=trace)
-            rank_val = floer.homology_rank(floer.boundary_matrix(post))
+            m = floer.boundary_matrix(post)
+            n_gens, rank_val = m.n, floer.homology_rank(m)
         else:
             rank_val = verdict.generator_count - 2 * verdict.rank
     if export_post:
@@ -248,7 +249,7 @@ def _check_book(book: OpenBookFile, name: str, *, lazy: bool, rank: bool,
     return Report(
         input=name, verdict=verdict.outcome,
         exit_code=0 if verdict.outcome == floer.NONVANISHING else 1,
-        lazy_mode=lazy, generators=verdict.generator_count, rank=rank_val,
+        lazy_mode=lazy, generators=n_gens, rank=rank_val,
         crossings_pre=dia.n_vertices, crossings_post=post.n_vertices,
         regions_pre=len(dia.regions), regions_post=len(post.regions),
         moves=(post.n_vertices - dia.n_vertices) // 2,

@@ -273,13 +273,12 @@ class _Chart:
         self.next_item = nxt
         self.face_of = {}
         faces = 0
-        pending = set(nxt)
-        while pending:
-            start = min(pending, key=_instance_key)
+        for start in sorted(nxt, key=_instance_key):
+            if start in self.face_of:
+                continue
             cur = start
             while True:
                 self.face_of[cur] = faces
-                pending.discard(cur)
                 cur = nxt[cur]
                 if cur == start:
                     break
@@ -524,15 +523,16 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
 
     # group the stitched cycles into regions, compressed to half-edges
     cycles = []
-    pending = set(nxt)
-    while pending:
-        start = min(pending,
-                    key=lambda inst: (inst[0],) + _instance_key(inst[1:]))
+    walked = set()
+    for start in sorted(nxt, key=lambda inst: (inst[0],)
+                        + _instance_key(inst[1:])):
+        if start in walked:
+            continue
         cycle = []
         cur = start
         while True:
             cycle.append(cur)
-            pending.discard(cur)
+            walked.add(cur)
             cur = nxt[cur]
             if cur == start:
                 break

@@ -133,7 +133,6 @@ class Page:
     twin_occurrence: tuple[int, ...]
     first_occurrence: tuple[int, ...]
     second_occurrence: tuple[int, ...]
-    segment_component: tuple[int, ...]
     boundary_cycles: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
@@ -191,7 +190,6 @@ def make_page(genus: int, boundary_components: int) -> Page:
             twin_occurrence=(),
             first_occurrence=(),
             second_occurrence=(),
-            segment_component=(0,),
             boundary_cycles=((0,),),
         )
 
@@ -268,7 +266,6 @@ def make_page(genus: int, boundary_components: int) -> Page:
         twin_occurrence=tuple(twin),
         first_occurrence=tuple(first),
         second_occurrence=tuple(second),
-        segment_component=tuple(seg_component),
         boundary_cycles=tuple(tuple(c) for c in cycles),
     )
 
@@ -526,12 +523,6 @@ class Arrangement:
     def _germ_advance(self, germ):
         p, nxt, d = germ
         return (p, (nxt + d) % len(self.events[p]), d)
-
-    def _other_att_germ(self, handle):
-        """Away germ of the twin attachment of a crossing attachment."""
-        p, k, role = handle
-        other = _OUT if role == _IN else _IN
-        return self._away_germ((p, k, other))
 
     # -- the germ-chain comparator -------------------------------------------
 

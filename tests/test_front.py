@@ -204,6 +204,9 @@ def test_lazy_rank_trace_comes_from_one_flattening(tmp_path):
         assert pokes == lazy.moves, path
         _, full = run_check(path, rank=True, out=io.StringIO())
         assert (lazy.verdict, lazy.rank) == (full.verdict, full.rank), path
+        assert ((lazy.generators, lazy.crossings_post, lazy.regions_post,
+                 lazy.moves) == (full.generators, full.crossings_post,
+                                 full.regions_post, full.moves)), path
 
 
 def test_trace_prints_finger_lines():
