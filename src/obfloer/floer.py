@@ -142,12 +142,11 @@ def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
     eligible = frozenset(
         r for r, reg in enumerate(diagram.regions)
         if not reg.pointed and (reg.is_bigon or reg.is_square))
-    verts_of, edges_of, nbrs, is_bigon = {}, {}, {}, {}
+    verts_of, nbrs, is_bigon = {}, {}, {}
     for r in eligible:
         cycles = diagram.regions[r].cycles
         verts_of[r] = frozenset(diagram.he_origin[h]
                                 for cyc in cycles for h in cyc)
-        edges_of[r] = frozenset(h // 2 for cyc in cycles for h in cyc)
         nbrs[r] = frozenset(diagram.he_region[diagram.twin(h)]
                             for cyc in cycles for h in cyc) & eligible
         is_bigon[r] = diagram.regions[r].is_bigon
@@ -171,7 +170,7 @@ def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
                 passthrough.append(v)
             else:
                 defects.append(v)
-        return touched, corners, passthrough, defects
+        return corners, passthrough, defects
 
     out = []
     seen = set()
@@ -185,9 +184,10 @@ def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
             raise RuntimeError(
                 "internal error: domain census exceeded its state cap")
         U = queue.popleft()
-        if sum(1 for r in U if is_bigon[r]) > 1:
+        n_bigon = sum(1 for r in U if is_bigon[r])
+        if n_bigon > 1:
             continue
-        touched, corners, passthrough, defects = classify(U)
+        corners, passthrough, defects = classify(U)
         if defects:
             # grow only toward repairing the first broken vertex
             v = min(defects)
@@ -198,28 +198,27 @@ def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
                         seen.add(nxt)
                         queue.append(nxt)
             continue
-        n_bigon = sum(1 for r in U if is_bigon[r])
         kind = None
         if n_bigon == 1 and len(corners) == 2:
             kind = "bigon"
         elif n_bigon == 0 and len(corners) == 4:
             kind = "rectangle"
+        # No Euler test is needed: with no defect every vertex is a convex
+        # corner, a flat side or an interior point, so by Gauss-Bonnet a
+        # union with two corners and one bigon tile, or four corners and
+        # none, has Euler characteristic 1.
         if kind is not None:
-            edges = set()
-            for r in U:
-                edges |= edges_of[r]
-            if len(touched) - len(edges) + len(U) == 1:
-                ends = {}
-                for v, h_out in corners:
-                    ends.setdefault(diagram.v_beta[v], {})[
-                        diagram.label(h_out)[0]] = v
-                if 2 * len(ends) == len(corners) and all(
-                        len(e) == 2 for e in ends.values()):
-                    out.append(DomainCandidate(
-                        regions=tuple(sorted(U)), kind=kind,
-                        swap=tuple(sorted((j, e["b"], e["a"])
-                                          for j, e in ends.items())),
-                        passthrough=tuple(sorted(passthrough))))
+            ends = {}
+            for v, h_out in corners:
+                ends.setdefault(diagram.v_beta[v], {})[
+                    diagram.label(h_out)[0]] = v
+            if 2 * len(ends) == len(corners) and all(
+                    len(e) == 2 for e in ends.values()):
+                out.append(DomainCandidate(
+                    regions=tuple(sorted(U)), kind=kind,
+                    swap=tuple(sorted((j, e["b"], e["a"])
+                                      for j, e in ends.items())),
+                    passthrough=tuple(sorted(passthrough))))
         # clean unions may still extend to larger ones
         for r in U:
             for s in nbrs[r]:
@@ -252,23 +251,6 @@ def _move(diagram, x, dom, back=False):
     if len({diagram.v_alpha[v] for v in y}) != len(y):
         return None
     return tuple(y)
-
-
-def differentials(diagram: HeegaardDiagram, x: tuple):
-    """The boundary of x: one (domain, target) pair per admissible disk.
-
-    The diagram must be flat away from the basepoint region, otherwise
-    the disk count is not trustworthy.
-    """
-    if diagram.bad_regions():
-        raise ValueError(
-            "differentials need a flattened diagram; run make_nice first")
-    out = []
-    for dom in domain_census(diagram):
-        y = _move(diagram, x, dom)
-        if y is not None:
-            out.append((dom, y))
-    return out
 
 
 def boundary_matrix(diagram: HeegaardDiagram) -> BoundaryMatrix:
@@ -424,5 +406,5 @@ def homology_rank(m: BoundaryMatrix) -> int:
 
 __all__ = ["BoundaryMatrix", "DomainCandidate", "NONVANISHING", "VANISHING",
            "Verdict", "boundary_matrix", "contact_class", "decide_lazy",
-           "decide_vanishing", "differentials", "domain_census",
+           "decide_vanishing", "domain_census",
            "generators", "homology_rank"]

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .mapping import TwistWord, apply_word
-from .surface import ArcImage, Arrangement, Page, pushoff
+from .surface import ArcImage, Arrangement, Page, pushoff, successor_cycles
 
 _TOP, _BOTTOM = 0, 1
 _END = "end"
@@ -211,7 +211,14 @@ class HeegaardDiagram:
 
 
 class _Chart:
-    """One sheet: the cut polygon subdivided by a crossing-free family."""
+    """One sheet: the cut polygon subdivided by a crossing-free family.
+
+    A walk instance is (item, d): a polygon-boundary piece ("i", node)
+    running from node to node + 1, or chord c of path p, ("c", p, c),
+    walked along (d = 1) or against (d = -1) its path.  next_item maps
+    each instance to the one after it with the face on the left, and
+    face_of numbers the faces.
+    """
 
     def __init__(self, page: Page, paths, sheet: int):
         self.page = page
@@ -271,23 +278,14 @@ class _Chart:
             # the chord instance arriving at this node turns onto the boundary
             nxt[(("c", p, c), -direction)] = (("i", node), 1)
         self.next_item = nxt
-        self.face_of = {}
-        faces = 0
-        for start in sorted(nxt, key=_instance_key):
-            if start in self.face_of:
-                continue
-            cur = start
-            while True:
-                self.face_of[cur] = faces
-                cur = nxt[cur]
-                if cur == start:
-                    break
-            faces += 1
-        self.n_faces = faces
+        faces = successor_cycles(nxt, _instance_key)
+        self.face_of = {inst: f for f, face in enumerate(faces)
+                        for inst in face}
+        self.n_faces = len(faces)
         want = 1 + sum(len(chords) for chords in self.arr.chords)
-        if faces != want:
+        if len(faces) != want:
             raise RuntimeError(
-                f"internal error: walked {faces} polygon faces, "
+                f"internal error: walked {len(faces)} polygon faces, "
                 f"expected {want}")
 
     def corner_node(self, pos: int) -> int:
@@ -318,7 +316,7 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
         raise ValueError(f"need {n} monodromy images, got {len(images)}")
     pushoffs = [pushoff(page, i) for i in range(1, n + 1)]
     for j, image in enumerate(images):
-        if not isinstance(image, ArcImage) or image.along_arc is not None:
+        if not isinstance(image, ArcImage):
             raise ValueError("monodromy images must be concrete arc images")
         if not image.normalized:
             raise ValueError("monodromy images must be normalized")
@@ -349,18 +347,16 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
         if len(hits) != 1 or hits[0][1] != j + 1:
             raise RuntimeError("internal error: pushoff strays off its arc")
 
-    # strand sequences through each arc, in arc-parameter order
-    def arc_sides(i):
-        pos1 = page.arc_side_pos(page.occurrence_of(i, entry_sign=1))
-        pos2 = page.arc_side_pos(page.occurrence_of(i, entry_sign=-1))
-        if page.cut_polygon[pos1].copy == "L":
-            return pos1, pos2
-        return pos2, pos1
-
+    # strand sequences through each arc, in arc-parameter order, read
+    # from its first-copy side and its second-copy side
+    arc_sides = [None] + [
+        (page.arc_side_pos(page.first_occurrence[i - 1]),
+         page.arc_side_pos(page.second_occurrence[i - 1]))
+        for i in range(1, n + 1)]
     strands = {}
     for chart in charts:
         for i in range(1, n + 1):
-            pos_l, pos_r = arc_sides(i)
+            pos_l, pos_r = arc_sides[i]
             seq_l = [h[:2] for h in chart.arr.att_order[pos_l]]
             seq_r = [h[:2] for h in chart.arr.att_order[pos_r]]
             if seq_l != seq_r[::-1]:
@@ -368,35 +364,25 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
                     "internal error: arc copies disagree on strand order")
             strands[(chart.sheet, i)] = seq_l
 
-    def alpha_instance(sheet, i, t, direction):
-        """Walk instance of the arc piece at parameter slot t."""
-        pos_l, pos_r = arc_sides(i)
+    # A curve piece is ("p", instance, flipped): the walk instance going
+    # along the curve, and the one with the other side on the left.
+    def alpha_piece(sheet, i, t, direction):
+        """The arc piece at parameter slot t."""
+        pos_l, pos_r = arc_sides[i]
         m = len(strands[(sheet, i)])
+        d = 1 if sheet == _TOP else -1
+        left = (sheet, ("i", charts[sheet].corner_node(pos_l) + t), d)
+        right = (sheet, ("i", charts[sheet].corner_node(pos_r) + (m - t)), d)
         if (direction > 0) == (sheet == _TOP):
-            item = ("i", charts[sheet].corner_node(pos_l) + t)
-        else:
-            item = ("i", charts[sheet].corner_node(pos_r) + (m - t))
-        return (sheet, item, 1 if sheet == _TOP else -1)
+            return ("p", left, right)
+        return ("p", right, left)
 
-    other_side = {}
-    for sheet in (_TOP, _BOTTOM):
-        for i in range(1, n + 1):
-            for t in range(len(strands[(sheet, i)]) + 1):
-                fwd = alpha_instance(sheet, i, t, 1)
-                bwd = alpha_instance(sheet, i, t, -1)
-                other_side[fwd] = bwd
-                other_side[bwd] = fwd
-
-    def flip_side(instance):
-        """The same curve piece walked with the other side on the left."""
-        sheet, item, d = instance
-        if item[0] == "c":
-            return (sheet, item, -d)
-        return other_side[instance]
+    def chord_piece(sheet, j, c, d):
+        return ("p", (sheet, ("c", j, c), d), (sheet, ("c", j, c), -d))
 
     # final edges: chains of directed pieces between consecutive crossings
     edge_label = []
-    edge_chain = []
+    edge_length = []
     he_origin = []
     instance_home = {}
 
@@ -407,19 +393,19 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
         breaks = [t for t, e in enumerate(elems) if e[0] == "v"]
         for which, t in enumerate(breaks):
             end = breaks[which + 1] if which + 1 < len(breaks) else len(elems)
-            chain = [e[1] for e in elems[t + 1:end]]
+            chain = elems[t + 1:end]
             if not chain:
                 raise RuntimeError("internal error: edge without pieces")
             head = elems[breaks[(which + 1) % len(breaks)]][1]
             e = len(edge_label)
             edge_label.append(label)
-            edge_chain.append(tuple(chain))
+            edge_length.append(len(chain))
             he_origin.extend((elems[t][1], head))
             walk_sink.append(2 * e)
-            for s, inst in enumerate(chain):
+            for s, (_p, inst, _flipped) in enumerate(chain):
                 instance_home[inst] = (2 * e, s)
-            for s, inst in enumerate(reversed(chain)):
-                instance_home[flip_side(inst)] = (2 * e + 1, s)
+            for s, (_p, _inst, flipped) in enumerate(reversed(chain)):
+                instance_home[flipped] = (2 * e + 1, s)
 
     alpha_walk = []
     for i in range(1, n + 1):
@@ -427,11 +413,11 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
         seq_top = strands[(_TOP, i)]
         seq_bot = strands[(_BOTTOM, i)]
         for t in range(len(seq_top) + 1):
-            elems.append(("p", alpha_instance(_TOP, i, t, 1)))
+            elems.append(alpha_piece(_TOP, i, t, 1))
             if t < len(seq_top):
                 elems.append(("v", vertex_of[(_TOP,) + seq_top[t]]))
         for t in range(len(seq_bot), -1, -1):
-            elems.append(("p", alpha_instance(_BOTTOM, i, t, -1)))
+            elems.append(alpha_piece(_BOTTOM, i, t, -1))
             if t > 0:
                 elems.append(("v", vertex_of[(_BOTTOM,) + seq_bot[t - 1]]))
         walk = []
@@ -442,31 +428,26 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
     for j in range(n):
         elems = []
         for c in range(len(top.arr.chords[j])):
-            elems.append(("p", (_TOP, ("c", j, c), 1)))
+            elems.append(chord_piece(_TOP, j, c, 1))
             if c + 1 < len(top.arr.events[j]) - 1:
                 elems.append(("v", vertex_of[(_TOP, j, c + 1)]))
         for c in range(len(bottom.arr.chords[j]) - 1, -1, -1):
-            elems.append(("p", (_BOTTOM, ("c", j, c), -1)))
+            elems.append(chord_piece(_BOTTOM, j, c, -1))
             if c > 0:
                 elems.append(("v", vertex_of[(_BOTTOM, j, c)]))
         walk = []
         emit_edges(("b", j + 1), elems, walk)
         beta_walk.append(walk)
 
-    # region walks: sheet faces stitched across the binding; the bottom
-    # sheet is walked in reverse because the doubling flips it over
+    # region walks: the sheets' face walks, the bottom one reversed
+    # because the doubling flips it over
     nxt = {}
-    prv = {}
     for chart in charts:
         for inst, to in chart.next_item.items():
             if chart.sheet == _TOP:
-                a = (_TOP,) + inst
-                b = (_TOP,) + to
+                nxt[(_TOP,) + inst] = (_TOP,) + to
             else:
-                a = (_BOTTOM, to[0], -to[1])
-                b = (_BOTTOM, inst[0], -inst[1])
-            nxt[a] = b
-            prv[b] = a
+                nxt[(_BOTTOM, to[0], -to[1])] = (_BOTTOM, inst[0], -inst[1])
 
     parent = {}
     euler = {}
@@ -487,6 +468,9 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
             d = -d
         return find((sheet, charts[sheet].face_of[(item, d)]))
 
+    # each binding piece of the top sheet is glued to its bottom partner,
+    # and the faces on either side merge into one region
+    glue = {}
     for pos in range(page.n_sides):
         if page.cut_polygon[pos].kind != "boundary":
             continue
@@ -505,39 +489,24 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
             else:
                 parent[rb] = ra
                 euler[ra] += euler[rb] - 1
-            na, nb = nxt.pop(a), nxt.pop(b)
-            pa, pb = prv.pop(a), prv.pop(b)
-            if pa == b and pb == a:
+            glue[a] = b
+            glue[b] = a
+
+    # a walk reaching a binding piece crosses to the other sheet and goes
+    # on after the partner; binding pieces never follow one another
+    succ = {}
+    for x, y in nxt.items():
+        if x in glue:
+            continue
+        if y in glue:
+            y = nxt[glue[y]]
+            if y in glue:
                 raise RuntimeError("internal error: bare binding circle")
-            if na == b:
-                nxt[pa] = nb
-                prv[nb] = pa
-            elif nb == a:
-                nxt[pb] = na
-                prv[na] = pb
-            else:
-                nxt[pa] = nb
-                prv[nb] = pa
-                nxt[pb] = na
-                prv[na] = pb
+        succ[x] = y
 
     # group the stitched cycles into regions, compressed to half-edges
-    cycles = []
-    walked = set()
-    for start in sorted(nxt, key=lambda inst: (inst[0],)
-                        + _instance_key(inst[1:])):
-        if start in walked:
-            continue
-        cycle = []
-        cur = start
-        while True:
-            cycle.append(cur)
-            walked.add(cur)
-            cur = nxt[cur]
-            if cur == start:
-                break
-        cycles.append(cycle)
-
+    cycles = successor_cycles(
+        succ, lambda inst: (inst[0],) + _instance_key(inst[1:]))
     region_index = {}
     regions = []
     he_region_map = {}
@@ -561,12 +530,12 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
             h, at = instance_home[cycle[t]]
             if at != 0:
                 raise RuntimeError("internal error: chain starts mid-edge")
-            for s in range(len(edge_chain[h // 2])):
+            for s in range(edge_length[h // 2]):
                 if instance_home[cycle[t + s]] != (h, s):
                     raise RuntimeError("internal error: chain broken in walk")
             compressed.append(h)
             he_region_map[h] = r
-            t += len(edge_chain[h // 2])
+            t += edge_length[h // 2]
         regions[r].cycles.append(compressed)
 
     # the basepoint sits just counterclockwise of the first pushoff's start

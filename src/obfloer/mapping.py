@@ -33,9 +33,9 @@ from .surface import (
     Arrangement,
     Curve,
     Page,
-    geometric_intersection,
     invert_word,
     normalize,
+    parallel,
     pushoff,
 )
 
@@ -94,17 +94,16 @@ def dehn_twist(page: Page, c: Curve, sign: int, target):
         raise ValueError("cannot twist about a trivial curve")
     if sign not in (1, -1):
         raise ValueError(f"twist sign must be +1 or -1, got {sign!r}")
-    if isinstance(target, ArcImage) and target.along_arc is not None:
-        raise ValueError("twist a pushoff representative, not a basis-arc placeholder")
     if not isinstance(target, (Curve, ArcImage)):
         raise TypeError(f"cannot twist {type(target).__name__}")
     if not target.normalized:
         raise ValueError("twist target must be normalized")
 
-    if geometric_intersection(page, c, target) == 0:
+    if parallel(c, target):
         return target
-
     arr = Arrangement(page, [c, target])
+    if arr.pair_crossings(0, 1) == 0:
+        return target
     word_c = c.crossings
     events_t = arr.events[1]
 

@@ -23,7 +23,7 @@ Conventions (documented in docs/conventions.md):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = [
     "Side",
@@ -36,8 +36,9 @@ __all__ = [
     "parse_curve",
     "normalize",
     "geometric_intersection",
+    "parallel",
+    "successor_cycles",
     "pushoff",
-    "basis_arc_image",
     "euler_characteristic_from_cut",
 ]
 
@@ -89,6 +90,26 @@ def unoriented_canonical(word: tuple[Token, ...]) -> tuple[Token, ...]:
     return min(canonical_rotation(word), canonical_rotation(invert_word(word)))
 
 
+def successor_cycles(succ: dict, key=None) -> list[list]:
+    """The cycles of a successor map, each started from its least key.
+
+    Cycles come in the order of those least keys.
+    """
+    cycles = []
+    walked = set()
+    for start in sorted(succ, key=key):
+        if start in walked:
+            continue
+        cycle = [start]
+        cur = succ[start]
+        while cur != start:
+            cycle.append(cur)
+            cur = succ[cur]
+        walked.update(cycle)
+        cycles.append(cycle)
+    return cycles
+
+
 # ---------------------------------------------------------------------------
 # pages
 
@@ -97,19 +118,14 @@ def unoriented_canonical(word: tuple[Token, ...]) -> tuple[Token, ...]:
 class Side:
     """One side of the cut polygon.
 
-    kind is "arc" for a copy of a basis arc (with 1-based arc index, copy
-    label "L" for the first occurrence or "R" for the second, and
-    orientation +1 when the arc parameter increases along the
-    counterclockwise boundary) or "boundary" for a segment of the page
-    boundary (with its component and segment indices).
+    kind is "arc" for a copy of a basis arc, with its 1-based arc index
+    and copy label "L" for the first occurrence or "R" for the second,
+    or "boundary" for a segment of the page boundary.
     """
 
     kind: str
     arc: int | None = None
     copy: str | None = None
-    orientation: int | None = None
-    component: int | None = None
-    segment: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("arc", "boundary"):
@@ -180,12 +196,11 @@ def make_page(genus: int, boundary_components: int) -> Page:
     n = 2 * genus + boundary_components - 1
 
     if n == 0:
-        side = Side(kind="boundary", component=0, segment=0)
         return Page(
             genus=0,
             boundary_components=1,
             n_arcs=0,
-            cut_polygon=(side,),
+            cut_polygon=(Side(kind="boundary"),),
             occurrence_word=(),
             twin_occurrence=(),
             first_occurrence=(),
@@ -216,46 +231,14 @@ def make_page(genus: int, boundary_components: int) -> Page:
 
     # Walking along the page boundary, the segment after segment j is the
     # one following the twin of the next arc occurrence.
-    def next_segment(j: int) -> int:
-        return twin[(j + 1) % (2 * n)]
-
-    seen = [False] * (2 * n)
-    cycles: list[tuple[int, ...]] = []
-    for start in range(2 * n):
-        if seen[start]:
-            continue
-        cyc = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = next_segment(j)
-        cycles.append(tuple(cyc))
-    cycles.sort(key=min)
-    # Rotate each cycle to start at its smallest segment for stable labels.
-    cycles = [c[c.index(min(c)):] + c[:c.index(min(c))] for c in cycles]
+    cycles = successor_cycles({j: twin[(j + 1) % (2 * n)] for j in range(2 * n)})
     if len(cycles) != boundary_components:
         raise AssertionError("attachment word produced the wrong boundary count")
 
-    seg_component = [0] * (2 * n)
-    seg_index = [0] * (2 * n)
-    for comp, cyc in enumerate(cycles):
-        for idx, seg in enumerate(cyc):
-            seg_component[seg] = comp
-            seg_index[seg] = idx
-
     sides: list[Side] = []
     for j, arc in enumerate(occ_word):
-        is_first = first[arc - 1] == j
-        sides.append(
-            Side(
-                kind="arc",
-                arc=arc,
-                copy="L" if is_first else "R",
-                orientation=+1 if is_first else -1,
-            )
-        )
-        sides.append(Side(kind="boundary", component=seg_component[j], segment=seg_index[j]))
+        sides.append(Side(kind="arc", arc=arc, copy="L" if first[arc - 1] == j else "R"))
+        sides.append(Side(kind="boundary"))
 
     return Page(
         genus=genus,
@@ -325,16 +308,14 @@ class Curve:
 class ArcImage:
     """A properly embedded arc rel endpoints, as a linear crossing word.
 
-    along_arc marks the degenerate representation of basis arc i itself,
-    which runs along the cut and crosses nothing; such objects only
-    support intersection queries.
+    Basis arc i itself has no such word; a path's crossing number with
+    it is the path's count of i-tokens (docs/conventions.md).
     """
 
     start_slot: Slot
     end_slot: Slot
     crossings: tuple[Token, ...]
     normalized: bool = False
-    along_arc: int | None = None
 
 
 def _check_tokens(page: Page, tokens) -> tuple[Token, ...]:
@@ -358,21 +339,8 @@ def normalize(page: Page, path):
         word = canonical_rotation(reduce_cyclic(_check_tokens(page, path.crossings)))
         return Curve(crossings=word, normalized=True)
     if isinstance(path, ArcImage):
-        if path.along_arc is not None:
-            return ArcImage(
-                start_slot=path.start_slot,
-                end_slot=path.end_slot,
-                crossings=(),
-                normalized=True,
-                along_arc=path.along_arc,
-            )
         word = reduce_linear(_check_tokens(page, path.crossings))
-        return ArcImage(
-            start_slot=path.start_slot,
-            end_slot=path.end_slot,
-            crossings=word,
-            normalized=True,
-        )
+        return replace(path, crossings=word, normalized=True)
     raise TypeError(f"expected Curve or ArcImage, got {type(path).__name__}")
 
 
@@ -418,18 +386,6 @@ def pushoff(page: Page, arc: int) -> ArcImage:
     )
 
 
-def basis_arc_image(page: Page, arc: int) -> ArcImage:
-    """Basis arc i as a degenerate intersection-query object."""
-    page.check_arc_index(arc)
-    return ArcImage(
-        start_slot=Slot(segment=-1, rank=arc),
-        end_slot=Slot(segment=-1, rank=-arc),
-        crossings=(),
-        normalized=True,
-        along_arc=arc,
-    )
-
-
 # ---------------------------------------------------------------------------
 # canonical arrangements
 
@@ -466,8 +422,6 @@ class Arrangement:
                 self.events.append([("x", a, s) for a, s in path.crossings])
                 self.cyclic.append(True)
             elif isinstance(path, ArcImage):
-                if path.along_arc is not None:
-                    raise ValueError("basis-arc placeholders cannot be arranged")
                 if not path.normalized:
                     raise ValueError("arrangement requires normalized arcs")
                 evs = [("e", path.start_slot, 0)]
@@ -774,10 +728,6 @@ class Arrangement:
 # intersection numbers
 
 
-def _token_count(word: tuple[Token, ...], arc: int) -> int:
-    return sum(1 for a, _s in word if a == arc)
-
-
 def geometric_intersection(page: Page, x, y) -> int:
     """Minimal transverse crossing count between two normalized paths.
 
@@ -789,24 +739,21 @@ def geometric_intersection(page: Page, x, y) -> int:
     for label, path in (("first", x), ("second", y)):
         if not getattr(path, "normalized", False):
             raise ValueError(f"{label} argument must be normalized")
-    x_along = isinstance(x, ArcImage) and x.along_arc is not None
-    y_along = isinstance(y, ArcImage) and y.along_arc is not None
-    if x_along and y_along:
+    if parallel(x, y):
         return 0
-    if x_along:
-        page.check_arc_index(x.along_arc)
-        return _token_count(y.crossings, x.along_arc)
-    if y_along:
-        page.check_arc_index(y.along_arc)
-        return _token_count(x.crossings, y.along_arc)
-    if x is y:
-        return 0
+    return Arrangement(page, [x, y]).pair_crossings(0, 1)
+
+
+def parallel(x, y) -> bool:
+    """Are two normalized paths copies of one path, in either direction?
+
+    Such a pair cannot be arranged (its strands never separate) and
+    counts as disjoint.
+    """
     if isinstance(x, Curve) and isinstance(y, Curve):
-        if unoriented_canonical(x.crossings) == unoriented_canonical(y.crossings):
-            return 0
+        return unoriented_canonical(x.crossings) == unoriented_canonical(y.crossings)
     if isinstance(x, ArcImage) and isinstance(y, ArcImage):
         same_slots = {x.start_slot, x.end_slot} == {y.start_slot, y.end_slot}
-        if same_slots and (x.crossings == y.crossings or x.crossings == invert_word(y.crossings)):
-            return 0
-    arr = Arrangement(page, [x, y])
-    return arr.pair_crossings(0, 1)
+        return same_slots and (x.crossings == y.crossings
+                               or x.crossings == invert_word(y.crossings))
+    return False

@@ -18,9 +18,9 @@ import time
 import pytest
 
 from obfloer import floer
-from obfloer.floer import (boundary_matrix, contact_class, decide_lazy,
-                           decide_vanishing, differentials, generators,
-                           homology_rank)
+from obfloer.floer import (_move, boundary_matrix, contact_class,
+                           decide_lazy, decide_vanishing, domain_census,
+                           generators, homology_rank)
 from obfloer.front import parse_input, run_check
 from obfloer.heegaard import build_diagram
 from obfloer.mapping import TwistWord, same_action_on_basis
@@ -86,11 +86,14 @@ def test_worked_example_census_shape():
 def test_worked_example_boundary_shape():
     post = make_nice(lantern_diagram())
     c = contact_class(post)
+    census = domain_census(post)
     good = []
     for x in generators(post):
         targets = {}
-        for dom, y in differentials(post, x):
-            targets.setdefault(y, []).append(dom)
+        for dom in census:
+            y = _move(post, x, dom)
+            if y is not None:
+                targets.setdefault(y, []).append(dom)
         odd = {y for y, doms in targets.items() if len(doms) % 2 == 1}
         if c not in odd or len(odd) != 2:
             continue

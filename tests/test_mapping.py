@@ -4,8 +4,8 @@ import pytest
 
 from obfloer.surface import (
     Curve,
-    basis_arc_image,
     geometric_intersection,
+    invert_word,
     make_page,
     parse_curve,
     pushoff,
@@ -61,7 +61,6 @@ def test_annulus_image_intersections(annulus):
     minus = dehn_twist(annulus, core, -1, b1)
     assert geometric_intersection(annulus, plus, core) == 1
     assert geometric_intersection(annulus, plus, b1) == 2
-    assert geometric_intersection(annulus, plus, basis_arc_image(annulus, 1)) == 0
     assert geometric_intersection(annulus, minus, core) == 1
     assert geometric_intersection(annulus, minus, b1) == 0
 
@@ -157,7 +156,7 @@ def test_inverse_reverses_and_flips(four_holed):
 def test_twist_word_rejects_bad_letters(four_holed):
     f1 = parse_curve(four_holed, [(1, 1), (2, 1)])
     with pytest.raises(TypeError, match="Curve"):
-        TwistWord(((basis_arc_image(four_holed, 1), 1),))
+        TwistWord(((pushoff(four_holed, 1), 1),))
     with pytest.raises(ValueError, match="sign"):
         TwistWord(((f1, 0),))
 
@@ -168,37 +167,71 @@ def test_dehn_twist_rejects_bad_input(four_holed):
         dehn_twist(four_holed, pushoff(four_holed, 1), 1, f1)
     with pytest.raises(ValueError, match="sign"):
         dehn_twist(four_holed, f1, 2, pushoff(four_holed, 1))
-    with pytest.raises(ValueError, match="placeholder"):
-        dehn_twist(four_holed, f1, 1, basis_arc_image(four_holed, 1))
     with pytest.raises(ValueError, match="normalized"):
         dehn_twist(four_holed, f1, 1, Curve(((1, 1), (1, -1), (2, 1))))
 
 
 def test_random_round_trips_and_intersections():
-    rng = random.Random(23)
     pages = [make_page(0, 4), make_page(1, 1)]
-    checked = 0
-    for trial in range(90):
-        page = pages[trial % 2]
-        word_c = tuple((rng.randint(1, page.n_arcs), rng.choice((1, -1)))
-                       for _ in range(rng.randint(1, 3)))
-        word_t = tuple((rng.randint(1, page.n_arcs), rng.choice((1, -1)))
-                       for _ in range(rng.randint(1, 3)))
-        try:
-            c = parse_curve(page, word_c)
-            t = parse_curve(page, word_t)
-        except ValueError:
-            continue
-        sign = rng.choice((1, -1))
-        image = dehn_twist(page, c, sign, t)
-        assert dehn_twist(page, c, -sign, image) == t
-        u = pushoff(page, rng.randint(1, page.n_arcs))
-        image_u = dehn_twist(page, c, sign, u)
-        lib = geometric_intersection(page, image, image_u)
-        assert lib == geometric_intersection(page, t, u)
-        # the brute-force check enumerates strand orders, so keep it to
-        # images it can afford
-        if len(image.crossings) + len(image_u.crossings) <= 8:
-            assert lib == oracle_pair_crossings(page, image, image_u)
-        checked += 1
-    assert checked >= 30
+    for seed in (23, 123, 223, 323):
+        rng = random.Random(seed)
+        checked = 0
+        for trial in range(90):
+            page = pages[trial % 2]
+            word_c = tuple((rng.randint(1, page.n_arcs), rng.choice((1, -1)))
+                           for _ in range(rng.randint(1, 3)))
+            word_t = tuple((rng.randint(1, page.n_arcs), rng.choice((1, -1)))
+                           for _ in range(rng.randint(1, 3)))
+            try:
+                c = parse_curve(page, word_c)
+                t = parse_curve(page, word_t)
+            except ValueError:
+                continue
+            sign = rng.choice((1, -1))
+            image = dehn_twist(page, c, sign, t)
+            assert dehn_twist(page, c, -sign, image) == t
+            u = pushoff(page, rng.randint(1, page.n_arcs))
+            image_u = dehn_twist(page, c, sign, u)
+            lib = geometric_intersection(page, image, image_u)
+            assert lib == geometric_intersection(page, t, u)
+            # the brute-force check enumerates strand orders, so keep it to
+            # images it can afford
+            if len(image.crossings) + len(image_u.crossings) <= 8:
+                assert lib == oracle_pair_crossings(page, image, image_u)
+            checked += 1
+        assert checked >= 30
+
+
+@pytest.mark.parametrize("seed", [37, 137, 237, 337])
+def test_twist_returns_target_exactly_when_disjoint(seed):
+    rng = random.Random(seed)
+    pages = [make_page(0, 2), make_page(0, 3), make_page(0, 4),
+             make_page(1, 1), make_page(1, 2)]
+
+    def random_curve(page):
+        while True:
+            word = tuple((rng.randint(1, page.n_arcs), rng.choice((1, -1)))
+                         for _ in range(rng.randint(1, 3)))
+            try:
+                return parse_curve(page, word)
+            except ValueError:
+                continue
+
+    disjoint = 0
+    for trial in range(150):
+        page = pages[trial % len(pages)]
+        c = random_curve(page)
+        pushed = pushoff(page, rng.randint(1, page.n_arcs))
+        targets = [random_curve(page), pushed,
+                   dehn_twist(page, random_curve(page), rng.choice((1, -1)),
+                              pushed)]
+        for t in targets:
+            sign = rng.choice((1, -1))
+            zero = geometric_intersection(page, c, t) == 0
+            assert (dehn_twist(page, c, sign, t) == t) == zero
+            disjoint += zero
+        reverse = parse_curve(page, invert_word(c.crossings))
+        for sign in (1, -1):
+            assert dehn_twist(page, c, sign, c) == c
+            assert dehn_twist(page, c, sign, reverse) == reverse
+    assert 0 < disjoint < 450
