@@ -2,33 +2,32 @@
 
 Generators are tuples of crossings, one on each pushoff circle, hitting
 every arc circle exactly once.  The differential counts empty embedded
-bigons and rectangles; on a flattened diagram these are exactly the
-connected unions of regions, with 0/1 multiplicities and at most one
-bigon tile, that glue to a disk with two or four corners and carry no
-other coordinate of the source on their closure.
+bigons and rectangles.  On a flattened diagram these are unions of
+distinct tiles (the bigon and square regions away from the basepoint):
+a rectangle is a grid of squares, walked once from its source corner,
+and a bigon is one bigon tile with squares around it, found by tracing
+its boundary (docs/conventions.md, "Domains on a flat diagram").
 
-The distinguished generator is the tuple of page crossings.  It is
-always a cycle; the open book's contact class vanishes exactly when it
-is a boundary, which a small GF(2) elimination settles.  Both answers
-come with certificates that can be checked by plain multiplication: a
-primitive chain bounding the distinguished generator, or a functional
-that kills every boundary yet evaluates to 1 on it.
+The boundary matrix looks up each generator's disks in an index keyed
+by source corners.  The distinguished generator is the tuple of page
+crossings.  It is always a cycle; the open book's contact class
+vanishes exactly when it is a boundary, which one GF(2) elimination
+over int bitmask columns settles.  Both answers come with certificates
+that are re-checked by plain multiplication: a chain bounding the
+distinguished generator, or a functional that kills every boundary yet
+evaluates to 1 on it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 from .heegaard import HeegaardDiagram
 from .nicify import lazy_frontier, make_nice
 
 NONVANISHING = "NONVANISHING"
 VANISHING = "VANISHING"
-
-_CENSUS_CAP = 400_000
-
-_FLAT_PATTERNS = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -94,139 +93,200 @@ def generators(diagram: HeegaardDiagram) -> list[tuple]:
     return out
 
 
-def _quadrants(diagram: HeegaardDiagram):
-    """Per vertex, the four corners around it in rotational order.
+def _cycle_tables(diagram: HeegaardDiagram):
+    """Per region its tile size, per half-edge its place in its cycle.
 
-    Each entry is (region, h_out): the region owning the quadrant and
-    the half-edge its boundary walk leaves the vertex along.
+    tile[r] is 2 for a bigon tile, 4 for a square tile and 0 for a wall:
+    the basepoint region and every region that is not a bigon or square
+    disk.  nxt[h], prv[h] and pos[h] are the successor, the predecessor
+    and the index of h in the boundary cycle of the region on its left.
     """
-    by_in = {}
-    for r, region in enumerate(diagram.regions):
-        for cyc in region.cycles:
+    n_he = 2 * diagram.n_edges
+    tile = [0] * len(diagram.regions)
+    nxt, prv, pos = [0] * n_he, [0] * n_he, [0] * n_he
+    for r, reg in enumerate(diagram.regions):
+        if not reg.pointed and (reg.is_bigon or reg.is_square):
+            tile[r] = reg.corner_count
+        for cyc in reg.cycles:
             for t, h in enumerate(cyc):
-                by_in[h] = (r, cyc[(t + 1) % len(cyc)])
-    first_in = [-1] * diagram.n_vertices
-    for h in range(2 * diagram.n_edges):
-        if first_in[diagram.head(h)] < 0:
-            first_in[diagram.head(h)] = h
-    quads = []
-    for v in range(diagram.n_vertices):
-        ring = []
-        h = first_in[v]
-        while True:
-            r, h_out = by_in[h]
-            ring.append((r, h_out))
-            h = diagram.twin(h_out)
-            if h == first_in[v]:
-                break
-            if len(ring) > 4:
-                raise RuntimeError("internal error: vertex is not 4-valent")
-        if len(ring) != 4:
-            raise RuntimeError("internal error: vertex is not 4-valent")
-        quads.append(ring)
-    return quads
+                nxt[h] = cyc[(t + 1) % len(cyc)]
+                prv[h] = cyc[t - 1]
+                pos[h] = t
+    return tile, nxt, prv, pos
+
+
+def _rectangles(diagram: HeegaardDiagram, tile, pos) -> list:
+    """Every rectangle, walked once as a grid from its lower source corner.
+
+    A cell is (square, e): the square's cycle has its u-exit at e and
+    its v-exit at e + 1, so that its corner e + 3 is the grid's lower
+    left.  Crossing a u-exit into a square entered at position q gives
+    u-exit q + 2, crossing a v-exit gives q + 1.  Rows are stacked by
+    v-steps alone: the square above a right neighbour is the right
+    neighbour of the square above, since every vertex is four-valent.
+    A grid that repeats a region or a vertex is no embedded disk, and
+    neither is any grid containing it, so the walk stops there.
+    """
+    origin, region, v_beta = (diagram.he_origin, diagram.he_region,
+                              diagram.v_beta)
+    cyc = {r: diagram.regions[r].cycles[0]
+           for r, size in enumerate(tile) if size == 4}
+
+    def cross(cell, side, turn):
+        r, e = cell
+        h = cyc[r][(e + side) % 4] ^ 1
+        s = region[h]
+        return (s, (pos[h] + turn) % 4) if tile[s] == 4 else None
+
+    def corner(cell, k):
+        r, e = cell
+        return origin[cyc[r][(e + k) % 4]]
+
+    out = []
+    for r0 in sorted(cyc):
+        for e0 in range(4):
+            if diagram.label(cyc[r0][(e0 + 3) % 4])[0] != "b":
+                continue
+            row0 = [(r0, e0)]
+            height = None
+            while True:
+                row = row0
+                bottom = [corner(cell, 3) for cell in row] + [
+                    corner(row[-1], 0)]
+                regs, verts = set(), set(bottom)
+                h = 0
+                if len(verts) == len(bottom):
+                    while height is None or h < height:
+                        if h:
+                            row = [cross(cell, 1, 1) for cell in row]
+                            if None in row:
+                                break
+                        new = {r for r, _ in row}
+                        top = [corner(cell, 2) for cell in row] + [
+                            corner(row[-1], 1)]
+                        if (len(new) < len(row) or not regs.isdisjoint(new)
+                                or len(set(top)) < len(top)
+                                or not verts.isdisjoint(top)):
+                            break
+                        regs |= new
+                        verts.update(top)
+                        h += 1
+                        low, high = bottom[0], top[-1]
+                        if v_beta[low] < v_beta[high]:
+                            ends = {low, bottom[-1], high, top[0]}
+                            out.append(DomainCandidate(
+                                regions=tuple(sorted(regs)),
+                                kind="rectangle",
+                                swap=((v_beta[low], low, bottom[-1]),
+                                      (v_beta[high], high, top[0])),
+                                passthrough=tuple(sorted(verts - ends))))
+                height = h
+                right = cross(row0[-1], 0, 2) if h else None
+                if right is None:
+                    break
+                row0 = row0 + [right]
+    return out
+
+
+def _bigons(diagram: HeegaardDiagram, tile, nxt, prv) -> list:
+    """Every bigon, found by tracing its boundary from its source corner.
+
+    From a β half-edge h leaving P, walk β straight on; at each Q on P's
+    α circle turn left onto α, which closes back onto h at P exactly
+    when it runs the same way along α as the half-edge before h in its
+    region.  The regions left of the loop, flooded without crossing it,
+    form the domain; a flood that meets a wall or the far side of the
+    loop, or a second bigon tile, is no empty embedded bigon.
+    """
+    origin, region, v_alpha = (diagram.he_origin, diagram.he_region,
+                               diagram.v_alpha)
+    n_he = 2 * diagram.n_edges
+    straight, forward = [0] * n_he, [False] * n_he
+    for walks in (diagram.alpha_walk, diagram.beta_walk):
+        for walk in walks:
+            for t, h in enumerate(walk):
+                straight[h] = walk[(t + 1) % len(walk)]
+                straight[h ^ 1] = walk[t - 1] ^ 1
+                forward[h] = True
+
+    def flood(loop):
+        edges = set(loop)
+        inside = {region[x] for x in loop}
+        outside = {region[x ^ 1] for x in loop}
+        if not inside.isdisjoint(outside):
+            return None
+        todo = list(inside)
+        n_bigon = 0
+        while todo:
+            r = todo.pop()
+            if tile[r] == 0:
+                return None
+            if tile[r] == 2:
+                n_bigon += 1
+                if n_bigon > 1:
+                    return None
+            for x in diagram.regions[r].cycles[0]:
+                if x in edges:
+                    continue
+                s = region[x ^ 1]
+                if s in outside:
+                    return None
+                if s not in inside:
+                    inside.add(s)
+                    todo.append(s)
+        return inside if n_bigon == 1 else None
+
+    out = []
+    for j, walk in enumerate(diagram.beta_walk, start=1):
+        for h in walk + [x ^ 1 for x in walk]:
+            if tile[region[h]] == 0:
+                continue
+            p, back = origin[h], prv[h]
+            side, inside, outside = [], set(), set()
+            g = h
+            while True:
+                r = region[g]
+                if tile[r] == 0 or r in outside or region[g ^ 1] in inside:
+                    break
+                side.append(g)
+                inside.add(r)
+                outside.add(region[g ^ 1])
+                q = origin[g ^ 1]
+                if q == p:
+                    break
+                a = nxt[g]
+                if v_alpha[q] == v_alpha[p] and forward[a] == forward[back]:
+                    turn = [a]
+                    while turn[-1] != back:
+                        turn.append(straight[turn[-1]])
+                    regs = flood(side + turn)
+                    if regs is not None:
+                        verts = {origin[x] for r in regs
+                                 for x in diagram.regions[r].cycles[0]}
+                        out.append(DomainCandidate(
+                            regions=tuple(sorted(regs)), kind="bigon",
+                            swap=((j, p, q),),
+                            passthrough=tuple(sorted(verts - {p, q}))))
+                g = straight[g]
+    return out
 
 
 def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
-    """Every admissible bigon or rectangle union of flat regions.
+    """Every empty embedded bigon and rectangle the differential counts.
 
-    Tiles are the bigon and square regions away from the basepoint;
-    oversized regions never tile a differential, so on a partially
-    flattened diagram the census only sees domains avoiding them.
-    Enumeration grows connected unions, branching to repair vertices
-    whose quadrant pattern is not yet that of a disk boundary.  A disk
-    is kept only when each β circle its corners touch carries exactly
-    one source and one target corner; any other disk fits no generator.
+    Domains are unions of tiles, the bigon and square regions away from
+    the basepoint.  Every other region is a wall: no differential covers
+    it, so on a partially flattened diagram the census sees exactly the
+    domains that avoid the regions not yet flattened.  A rectangle has
+    only square tiles and is walked once as a grid from its source
+    corner on the lower β circle; a bigon is found by tracing its
+    boundary from its source corner (docs/conventions.md, "Domains on a
+    flat diagram").  A disk is kept only when each β circle its corners
+    touch carries one source and one target corner, since no other disk
+    fits a generator.  The list is sorted by region tuple.
     """
-    quads = _quadrants(diagram)
-    eligible = frozenset(
-        r for r, reg in enumerate(diagram.regions)
-        if not reg.pointed and (reg.is_bigon or reg.is_square))
-    verts_of, nbrs, is_bigon = {}, {}, {}
-    for r in eligible:
-        cycles = diagram.regions[r].cycles
-        verts_of[r] = frozenset(diagram.he_origin[h]
-                                for cyc in cycles for h in cyc)
-        nbrs[r] = frozenset(diagram.he_region[diagram.twin(h)]
-                            for cyc in cycles for h in cyc) & eligible
-        is_bigon[r] = diagram.regions[r].is_bigon
-
-    def classify(U):
-        touched = set()
-        for r in U:
-            touched |= verts_of[r]
-        corners, passthrough, defects = [], [], []
-        for v in touched:
-            ring = quads[v]
-            bits = tuple(1 if r in U else 0 for r, _ in ring)
-            total = sum(bits)
-            if total == 0:
-                continue
-            if total == 4:
-                passthrough.append(v)
-            elif total == 1:
-                corners.append((v, ring[bits.index(1)][1]))
-            elif total == 2 and bits in _FLAT_PATTERNS:
-                passthrough.append(v)
-            else:
-                defects.append(v)
-        return corners, passthrough, defects
-
-    out = []
-    seen = set()
-    queue = deque()
-    for r in sorted(eligible):
-        U = frozenset((r,))
-        seen.add(U)
-        queue.append(U)
-    while queue:
-        if len(seen) > _CENSUS_CAP:
-            raise RuntimeError(
-                "internal error: domain census exceeded its state cap")
-        U = queue.popleft()
-        n_bigon = sum(1 for r in U if is_bigon[r])
-        if n_bigon > 1:
-            continue
-        corners, passthrough, defects = classify(U)
-        if defects:
-            # grow only toward repairing the first broken vertex
-            v = min(defects)
-            for r, _ in quads[v]:
-                if r in eligible and r not in U:
-                    nxt = U | {r}
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-            continue
-        kind = None
-        if n_bigon == 1 and len(corners) == 2:
-            kind = "bigon"
-        elif n_bigon == 0 and len(corners) == 4:
-            kind = "rectangle"
-        # No Euler test is needed: with no defect every vertex is a convex
-        # corner, a flat side or an interior point, so by Gauss-Bonnet a
-        # union with two corners and one bigon tile, or four corners and
-        # none, has Euler characteristic 1.
-        if kind is not None:
-            ends = {}
-            for v, h_out in corners:
-                ends.setdefault(diagram.v_beta[v], {})[
-                    diagram.label(h_out)[0]] = v
-            if 2 * len(ends) == len(corners) and all(
-                    len(e) == 2 for e in ends.values()):
-                out.append(DomainCandidate(
-                    regions=tuple(sorted(U)), kind=kind,
-                    swap=tuple(sorted((j, e["b"], e["a"])
-                                      for j, e in ends.items())),
-                    passthrough=tuple(sorted(passthrough))))
-        # clean unions may still extend to larger ones
-        for r in U:
-            for s in nbrs[r]:
-                if s not in U:
-                    nxt = U | {s}
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
+    tile, nxt, prv, pos = _cycle_tables(diagram)
+    out = _rectangles(diagram, tile, pos) + _bigons(diagram, tile, nxt, prv)
     out.sort(key=lambda c: c.regions)
     return out
 
@@ -254,21 +314,35 @@ def _move(diagram, x, dom, back=False):
 
 
 def boundary_matrix(diagram: HeegaardDiagram) -> BoundaryMatrix:
-    """Assemble the full boundary operator of a flattened diagram."""
+    """Assemble the full boundary operator of a flattened diagram.
+
+    Census disks are indexed by their source corners, one (β circle,
+    vertex) pair per swap entry.  A generator x looks up the key of
+    every one or two of its coordinates, so it meets exactly the disks
+    whose source corners it holds, each once, and _move only checks the
+    passthrough vertices and the α circles.  Column x lists, sorted,
+    the generators reached an odd number of times; ∂² = 0 is checked
+    before the matrix is returned.
+    """
     if diagram.bad_regions():
         raise ValueError(
             "the boundary operator needs a flattened diagram; "
             "run make_nice first")
     gens = generators(diagram)
     index = {x: i for i, x in enumerate(gens)}
-    census = domain_census(diagram)
+    by_source = {}
+    for dom in domain_census(diagram):
+        key = tuple((j, src) for j, src, _ in dom.swap)
+        by_source.setdefault(key, []).append(dom)
 
     def column(x):
+        pairs = list(enumerate(x, start=1))
         hits = set()
-        for dom in census:
-            y = _move(diagram, x, dom)
-            if y is not None:
-                hits ^= {index[y]}
+        for key in [(a,) for a in pairs] + list(combinations(pairs, 2)):
+            for dom in by_source.get(key, ()):
+                y = _move(diagram, x, dom)
+                if y is not None:
+                    hits ^= {index[y]}
         return tuple(sorted(hits))
 
     m = BoundaryMatrix(generators=tuple(gens),
@@ -294,42 +368,55 @@ def contact_class(diagram: HeegaardDiagram) -> tuple:
     return diagram.contact_tuple()
 
 
-def _eliminate(columns):
-    """Reduced echelon basis of the column space with combination tracking.
+def _low(vec: int) -> int:
+    """The lowest set bit of a nonzero bitmask."""
+    return (vec & -vec).bit_length() - 1
 
-    basis maps a pivot row to a column (a set of rows) whose least entry
-    is that pivot and which contains no other pivot; combos maps the
-    pivot to the set of original column indices that sum to its column.
+
+def _rows(vec: int) -> list[int]:
+    """The set bits of a bitmask, in increasing order."""
+    return [k for k, bit in enumerate(bin(vec)[:1:-1]) if bit == "1"]
+
+
+def _eliminate(columns) -> dict:
+    """Echelon basis of the column space over GF(2), as int bitmasks.
+
+    Each column becomes an int with bit k set for row k, and is reduced
+    by XOR against the basis vector whose lowest set bit (its pivot)
+    equals the column's lowest set bit, until that bit is no pivot.  The
+    result maps each pivot to (vector, combination): the vector has the
+    pivot as its lowest bit, and the combination has bit i set for each
+    original column i summing to it.  The rank is the number of pivots.
     """
     basis = {}
-    combos = {}
     for idx, col in enumerate(columns):
-        vec = set(col)
-        used = {idx}
-        for q in sorted(basis):
-            if q in vec:
-                vec = vec ^ basis[q]
-                used = used ^ combos[q]
-        if vec:
-            p = min(vec)
-            for q in basis:
-                if p in basis[q]:
-                    basis[q] = basis[q] ^ vec
-                    combos[q] = combos[q] ^ used
-            basis[p] = vec
-            combos[p] = used
-    return basis, combos
+        vec, combo = sum(1 << k for k in col), 1 << idx
+        while vec:
+            p = _low(vec)
+            if p not in basis:
+                basis[p] = (vec, combo)
+                break
+            b_vec, b_combo = basis[p]
+            vec ^= b_vec
+            combo ^= b_combo
+    return basis
 
 
 def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
     """Decide whether c bounds, with a certificate either way.
 
-    VANISHING comes with a chain w of generators, ∂w = c.  NONVANISHING
-    comes with a functional (a set of generators) that evaluates to 0
-    on every column of the boundary and to 1 on c.  Both are re-checked
-    here by direct multiplication, independently of the elimination.
-    That c is a cycle is a structural fact, so an entry in its column
-    is an internal error.
+    One elimination (_eliminate) reduces c's unit vector.  When it
+    reduces to zero, the pivot combinations used sum to a chain w with
+    ∂w = c: VANISHING.  Otherwise the residual's lowest row r is no
+    pivot, and clearing the residual's pivot rows with basis vectors of
+    higher pivots keeps r.  The functional that is 1 on r and 0 on the
+    other rows that are no pivot, with its pivot values fixed by
+    back-substitution from the highest pivot down, kills every basis
+    vector and so every boundary, yet is 1 on the cleared residual and
+    so on c: NONVANISHING.  Both certificates are re-checked here by direct
+    multiplication, independently of the elimination.  That c is a
+    cycle is a structural fact, so an entry in its column is an
+    internal error.
     """
     if c not in m.generators:
         raise ValueError("c is not a generator of this complex")
@@ -337,29 +424,30 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
     if m.columns[c_idx]:
         raise RuntimeError(
             "internal error: the distinguished generator is not a cycle")
-    basis, combos = _eliminate(m.columns)
+    basis = _eliminate(m.columns)
     rank = len(basis)
-    vec = {c_idx}
-    used = set()
-    for q in sorted(basis):
-        if q in vec:
-            vec = vec ^ basis[q]
-            used = used ^ combos[q]
+    vec, used = 1 << c_idx, 0
+    while vec and _low(vec) in basis:
+        b_vec, b_combo = basis[_low(vec)]
+        vec ^= b_vec
+        used ^= b_combo
     if not vec:
-        w = tuple(sorted(m.generators[i] for i in used))
+        chain = _rows(used)
         acc = set()
-        for i in used:
+        for i in chain:
             acc ^= set(m.columns[i])
         if acc != {c_idx}:
             raise RuntimeError(
                 "internal error: bounding chain fails its own check")
-        return Verdict(outcome=VANISHING, certificate=w,
+        return Verdict(outcome=VANISHING,
+                       certificate=tuple(sorted(m.generators[i]
+                                                for i in chain)),
                        generator_count=m.n, rank=rank)
-    r = min(vec)
-    phi = {r}
-    for p, col in basis.items():
-        if r in col:
-            phi.add(p)
+    phi = 1 << _low(vec)
+    for p in sorted(basis, reverse=True):
+        if (phi & basis[p][0]).bit_count() % 2:
+            phi |= 1 << p
+    phi = set(_rows(phi))
     for col in m.columns:
         if len(phi & set(col)) % 2:
             raise RuntimeError(
@@ -399,9 +487,7 @@ def decide_lazy(diagram: HeegaardDiagram, trace=None) -> Verdict:
 
 def homology_rank(m: BoundaryMatrix) -> int:
     """dim ker − dim im of the boundary operator over GF(2)."""
-    basis, _ = _eliminate(m.columns)
-    rank = len(basis)
-    return m.n - 2 * rank
+    return m.n - 2 * len(_eliminate(m.columns))
 
 
 __all__ = ["BoundaryMatrix", "DomainCandidate", "NONVANISHING", "VANISHING",

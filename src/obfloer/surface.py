@@ -431,6 +431,14 @@ class Arrangement:
                 self.cyclic.append(False)
             else:
                 raise TypeError(f"cannot arrange {type(path).__name__}")
+        # strands[p][arc]: event indices of path p crossing that arc
+        self.strands: list[dict] = []
+        for evs in self.events:
+            by_arc = {}
+            for k, ev in enumerate(evs):
+                if ev[0] == "x":
+                    by_arc.setdefault(ev[1], []).append(k)
+            self.strands.append(by_arc)
         self._cap = 2 * sum(len(e) + 2 for e in self.events) + 16
         self._build()
 
@@ -632,10 +640,6 @@ class Arrangement:
             order = self._compare(cur, self._handle_of_germ(gp), self._handle_of_germ(gq))
             return pairs, order
 
-    def strands_through(self, p: int, arc: int) -> list[int]:
-        """Event indices of path p crossing the given arc."""
-        return [k for k, ev in enumerate(self.events[p]) if ev[0] == "x" and ev[1] == arc]
-
     def strand_params(self, p: int, k: int) -> tuple[int, int]:
         """Arc-parameter orders of a crossing as read from the two copies.
 
@@ -657,9 +661,8 @@ class Arrangement:
         """Strip crossings between paths p and q as (arc, event_p, event_q)."""
         out = []
         for arc in range(1, self.page.n_arcs + 1):
-            sp = self.strands_through(p, arc)
-            sq = self.strands_through(q, arc)
-            for kp in sp:
+            sq = self.strands[q].get(arc, ())
+            for kp in self.strands[p].get(arc, ()):
                 tf_p, ts_p = self.strand_params(p, kp)
                 for kq in sq:
                     if p == q and kp >= kq:
@@ -697,8 +700,9 @@ class Arrangement:
                     count += 1
         aligned = []
         for arc in range(1, self.page.n_arcs + 1):
-            for kp in self.strands_through(p, arc):
-                for kq in self.strands_through(q, arc):
+            sq = self.strands[q].get(arc, ())
+            for kp in self.strands[p].get(arc, ()):
+                for kq in sq:
                     aligned.append((kp, kq))
         visited = set()
         for seed in aligned:

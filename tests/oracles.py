@@ -194,3 +194,26 @@ def oracle_min_arc_tokens(page: Page, word, arc: int, budget: int = 2) -> int:
                     best = min(best, sum(1 for a, _s in c if a == arc))
         frontier = nxt
     return best
+
+
+# Twists about the two curves of the one-holed torus act on its first
+# homology by these matrices; tr(ab) = 1 and tr(ab⁻¹) = 3.
+_TORUS_TWISTS = {"a": ((1, 1), (0, 1)), "b": ((1, 0), (-1, 1))}
+
+
+def oracle_torus_h1_order(letters) -> int:
+    """|H₁(Y)| = |2 − tr φ_*| for a twist word on the one-holed torus.
+
+    letters are (name, sign) pairs with names "a" and "b", applied
+    rightmost first, so φ_* is their product in written order; Y is the
+    3-manifold of the open book, and 0 stands for an infinite H₁.  Where
+    HF-hat of Y is as small as it can be (an L-space), its rank equals
+    this number, which gives rank answers that never read the census.
+    """
+    m = ((1, 0), (0, 1))
+    for name, sign in letters:
+        (p, q), (r, s) = _TORUS_TWISTS[name]
+        t = ((p, q), (r, s)) if sign > 0 else ((s, -q), (-r, p))
+        m = tuple(tuple(sum(m[i][k] * t[k][j] for k in range(2))
+                        for j in range(2)) for i in range(2))
+    return abs(2 - (m[0][0] + m[1][1]))

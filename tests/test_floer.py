@@ -1,4 +1,5 @@
 import glob
+import io
 import os
 import random
 
@@ -8,15 +9,18 @@ from obfloer import floer
 from obfloer.floer import (BoundaryMatrix, _move, boundary_matrix,
                            contact_class, decide_lazy, decide_vanishing,
                            domain_census, generators, homology_rank)
-from obfloer.front import parse_input
+from obfloer.front import parse_input, run_check
 from obfloer.heegaard import build_diagram
 from obfloer.mapping import TwistWord
-from obfloer.nicify import make_nice
+from obfloer.nicify import lazy_frontier, make_nice
 from obfloer.surface import make_page, parse_curve
 
+from census_oracle import oracle_census
 from floer_oracle import (oracle_complex, oracle_decide, oracle_generators,
                           oracle_homology_rank)
-from test_front import CORPUS, LADDER
+from oracles import oracle_torus_h1_order
+from test_acceptance import random_book as property_book
+from test_front import CORPUS, LADDER, LANTERN, TORUS
 
 annulus = make_page(0, 2)
 four_holed = make_page(0, 4)
@@ -175,6 +179,61 @@ def test_backward_move_inverts_forward_move():
             assert fwd == bwd, dom
             pairs += len(fwd)
     assert pairs > 0
+
+
+def torus_word(letters, k):
+    return TORUS + "twists: " + " ".join([letters] * k) + "\n"
+
+
+# the ladder of bench/workloads.py
+BENCH_LADDER = [torus_word("+a +b", k) for k in (2, 3, 4)] + [
+    torus_word("+a -b", k) for k in (1, 2, 3)] + [
+    LANTERN + "twists: +d4 -f1 +f2\n"]
+
+
+def test_census_matches_region_union_oracle():
+    paths = sorted(glob.glob(os.path.join(CORPUS, "*.obk")))
+    diagrams = []
+    for text in [open(p).read() for p in paths] + BENCH_LADDER:
+        book = parse_input(text)
+        diagrams.append(build_diagram(book.page, book.word))
+    for seed in (2026, 2126, 2226, 2326):
+        rng = random.Random(seed)
+        diagrams += [property_book(rng) for _ in range(100)]
+    domains = 0
+    for dia in diagrams:
+        for flat in (make_nice(dia), lazy_frontier(dia)):
+            census = domain_census(flat)
+            assert census == oracle_census(flat)
+            domains += len(census)
+    assert domains > 2000
+
+
+@pytest.mark.parametrize("letters, k, outcome", [
+    ("+a -b", 1, floer.VANISHING), ("+a -b", 2, floer.VANISHING),
+    ("+a -b", 3, floer.VANISHING), ("+a -b", 4, floer.VANISHING),
+    ("+a +b", 2, floer.NONVANISHING), ("+a +b", 3, floer.NONVANISHING),
+    ("+a +b", 4, floer.NONVANISHING), ("+a +b", 5, floer.NONVANISHING)])
+def test_torus_rank_is_h1_order(letters, k, outcome):
+    # these books are L-spaces, so the rank is |H_1|; positive words are
+    # Stein fillable, and (a b^-1)^k is not right-veering
+    book = parse_input(torus_word(letters, k))
+    nice = make_nice(build_diagram(book.page, book.word))
+    m = boundary_matrix(nice)
+    assert homology_rank(m) == oracle_torus_h1_order(book.letters)
+    assert decide_vanishing(m, contact_class(nice)).outcome == outcome
+
+
+def test_lantern_word_twice_decides_in_both_modes(tmp_path):
+    # 180 flat regions, 9,638 domains: far past the region-union oracle
+    path = tmp_path / "lantern_word2.obk"
+    path.write_text(LANTERN + "twists: +d4 -f1 +f2 +d4 -f1 +f2\n")
+    for lazy in (False, True):
+        code, rep = run_check(str(path), lazy=lazy, rank=True,
+                              out=io.StringIO())
+        assert code == 1
+        assert (rep.verdict, rep.rank, rep.generators) == (
+            floer.VANISHING, 10, 25704)
 
 
 def test_boundary_matrix_refuses_oversized_regions():
