@@ -418,9 +418,10 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
     cycle is a structural fact, so an entry in its column is an
     internal error.
     """
-    if c not in m.generators:
-        raise ValueError("c is not a generator of this complex")
-    c_idx = m.generators.index(c)
+    try:
+        c_idx = m.generators.index(c)
+    except ValueError:
+        raise ValueError("c is not a generator of this complex") from None
     if m.columns[c_idx]:
         raise RuntimeError(
             "internal error: the distinguished generator is not a cycle")

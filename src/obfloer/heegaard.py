@@ -232,15 +232,12 @@ class _Chart:
         arr = self.arr
         k = len(arr.events)
         for p in range(k):
-            if arr.self_crossings(p) != 0:
+            if arr.crossing_number(p, p) != 0:
                 raise ValueError(
                     "arc images must be embedded to double into a diagram")
         for p in range(k):
             for q in range(p + 1, k):
-                crossing = sum(
-                    1 for c1 in arr.chords[p] for c2 in arr.chords[q]
-                    if arr._chords_cross(c1, c2))
-                if crossing or arr.flips_between(p, q):
+                if arr.crossing_number(p, q) != 0:
                     raise ValueError(
                         "arc images must be pairwise disjoint to double "
                         "into a diagram")

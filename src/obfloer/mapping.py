@@ -102,8 +102,6 @@ def dehn_twist(page: Page, c: Curve, sign: int, target):
     if parallel(c, target):
         return target
     arr = Arrangement(page, [c, target])
-    if arr.pair_crossings(0, 1) == 0:
-        return target
     word_c = c.crossings
     events_t = arr.events[1]
 
@@ -149,6 +147,10 @@ def dehn_twist(page: Page, c: Curve, sign: int, target):
         flips.setdefault(k_t, []).append((depth if eps_t > 0 else -depth, loop))
     for stack in flips.values():
         stack.sort(key=lambda pair: pair[0])
+    # The realization crosses more than minimally only along runs that
+    # must cross anyway, so no splice at all means disjoint.
+    if not flips and not any(interior.values()):
+        return target
 
     def splice(j):
         return [tok for _off, loop in interior[j] for tok in loop]
@@ -176,7 +178,7 @@ def dehn_twist(page: Page, c: Curve, sign: int, target):
     if isinstance(image, Curve) and not image.crossings:
         raise RuntimeError("internal error: twist trivialized an essential curve")
     if isinstance(image, Curve) or image.crossings:
-        if Arrangement(page, [image]).self_crossings(0) != 0:
+        if Arrangement(page, [image]).crossing_number(0, 0) != 0:
             raise RuntimeError("internal error: twist produced a self-crossing image")
     return image
 

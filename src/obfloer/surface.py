@@ -361,7 +361,7 @@ def parse_curve(page: Page, tokens) -> Curve:
     if not is_primitive(reduced):
         raise ValueError("crossing sequence traverses a shorter curve repeatedly (not embedded)")
     curve = Curve(crossings=canonical_rotation(reduced), normalized=True)
-    crossings = Arrangement(page, [curve]).self_crossings(0)
+    crossings = Arrangement(page, [curve]).crossing_number(0, 0)
     if crossings:
         raise ValueError(f"crossing sequence describes a curve with {crossings} self-crossings")
     return curve
@@ -396,13 +396,13 @@ _IN, _OUT, _END = "in", "out", "end"
 
 
 class Arrangement:
-    """Canonical taut simultaneous realization of paths in the cut polygon.
+    """Canonical simultaneous realization of paths in the cut polygon.
 
     Every participating path must be normalized.  The arrangement orders
-    all chord attachments along each polygon side so that each path is
-    realized with the least possible crossings; pairs of strands through
-    one arc whose side orders disagree are recorded as strip crossings.
-    The minimality of the resulting counts is checked against a
+    all chord attachments along each polygon side; pairs of strands
+    through one arc whose side orders disagree are recorded as strip
+    crossings.  The realization is taut except along runs (see
+    crossing_number); its minimal counts are checked against a
     brute-force chord placement search in the test suite.
     """
 
@@ -410,10 +410,9 @@ class Arrangement:
         if page.n_arcs == 0:
             raise ValueError("the disk page carries no essential curves or arcs")
         self.page = page
-        self.paths = list(paths)
         self.events: list[list[tuple]] = []
         self.cyclic: list[bool] = []
-        for path in self.paths:
+        for path in paths:
             if isinstance(path, Curve):
                 if not path.normalized:
                     raise ValueError("arrangement requires normalized curves")
@@ -488,7 +487,7 @@ class Arrangement:
 
     # -- the germ-chain comparator -------------------------------------------
 
-    def _compare(self, side_pos: int, h1, h2, *, allow_fallback: bool = True) -> int:
+    def _compare(self, side_pos: int, h1, h2) -> int:
         """Return -1 when h1 attaches counterclockwise-before h2.
 
         Walks both away-germs hop by hop.  While they cross the same arcs
@@ -496,7 +495,9 @@ class Arrangement:
         the reversal from switching to the twin copy), so the first
         divergence decides: of two non-crossing chords leaving one side,
         the one aiming at the counterclockwise-later target attaches
-        earlier.
+        earlier.  Germs of an arc part by its end slots; germs of a closed
+        curve part too, as no nontrivial reduced word is a rotation of
+        its inverse and an embedded curve's word is primitive.
         """
         g1 = self._away_germ(h1)
         g2 = self._away_germ(h2)
@@ -518,15 +519,6 @@ class Arrangement:
             cur = self.page.twin_side(s1)
             g1 = self._germ_advance(g1)
             g2 = self._germ_advance(g2)
-        # The away directions track each other beyond any honest divergence
-        # bound.  For two attachments of one embedded path this happens when
-        # the word matches its own reverse in phase; the strands then run
-        # parallel and their order is fixed by the far side of the arc,
-        # where the germs point the other way.
-        if allow_fallback and h1[0] == h2[0] and h1[2] in (_IN, _OUT) and h2[2] in (_IN, _OUT):
-            t1 = (h1[0], h1[1], _OUT if h1[2] == _IN else _IN)
-            t2 = (h2[0], h2[1], _OUT if h2[2] == _IN else _IN)
-            return -self._compare(self.page.twin_side(side_pos), t1, t2, allow_fallback=False)
         raise RuntimeError("internal error: could not separate parallel strands")
 
     # -- construction ----------------------------------------------------------
@@ -558,12 +550,10 @@ class Arrangement:
                     lambda a, b, pos=pos: self._compare(pos, a, b)))
             self.att_order[pos] = atts
 
-        self.att_index: dict[tuple, tuple[int, int]] = {}
         self.position: dict[tuple, int] = {}
         counter = 0
         for pos in range(page.n_sides):
-            for idx, handle in enumerate(self.att_order[pos]):
-                self.att_index[handle] = (pos, idx)
+            for handle in self.att_order[pos]:
                 self.position[handle] = counter
                 counter += 1
         self.n_positions = counter
@@ -597,65 +587,20 @@ class Arrangement:
         d = self.position[c2[1]]
         return self._between(c, a, b) != self._between(d, a, b)
 
-    def _handle_of_germ(self, germ):
-        """The attachment whose away chord the germ is riding."""
-        p, nxt, d = germ
-        m = len(self.events[p])
-        return (p, (nxt - d) % m, _OUT if d > 0 else _IN)
-
-    def _walk_run(self, p: int, kp: int, q: int, kq: int, upward: bool):
-        """Follow two strands sharing an arc while their itineraries agree.
-
-        Two strands through one strip either separate at some point on each
-        side or track each other forever (parallel bands).  Walking from the
-        aligned pair in one direction returns the further aligned pairs met
-        on the way plus the comparator order at the point of separation, or
-        None for the order when the walk closes up on itself.
-        """
-        hp = (p, kp, _OUT if upward else _IN)
-        side = self._att_side(hp)
-        hq = (q, kq, _OUT)
-        if self._att_side(hq) != side:
-            hq = (q, kq, _IN)
-        gp = self._away_germ(hp)
-        gq = self._away_germ(hq)
-        cur = side
-        pairs = []
-        seen = set()
-        while True:
-            state = (gp, gq, cur)
-            if state in seen:
-                return pairs, None
-            seen.add(state)
-            kind_p, side_p, _key_p = self._germ_far(gp)
-            kind_q, side_q, _key_q = self._germ_far(gq)
-            if kind_p == "arc" and kind_q == "arc" and side_p == side_q:
-                ep = gp[1] % len(self.events[p])
-                eq = gq[1] % len(self.events[q])
-                pairs.append((ep, eq))
-                cur = self.page.twin_side(side_p)
-                gp = self._germ_advance(gp)
-                gq = self._germ_advance(gq)
-                continue
-            order = self._compare(cur, self._handle_of_germ(gp), self._handle_of_germ(gq))
-            return pairs, order
-
     def strand_params(self, p: int, k: int) -> tuple[int, int]:
         """Arc-parameter orders of a crossing as read from the two copies.
 
-        Returns (t_first, t_second): the rank of the strand along the arc
-        as seen from the first-copy side and from the second-copy side.
-        A pair of strands whose two readings disagree must cross next to
-        the arc.
+        Returns (t_first, t_second), read off the attachment positions on
+        the first-copy and second-copy sides; within one side positions
+        differ as ranks along the arc do.  A pair of strands whose two
+        readings disagree must cross next to the arc.
         """
-        arc, sign = self.events[p][k][1], self.events[p][k][2]
+        sign = self.events[p][k][2]
         first_handle = (p, k, _IN if sign > 0 else _OUT)
         second_handle = (p, k, _OUT if sign > 0 else _IN)
-        _pos_f, idx_f = self.att_index[first_handle]
-        _pos_s, idx_s = self.att_index[second_handle]
         # The first copy runs counterclockwise with the parameter, the
         # second copy against it.
-        return idx_f, -idx_s
+        return self.position[first_handle], -self.position[second_handle]
 
     def flips_between(self, p: int, q: int) -> list[tuple[int, int, int]]:
         """Strip crossings between paths p and q as (arc, event_p, event_q)."""
@@ -672,60 +617,28 @@ class Arrangement:
                         out.append((arc, kp, kq))
         return out
 
-    def pair_crossings(self, p: int, q: int) -> int:
-        """Minimal crossing count between two distinct paths.
+    def crossing_number(self, p: int, q: int) -> int:
+        """Minimal crossing count between paths p and q, or of p with itself.
 
-        Crossings come in two kinds.  A pair of chords whose attachment
-        sides are four distinct polygon sides crosses exactly when those
-        sides interleave, whatever the orders along the sides.  All other
-        potential crossings involve two strands through a common arc; such
-        strands may track each other through several arcs, and the whole
-        maximal run contributes one crossing or none: the strands must
-        cross exactly when the comparator orders at the two separation
-        points agree, because the run itself always reverses the side
-        order an odd number of times.  Runs that close up are parallel
-        bands and contribute nothing.
+        Chords with no common arc side cross exactly when their sides
+        interleave, which no placement avoids.  Chords that share an arc
+        side cross only inside a run, where two strands cross the same k
+        arcs in a row: a run that must cross once crosses at all k strips
+        and between every two of them, 2k - 1 times.  So the minimal
+        count is the strip crossings plus the crossings of chords with no
+        common arc side, less those of chords that share one.
         """
-        if p == q:
-            raise ValueError("use self_crossings for a single path")
-        count = 0
-        for c1 in self.chords[p]:
-            sides1 = {self._att_side(c1[0]), self._att_side(c1[1])}
-            for c2 in self.chords[q]:
-                sides2 = {self._att_side(c2[0]), self._att_side(c2[1])}
-                shared = sides1 & sides2
-                if any(self.page.cut_polygon[s].kind == "arc" for s in shared):
-                    continue
+        count = len(self.flips_between(p, q))
+        chords_q = self.chords[q]
+        for i, c1 in enumerate(self.chords[p]):
+            for c2 in (chords_q[i + 1:] if p == q else chords_q):
                 if self._chords_cross(c1, c2):
-                    count += 1
-        aligned = []
-        for arc in range(1, self.page.n_arcs + 1):
-            sq = self.strands[q].get(arc, ())
-            for kp in self.strands[p].get(arc, ()):
-                for kq in sq:
-                    aligned.append((kp, kq))
-        visited = set()
-        for seed in aligned:
-            if seed in visited:
-                continue
-            up_pairs, top = self._walk_run(p, seed[0], q, seed[1], True)
-            down_pairs, bottom = self._walk_run(p, seed[0], q, seed[1], False)
-            run = {seed} | set(up_pairs) | set(down_pairs)
-            visited |= run
-            if top is None or bottom is None:
-                continue
-            if top == bottom:
-                count += 1
+                    count += -1 if self._share_arc_side(c1, c2) else 1
         return count
 
-    def self_crossings(self, p: int) -> int:
-        count = 0
-        chords = self.chords[p]
-        for i in range(len(chords)):
-            for j in range(i + 1, len(chords)):
-                if self._chords_cross(chords[i], chords[j]):
-                    count += 1
-        return count + len(self.flips_between(p, p))
+    def _share_arc_side(self, c1, c2) -> bool:
+        shared = set(map(self._att_side, c1)) & set(map(self._att_side, c2))
+        return any(self.page.cut_polygon[s].kind == "arc" for s in shared)
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +658,7 @@ def geometric_intersection(page: Page, x, y) -> int:
             raise ValueError(f"{label} argument must be normalized")
     if parallel(x, y):
         return 0
-    return Arrangement(page, [x, y]).pair_crossings(0, 1)
+    return Arrangement(page, [x, y]).crossing_number(0, 1)
 
 
 def parallel(x, y) -> bool:

@@ -151,6 +151,12 @@ def oracle_is_embeddable(page: Page, x) -> bool:
     return False
 
 
+def oracle_self_crossings(page: Page, x) -> int:
+    """Minimal self-crossing count of one path over all placements."""
+    return min(_crossing_count(page, [x], orders)[0][0]
+               for orders in _order_choices(page, [x]))
+
+
 def oracle_min_arc_tokens(page: Page, word, arc: int, budget: int = 2) -> int:
     """Minimal count of crossings with one arc over words reachable by
     insertion or deletion of adjacent inverse pairs (cyclic words).

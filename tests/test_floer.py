@@ -20,7 +20,7 @@ from floer_oracle import (oracle_complex, oracle_decide, oracle_generators,
                           oracle_homology_rank)
 from oracles import oracle_torus_h1_order
 from test_acceptance import random_book as property_book
-from test_front import CORPUS, LADDER, LANTERN, TORUS
+from test_front import BENCH_LADDER, CORPUS, LADDER, LANTERN, torus_word
 
 annulus = make_page(0, 2)
 four_holed = make_page(0, 4)
@@ -181,20 +181,10 @@ def test_backward_move_inverts_forward_move():
     assert pairs > 0
 
 
-def torus_word(letters, k):
-    return TORUS + "twists: " + " ".join([letters] * k) + "\n"
-
-
-# the ladder of bench/workloads.py
-BENCH_LADDER = [torus_word("+a +b", k) for k in (2, 3, 4)] + [
-    torus_word("+a -b", k) for k in (1, 2, 3)] + [
-    LANTERN + "twists: +d4 -f1 +f2\n"]
-
-
 def test_census_matches_region_union_oracle():
     paths = sorted(glob.glob(os.path.join(CORPUS, "*.obk")))
     diagrams = []
-    for text in [open(p).read() for p in paths] + BENCH_LADDER:
+    for text in [open(p).read() for p in paths] + list(BENCH_LADDER.values()):
         book = parse_input(text)
         diagrams.append(build_diagram(book.page, book.word))
     for seed in (2026, 2126, 2226, 2326):

@@ -1,13 +1,14 @@
 """Input parsing, the end-to-end check, reports, and exports."""
 
 import glob
+import hashlib
 import io
 import os
 import re
 
 import pytest
 
-from obfloer.front import export_diagram, main, parse_input, run_check
+from obfloer.front import _render_text, export_diagram, main, parse_input, run_check
 from obfloer.heegaard import build_diagram
 from obfloer.nicify import make_nice
 
@@ -21,6 +22,18 @@ LADDER = {
     "torus_ab3.obk": TORUS + "twists: +a +b +a +b +a +b\n",
     "torus_abinv1.obk": TORUS + "twists: +a -b\n",
     "torus_abinv2.obk": TORUS + "twists: +a -b +a -b\n",
+    "lantern_word1.obk": LANTERN + "twists: +d4 -f1 +f2\n",
+}
+
+
+def torus_word(letters, k):
+    return TORUS + "twists: " + " ".join([letters] * k) + "\n"
+
+
+# the ladder of bench/workloads.py
+BENCH_LADDER = {
+    **{f"torus_ab{k}.obk": torus_word("+a +b", k) for k in (2, 3, 4)},
+    **{f"torus_abinv{k}.obk": torus_word("+a -b", k) for k in (1, 2, 3)},
     "lantern_word1.obk": LANTERN + "twists: +d4 -f1 +f2\n",
 }
 
@@ -265,3 +278,73 @@ def test_cli_main(tmp_path, capsys):
                  "--export-post", str(post), "--format", "svg"]) == 0
     capsys.readouterr()
     assert post.read_text().startswith("<svg")
+
+
+# sha256 of _render_text of the built and the flattened diagram
+FRONT_HALF_SHA256 = {
+    "annulus_id.obk": (
+        "23b0b629da8886a35a8a7e8e64786c9ce0908b3a43a6a5fc0514ebd065327779",
+        "23b0b629da8886a35a8a7e8e64786c9ce0908b3a43a6a5fc0514ebd065327779"),
+    "annulus_id_negstab.obk": (
+        "49e1393e38081861553e5f5cf1c2f7ba6e005becb66a2346a7670c24c2df710e",
+        "49e1393e38081861553e5f5cf1c2f7ba6e005becb66a2346a7670c24c2df710e"),
+    "annulus_id_stab.obk": (
+        "f048a2f7fc73a8e4588aa8a70be5ed1e791bd0dec5ceded50618bda5881d5ea2",
+        "f048a2f7fc73a8e4588aa8a70be5ed1e791bd0dec5ceded50618bda5881d5ea2"),
+    "lantern.obk": (
+        "43cdc6e8d868c9edb4f06f8f724eef95e20c497e110e886d81d989c241daf11c",
+        "4a40c99714148fe57ef4070148c9fd12dfd5fcd05b12c6c3519dd46d3247fa7c"),
+    "lantern_stab.obk": (
+        "9fccfc769fb65b42cfede93775a4ea1f1a036b886b53ac0268fc5f6787ee29a6",
+        "548c57fe7ecdb6bbec845af51e86552b4d9354203bde022d506ba39b82e5087b"),
+    "neg_hopf.obk": (
+        "0d2c55235bd02cef1d9f3830ca74e2f034d197c6161b61ab88c24d50cd2e3a9b",
+        "0d2c55235bd02cef1d9f3830ca74e2f034d197c6161b61ab88c24d50cd2e3a9b"),
+    "neg_hopf_stab.obk": (
+        "f53fe24f36ebe8b218b0e46fd8d385c790bfb3502ff4cb67c376084c99a130f0",
+        "f53fe24f36ebe8b218b0e46fd8d385c790bfb3502ff4cb67c376084c99a130f0"),
+    "pos_hopf.obk": (
+        "4d8fa18fef08499aeb10febb4e7d710cf3f8b123127d2c64365da0281bf7d60b",
+        "4d8fa18fef08499aeb10febb4e7d710cf3f8b123127d2c64365da0281bf7d60b"),
+    "pos_hopf_stab.obk": (
+        "1db7c5e70e9cb5736e89c2c2ec3973626c97ef943b2a36d9df5885fc84fbda37",
+        "1db7c5e70e9cb5736e89c2c2ec3973626c97ef943b2a36d9df5885fc84fbda37"),
+    "torus_ab2.obk": (
+        "d2de2c4616f8aa6784b19f10420908df793bc28996df52474c94076efd1cbfbc",
+        "f11386c4e28359ecd818659e9188986ad5e4fd40aa788aa8de1322b88c7cabe6"),
+    "torus_ab3.obk": (
+        "a599e6309afc1e93d96837bac952e133f983db0c2a4c30ed87c3fb78f0575286",
+        "07a9c33dea38d7f5f9de742f3f4ee570f096e213290810b4f71342938bba8f10"),
+    "torus_ab4.obk": (
+        "448029774261010a91714883faf80038c8ad3f36803f12c1f305d4e60f5beed7",
+        "84b6a615882d5f38543e279bd7472ee77553a3c0745fca160a763cc86be03845"),
+    "torus_abinv1.obk": (
+        "d3d512ac42cfebcc58e987e6ec6695e8b9728757d2e99f1f7a5f2be9c3699a0f",
+        "d3d512ac42cfebcc58e987e6ec6695e8b9728757d2e99f1f7a5f2be9c3699a0f"),
+    "torus_abinv2.obk": (
+        "989c23dae114c989e123f28364f01cd0215d6adf25254c28fc2875fc088b84d0",
+        "989c23dae114c989e123f28364f01cd0215d6adf25254c28fc2875fc088b84d0"),
+    "torus_abinv3.obk": (
+        "757c44dddb804c297031a630d1eccdbb43ecbf564c3e32cfca65b0c27b9df9f7",
+        "757c44dddb804c297031a630d1eccdbb43ecbf564c3e32cfca65b0c27b9df9f7"),
+    "lantern_word1.obk": (
+        "f58af5fa445bf3807b255bf2f3410b0eca8643c6c5e683030ee8d6e5f909ac8f",
+        "773b4c493b3c26235fdfce4fefa7a3e840023a4a609f2f8df3b841a3299801fc"),
+    "lantern_word2.obk": (
+        "0ce53e9eac8564f7af1feada82b28da3d36679efea9feb9eefc2d7a962927cbf",
+        "515b8cce2eb52b048d491193282023ef68b2ee59ef4def80722f3c1f460c622c"),
+}
+
+
+def test_front_half_diagrams_are_pinned():
+    books = {os.path.basename(p): open(p).read()
+             for p in glob.glob(corpus_path("*.obk"))}
+    books.update(BENCH_LADDER)
+    books["lantern_word2.obk"] = LANTERN + "twists: +d4 -f1 +f2 +d4 -f1 +f2\n"
+    got = {}
+    for name, text in books.items():
+        book = parse_input(text)
+        built = build_diagram(book.page, book.word)
+        got[name] = tuple(hashlib.sha256(_render_text(d).encode()).hexdigest()
+                          for d in (built, make_nice(built)))
+    assert got == FRONT_HALF_SHA256

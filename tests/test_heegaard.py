@@ -4,7 +4,7 @@ import pytest
 
 from obfloer.heegaard import assemble_diagram, build_diagram
 from obfloer.mapping import TwistWord, dehn_twist
-from obfloer.surface import make_page, parse_curve, pushoff
+from obfloer.surface import ArcImage, make_page, parse_curve, pushoff
 
 annulus = make_page(0, 2)
 torus = make_page(1, 1)
@@ -165,3 +165,8 @@ def test_assemble_rejects_crossing_images():
     twisted = dehn_twist(pants, c, -1, pushoff(pants, 1))
     with pytest.raises(ValueError, match="pairwise disjoint"):
         assemble_diagram(pants, (twisted, pushoff(pants, 2)))
+    # pushoff 1's endpoints joined across arc 2 instead: it crosses itself
+    p1 = pushoff(pants, 1)
+    looped = ArcImage(p1.start_slot, p1.end_slot, ((2, -1),), normalized=True)
+    with pytest.raises(ValueError, match="must be embedded"):
+        assemble_diagram(pants, (looped, pushoff(pants, 2)))

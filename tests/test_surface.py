@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -14,7 +15,8 @@ from obfloer.surface import (
     parse_curve,
     pushoff,
 )
-from oracles import oracle_is_embeddable, oracle_min_arc_tokens, oracle_pair_crossings
+from oracles import (oracle_is_embeddable, oracle_min_arc_tokens, oracle_pair_crossings,
+                     oracle_self_crossings)
 
 
 # -- page construction -------------------------------------------------------
@@ -173,6 +175,16 @@ def test_parse_curve_rejects_self_crossing():
         parse_curve(page, [(1, 1), (2, 1), (1, 1), (2, -1)])
 
 
+def test_parse_curve_reports_minimal_self_crossings():
+    # two of its strands cross arc 1 twice in a row; that run crosses 3
+    # times in the realization (4 in all) where once would do (2 in all)
+    page = make_page(0, 3)
+    word = [(1, 1), (1, 1), (1, 1), (2, 1)]
+    with pytest.raises(ValueError, match="with 2 self-crossings"):
+        parse_curve(page, word)
+    assert oracle_self_crossings(page, Curve(tuple(word), normalized=True)) == 2
+
+
 def test_parse_curve_matches_oracle_embeddability():
     pages = [make_page(0, 4), make_page(1, 1)]
     from obfloer.surface import is_primitive, reduce_cyclic
@@ -187,12 +199,15 @@ def test_parse_curve_matches_oracle_embeddability():
             reduced = reduce_cyclic(word)
             if not reduced or not is_primitive(reduced):
                 continue
+            curve = Curve(tuple(reduced), normalized=True)
             try:
                 parse_curve(page, word)
                 accepted = True
-            except ValueError:
+            except ValueError as err:
                 accepted = False
-            assert accepted == oracle_is_embeddable(page, Curve(tuple(reduced), normalized=True))
+                reported = int(re.search(r"with (\d+) self-crossings", str(err))[1])
+                assert reported == oracle_self_crossings(page, curve)
+            assert accepted == oracle_is_embeddable(page, curve)
 
 
 # -- geometric intersection -----------------------------------------------------
@@ -240,6 +255,11 @@ def test_handle_wrapping_pair():
     page = make_page(1, 1)
     x = parse_curve(page, [(2, 1)])
     y = parse_curve(page, [(2, 1), (1, 1), (2, 1)])
+    assert geometric_intersection(page, x, y) == 1
+    assert oracle_pair_crossings(page, x, y) == 1
+    # the run of docs/conventions.md, realized with 3 crossings
+    x = parse_curve(page, [(1, -1)])
+    y = parse_curve(page, [(1, -1), (1, -1), (2, -1)])
     assert geometric_intersection(page, x, y) == 1
     assert oracle_pair_crossings(page, x, y) == 1
 
