@@ -11,7 +11,7 @@ skipped, and the directives are:
 The page line must come first.  Twist letters apply rightmost first.
 Recognized options are lazy, rank, trace, format, export-pre,
 export-post, and report; command line flags override them.  lazy, rank
-and trace take true or false.
+and trace take true or false, format takes text or svg.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from .surface import make_page, parse_curve
 
 _OPTION_KEYS = ("export-post", "export-pre", "format", "lazy", "rank",
                 "report", "trace")
-_BOOLEAN_KEYS = ("lazy", "rank", "trace")
+_OPTION_CHOICES = {"format": ("text", "svg"), "lazy": ("true", "false"),
+                   "rank": ("true", "false"), "trace": ("true", "false")}
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,12 @@ def parse_input(text: str) -> OpenBookFile:
                         or not tok[:-1].isdigit():
                     _fail(ln, col, f"malformed crossing token '{tok}'; "
                           "expected <arc><+|->")
-                sides.append((int(tok[:-1]), 1 if tok[-1] == "+" else -1))
+                arc = int(tok[:-1])
+                try:
+                    page.check_arc_index(arc)
+                except ValueError as err:
+                    _fail(ln, col, str(err))
+                sides.append((arc, 1 if tok[-1] == "+" else -1))
             try:
                 curves[name] = parse_curve(page, sides)
             except ValueError as err:
@@ -143,9 +149,11 @@ def parse_input(text: str) -> OpenBookFile:
                 _fail(ln, tokens[1][1], f"unknown option '{key}'")
             if key in options:
                 _fail(ln, tokens[1][1], f"option '{key}' is already set")
-            if key in _BOOLEAN_KEYS and value not in ("true", "false"):
+            choices = _OPTION_CHOICES.get(key, (value,))
+            if value not in choices:
                 _fail(ln, tokens[1][1] + len(key) + 1,
-                      f"option '{key}' takes true or false, not '{value}'")
+                      f"option '{key}' takes {' or '.join(choices)}, "
+                      f"not '{value}'")
             options[key] = value
         else:
             _fail(ln, col0, f"unknown directive '{head}'")
@@ -217,9 +225,10 @@ def _check_book(book: OpenBookFile, name: str, *, lazy: bool, rank: bool,
                 trace=None) -> Report:
     """Run the pipeline on a parsed book and measure it."""
     t0 = time.perf_counter()
-    if book.page.n_arcs == 0:
+    if book.page.n_arcs == 0 and not (export_pre or export_post):
         # a disk page has nothing to intersect: one empty generator,
-        # no differential, and the class generates the rank-1 homology
+        # no differential, and the class generates the rank-1 homology;
+        # it has no diagram to export, which build_diagram reports
         return Report(input=name, verdict=floer.NONVANISHING, exit_code=0,
                       lazy_mode=lazy, generators=1, rank=1 if rank else None,
                       crossings_pre=0, crossings_post=0, regions_pre=0,

@@ -32,6 +32,8 @@ from .surface import ArcImage, Arrangement, Page, pushoff, successor_cycles
 
 _TOP, _BOTTOM = 0, 1
 _END = "end"
+_CROSSING_IMAGES = ("arc images must be embedded and pairwise disjoint to "
+                    "double into a diagram")
 
 
 @dataclass
@@ -213,6 +215,10 @@ class HeegaardDiagram:
 class _Chart:
     """One sheet: the cut polygon subdivided by a crossing-free family.
 
+    A family whose chords cross inside the polygon is rejected by the
+    face count; one whose strands cross beside an arc, by
+    assemble_diagram's strand-order check.
+
     A walk instance is (item, d): a polygon-boundary piece ("i", node)
     running from node to node + 1, or chord c of path p, ("c", p, c),
     walked along (d = 1) or against (d = -1) its path.  next_item maps
@@ -224,23 +230,8 @@ class _Chart:
         self.page = page
         self.sheet = sheet
         self.arr = Arrangement(page, paths)
-        self._check_embedded()
         self._build_nodes()
         self._walk_faces()
-
-    def _check_embedded(self) -> None:
-        arr = self.arr
-        k = len(arr.events)
-        for p in range(k):
-            if arr.crossing_number(p, p) != 0:
-                raise ValueError(
-                    "arc images must be embedded to double into a diagram")
-        for p in range(k):
-            for q in range(p + 1, k):
-                if arr.crossing_number(p, q) != 0:
-                    raise ValueError(
-                        "arc images must be pairwise disjoint to double "
-                        "into a diagram")
 
     def _build_nodes(self) -> None:
         self.node_index = {}
@@ -279,11 +270,10 @@ class _Chart:
         self.face_of = {inst: f for f, face in enumerate(faces)
                         for inst in face}
         self.n_faces = len(faces)
-        want = 1 + sum(len(chords) for chords in self.arr.chords)
-        if len(faces) != want:
-            raise RuntimeError(
-                f"internal error: walked {len(faces)} polygon faces, "
-                f"expected {want}")
+        # crossing chords make the ribbon surface non-planar, which costs
+        # faces
+        if len(faces) != 1 + sum(len(chords) for chords in self.arr.chords):
+            raise ValueError(_CROSSING_IMAGES)
 
     def corner_node(self, pos: int) -> int:
         return self.node_index[("corner", pos)]
@@ -357,8 +347,8 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
             seq_l = [h[:2] for h in chart.arr.att_order[pos_l]]
             seq_r = [h[:2] for h in chart.arr.att_order[pos_r]]
             if seq_l != seq_r[::-1]:
-                raise RuntimeError(
-                    "internal error: arc copies disagree on strand order")
+                # strands cross beside the arc
+                raise ValueError(_CROSSING_IMAGES)
             strands[(chart.sheet, i)] = seq_l
 
     # A curve piece is ("p", instance, flipped): the walk instance going

@@ -22,7 +22,7 @@ Conventions (documented in docs/conventions.md):
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass, replace
 
 __all__ = [
@@ -171,10 +171,6 @@ class Page:
     def occurrence_of(self, arc: int, *, entry_sign: int) -> int:
         """Occurrence index where a token of the given sign enters the arc."""
         return self.first_occurrence[arc - 1] if entry_sign > 0 else self.second_occurrence[arc - 1]
-
-    def twin_side(self, side_pos: int) -> int:
-        occ = side_pos // 2
-        return 2 * self.twin_occurrence[occ]
 
     def check_arc_index(self, arc: int) -> None:
         if not 1 <= arc <= self.n_arcs:
@@ -389,6 +385,13 @@ def pushoff(page: Page, arc: int) -> ArcImage:
 # ---------------------------------------------------------------------------
 # canonical arrangements
 
+
+def _dense_ranks(keys: list) -> list[int]:
+    """Replace each key by its index among the distinct keys, sorted."""
+    order = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return [order[key] for key in keys]
+
+
 # Attachment handle roles: a crossing event has an entry attachment and an
 # exit attachment on the two copies of its arc; an endpoint event has a
 # single attachment on its boundary segment.
@@ -399,9 +402,10 @@ class Arrangement:
     """Canonical simultaneous realization of paths in the cut polygon.
 
     Every participating path must be normalized.  The arrangement orders
-    all chord attachments along each polygon side; pairs of strands
-    through one arc whose side orders disagree are recorded as strip
-    crossings.  The realization is taut except along runs (see
+    all chord attachments along each polygon side, arc sides by one
+    ranking of every strand's itinerary (docs/conventions.md); pairs of
+    strands through one arc whose side orders disagree are recorded as
+    strip crossings.  The realization is taut except along runs (see
     crossing_number); its minimal counts are checked against a
     brute-force chord placement search in the test suite.
     """
@@ -438,7 +442,6 @@ class Arrangement:
                 if ev[0] == "x":
                     by_arc.setdefault(ev[1], []).append(k)
             self.strands.append(by_arc)
-        self._cap = 2 * sum(len(e) + 2 for e in self.events) + 16
         self._build()
 
     # -- sides of attachments ------------------------------------------------
@@ -456,108 +459,57 @@ class Arrangement:
         occ = self.page.occurrence_of(arc, entry_sign=+1 if entry else -1)
         return self.page.arc_side_pos(occ)
 
-    def _away_germ(self, handle):
-        p, k, role = handle
-        if role == _IN:
-            return (p, k - 1, -1)
-        if role == _OUT:
-            return (p, k + 1, +1)
-        if k == 0:
-            return (p, 1, +1)
-        return (p, k - 1, -1)
+    def _slot_key(self, handle) -> tuple:
+        p, k, _role = handle
+        ev = self.events[p][k]
+        return (ev[1].rank, p, ev[2])
 
-    def _germ_far(self, germ):
-        """Far target of the germ's current chord: side and terminal data."""
-        p, nxt, d = germ
-        evs = self.events[p]
-        nxt %= len(evs)
-        ev = evs[nxt]
-        if ev[0] == "e":
-            slot = ev[1]
-            key = (slot.rank, p, ev[2])
-            return ("slot", self.page.segment_side_pos(slot.segment), key)
-        arc, sign = ev[1], ev[2]
-        entry = sign > 0 if d == +1 else sign < 0
-        occ = self.page.occurrence_of(arc, entry_sign=+1 if entry else -1)
-        return ("arc", self.page.arc_side_pos(occ), None)
+    # -- ranking germs -----------------------------------------------------------
 
-    def _germ_advance(self, germ):
-        p, nxt, d = germ
-        return (p, (nxt + d) % len(self.events[p]), d)
+    def _rank_germs(self, side: dict) -> dict:
+        """Rank the away germ of every attachment by its itinerary.
 
-    # -- the germ-chain comparator -------------------------------------------
-
-    def _compare(self, side_pos: int, h1, h2) -> int:
-        """Return -1 when h1 attaches counterclockwise-before h2.
-
-        Walks both away-germs hop by hop.  While they cross the same arcs
-        the order is preserved (the reversal from entering a side cancels
-        the reversal from switching to the twin copy), so the first
-        divergence decides: of two non-crossing chords leaving one side,
-        the one aiming at the counterclockwise-later target attaches
-        earlier.  Germs of an arc part by its end slots; germs of a closed
-        curve part too, as no nontrivial reduced word is a rotation of
-        its inverse and an embedded curve's word is primitive.
+        The germ leaving an attachment reads one letter per chord: the
+        counterclockwise offset from the chord's near side to its far
+        side, followed by the slot key when the far end is a slot, which
+        ends the itinerary.  Otherwise the itinerary goes on from the far
+        event's other attachment, on the twin side.  Ranks order
+        itineraries lexicographically.  Round i of prefix doubling ranks
+        prefixes of length 2^i; an ended itinerary hops in place, as its
+        slot letter already tells it apart.  Rounds stop once no two
+        attachments of one side share a rank.  A round that splits no
+        class would split none later, so strands still tied then are
+        parallel.
         """
-        g1 = self._away_germ(h1)
-        g2 = self._away_germ(h2)
-        cur = side_pos
         n_sides = self.page.n_sides
-        for _ in range(self._cap):
-            k1, s1, key1 = self._germ_far(g1)
-            k2, s2, key2 = self._germ_far(g2)
-            if s1 != s2:
-                off1 = (s1 - cur) % n_sides
-                off2 = (s2 - cur) % n_sides
-                return -1 if off1 > off2 else 1
-            if k1 == "slot" and k2 == "slot":
-                if key1 == key2:
-                    raise AssertionError("two distinct attachments reached one slot")
-                return -1 if key1 > key2 else 1
-            if k1 != k2:
-                raise AssertionError("side kind mismatch on equal sides")
-            cur = self.page.twin_side(s1)
-            g1 = self._germ_advance(g1)
-            g2 = self._germ_advance(g2)
-        raise RuntimeError("internal error: could not separate parallel strands")
+        far = {}
+        for a, b in itertools.chain.from_iterable(self.chords):
+            far[a], far[b] = b, a
+        index = {h: i for i, h in enumerate(far)}
+        letters, hop = [], []
+        for i, (h, f) in enumerate(far.items()):
+            offset = (side[f] - side[h]) % n_sides
+            p, k, role = f
+            if role == _END:
+                letters.append((offset,) + self._slot_key(f))
+                hop.append(i)
+            else:
+                letters.append((offset,))
+                hop.append(index[(p, k, _OUT if role == _IN else _IN)])
+        sides = [side[h] for h in far]
+        rank, classes = _dense_ranks(letters), 0
+        while len(set(zip(sides, rank))) < len(rank):
+            if max(rank) + 1 == classes:
+                raise RuntimeError("internal error: could not separate parallel strands")
+            classes = max(rank) + 1
+            rank = _dense_ranks([(rank[i], rank[j]) for i, j in enumerate(hop)])
+            hop = [hop[j] for j in hop]
+        return dict(zip(far, rank))
 
     # -- construction ----------------------------------------------------------
 
     def _build(self) -> None:
         page = self.page
-        by_side: dict[int, list] = {pos: [] for pos in range(page.n_sides)}
-        for p, evs in enumerate(self.events):
-            for k, ev in enumerate(evs):
-                if ev[0] == "x":
-                    by_side[self._att_side((p, k, _IN))].append((p, k, _IN))
-                    by_side[self._att_side((p, k, _OUT))].append((p, k, _OUT))
-                else:
-                    by_side[self._att_side((p, k, _END))].append((p, k, _END))
-
-        self.att_order: dict[int, list] = {}
-        for pos in range(page.n_sides):
-            atts = by_side[pos]
-            side = page.cut_polygon[pos]
-            if side.kind == "boundary":
-                def slot_key(handle):
-                    p, k, _role = handle
-                    ev = self.events[p][k]
-                    return (ev[1].rank, p, ev[2])
-
-                atts.sort(key=slot_key)
-            elif len(atts) > 1:
-                atts.sort(key=functools.cmp_to_key(
-                    lambda a, b, pos=pos: self._compare(pos, a, b)))
-            self.att_order[pos] = atts
-
-        self.position: dict[tuple, int] = {}
-        counter = 0
-        for pos in range(page.n_sides):
-            for handle in self.att_order[pos]:
-                self.position[handle] = counter
-                counter += 1
-        self.n_positions = counter
-
         self.chords: list[list[tuple]] = []
         for p, evs in enumerate(self.events):
             chords = []
@@ -572,6 +524,32 @@ class Arrangement:
                     tail = (p, k, _OUT)
                 chords.append((tail, (p, len(evs) - 1, _END)))
             self.chords.append(chords)
+
+        # Of two strands leaving one arc side, the one whose itinerary is
+        # larger at the first letter where they differ attaches
+        # counterclockwise-earlier: non-crossing chords from one side nest,
+        # the one aiming further counterclockwise outside.  Strands that
+        # cross the same arcs keep their order, as entering a side and
+        # switching to its twin copy both reverse it.  Endpoints on a
+        # boundary side go by slot key.  Most small arrangements have no
+        # arc side with two attachments and skip the ranking.
+        side = {h: self._att_side(h) for chord in itertools.chain.from_iterable(
+            self.chords) for h in chord}
+        self.att_order: dict[int, list] = {pos: [] for pos in range(page.n_sides)}
+        for handle, pos in side.items():
+            self.att_order[pos].append(handle)
+        rank = None
+        for pos, atts in self.att_order.items():
+            if page.cut_polygon[pos].kind == "boundary":
+                atts.sort(key=self._slot_key)
+            elif len(atts) > 1:
+                rank = rank or self._rank_germs(side)
+                atts.sort(key=rank.get, reverse=True)
+
+        self.position: dict[tuple, int] = {
+            handle: i for i, handle in
+            enumerate(itertools.chain.from_iterable(self.att_order.values()))}
+        self.n_positions = len(self.position)
 
     # -- queries ----------------------------------------------------------------
 

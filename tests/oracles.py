@@ -6,11 +6,13 @@ order of all strands crossing it; the first copy of the arc reads that
 order along the counterclockwise boundary and the second copy reads it
 reversed.  Chords then cross exactly when their endpoints interleave
 around the polygon, so minimal crossing numbers come from exhaustive
-search over the per-arc orders.
+search over the per-arc orders.  oracle_att_order instead recomputes
+the canonical arrangement's side orders by comparing strands in pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from obfloer.surface import ArcImage, Curve, Page, invert_word, reduce_cyclic
@@ -155,6 +157,63 @@ def oracle_self_crossings(page: Page, x) -> int:
     """Minimal self-crossing count of one path over all placements."""
     return min(_crossing_count(page, [x], orders)[0][0]
                for orders in _order_choices(page, [x]))
+
+
+def _att_side(page: Page, ev, role):
+    """Polygon side of an attachment: role "in", "out" or "end"."""
+    if role == "end":
+        return page.segment_side_pos(ev[1].segment)
+    entry = (ev[2] > 0) != (role == "out")
+    return page.arc_side_pos(page.occurrence_of(ev[1], entry_sign=1 if entry else -1))
+
+
+def oracle_att_order(arr):
+    """Attachment order along every polygon side, by a pairwise germ walk.
+
+    Reads only the arrangement's page and events.  Two attachments on
+    one arc side are compared by walking the strands leaving them, chord
+    by chord, for as long as both reach the same sides: at the first
+    chord whose far sides differ, the strand aiming further
+    counterclockwise from the common near side attaches first; when
+    both reach boundary slots, the larger slot key (rank, path, end)
+    attaches first.  Boundary sides are in slot-key order.
+    """
+    page, events = arr.page, arr.events
+    cap = 2 * sum(len(evs) + 2 for evs in events) + 16
+
+    def far_sides(handle):
+        p, k, role = handle
+        d = -1 if role == "in" or (role == "end" and k > 0) else 1
+        while True:
+            k = (k + d) % len(events[p])
+            ev = events[p][k]
+            if ev[0] == "e":
+                yield _att_side(page, ev, "end"), (ev[1].rank, p, ev[2])
+                return
+            yield _att_side(page, ev, "in" if d > 0 else "out"), None
+
+    def compare(pos, h1, h2):
+        near = pos
+        walks = zip(far_sides(h1), far_sides(h2))
+        for (s1, key1), (s2, key2) in itertools.islice(walks, cap):
+            if s1 != s2:
+                return -1 if (s1 - near) % page.n_sides > (s2 - near) % page.n_sides else 1
+            if key1 is not None:
+                return -1 if key1 > key2 else 1
+            near = 2 * page.twin_occurrence[s1 // 2]
+        raise RuntimeError("could not separate parallel strands")
+
+    by_side = {pos: [] for pos in range(page.n_sides)}
+    for p, evs in enumerate(events):
+        for k, ev in enumerate(evs):
+            for role in (("in", "out") if ev[0] == "x" else ("end",)):
+                by_side[_att_side(page, ev, role)].append((p, k, role))
+    for pos, atts in by_side.items():
+        if page.cut_polygon[pos].kind == "boundary":
+            atts.sort(key=lambda h: (events[h[0]][h[1]][1].rank, h[0], events[h[0]][h[1]][2]))
+        else:
+            atts.sort(key=functools.cmp_to_key(lambda a, b, pos=pos: compare(pos, a, b)))
+    return by_side
 
 
 def oracle_min_arc_tokens(page: Page, word, arc: int, budget: int = 2) -> int:

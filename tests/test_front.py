@@ -106,6 +106,10 @@ def test_parse_skips_comments_and_blanks():
      "line 3, column 13: option 'rank' takes true or false, not '1'"),
     ("page g=0 b=2\ntwists:\noption trace=TRUE\n",
      "line 3, column 14: option 'trace' takes true or false, not 'TRUE'"),
+    ("page g=0 b=2\ntwists:\noption format=png\n",
+     "line 3, column 15: option 'format' takes text or svg, not 'png'"),
+    ("page g=0 b=2\ncurve core: 1+ 0+\ntwists:\n",
+     "line 2, column 16: unknown arc index 0 (page has 1 arcs)"),
 ])
 def test_parse_errors_carry_positions(text, message):
     with pytest.raises(ValueError) as err:
@@ -176,6 +180,16 @@ def test_disk_page_short_circuits(tmp_path):
     assert report.generators == 1
     assert report.rank == 1
     assert report.crossings_pre == 0
+
+
+def test_disk_page_export_is_an_error(tmp_path, capsys):
+    path = tmp_path / "disk.obk"
+    path.write_text("page g=0 b=1\ntwists:\n")
+    pre = tmp_path / "pre.txt"
+    assert main(["check", str(path), "--export-pre", str(pre)]) == 2
+    assert capsys.readouterr().out == (
+        "error: the disk page has no arcs to double into a diagram\n")
+    assert not pre.exists()
 
 
 def test_options_from_file_merge(tmp_path):
@@ -333,6 +347,12 @@ FRONT_HALF_SHA256 = {
     "lantern_word2.obk": (
         "0ce53e9eac8564f7af1feada82b28da3d36679efea9feb9eefc2d7a962927cbf",
         "515b8cce2eb52b048d491193282023ef68b2ee59ef4def80722f3c1f460c622c"),
+    "torus_abinv5.obk": (
+        "88a589c7c26f39213bd8962062c1b9941c5f83a1760c5b7e490d087d57ad96e1",
+        "88a589c7c26f39213bd8962062c1b9941c5f83a1760c5b7e490d087d57ad96e1"),
+    "torus_ab6.obk": (
+        "0523a225c39acfb0ea7f10b2b3a534be366f39b4cb82565b515d40c2dab456fd",
+        "6fe5c4c93503a9d90d23db8593150b8f8b5cbb91f7652454283ea6c769d09adf"),
 }
 
 
@@ -341,6 +361,10 @@ def test_front_half_diagrams_are_pinned():
              for p in glob.glob(corpus_path("*.obk"))}
     books.update(BENCH_LADDER)
     books["lantern_word2.obk"] = LANTERN + "twists: +d4 -f1 +f2 +d4 -f1 +f2\n"
+    # long words whose images share long prefixes, where ranking the
+    # strands takes the most rounds
+    books["torus_abinv5.obk"] = torus_word("+a -b", 5)
+    books["torus_ab6.obk"] = torus_word("+a +b", 6)
     got = {}
     for name, text in books.items():
         book = parse_input(text)

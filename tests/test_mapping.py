@@ -3,16 +3,18 @@ import random
 import pytest
 
 from obfloer.surface import (
+    Arrangement,
     Curve,
     geometric_intersection,
     invert_word,
     make_page,
+    parallel,
     parse_curve,
     pushoff,
 )
 from obfloer.mapping import TwistWord, apply_word, dehn_twist, same_action_on_basis
 
-from oracles import oracle_pair_crossings
+from oracles import oracle_att_order, oracle_pair_crossings
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +114,25 @@ def _lantern_curves(page):
     f2 = parse_curve(page, [(2, 1), (3, 1)])
     f3 = parse_curve(page, [(1, 1), (3, 1)])
     return d, d4, f1, f2, f3
+
+
+def test_att_order_matches_germ_walk_on_twist_words(torus, four_holed):
+    # every (c, target) pair that apply_word arranges for (ab)^5 and for
+    # the lantern word +d4 -f1 +f2 of the bench ladder, twice, and the
+    # images of each step together, as a bottom sheet arranges them
+    a, b = (parse_curve(torus, [(i, 1)]) for i in (1, 2))
+    _d, d4, f12, _f23, f13 = _lantern_curves(four_holed)
+    for page, letters in ((torus, ((a, 1), (b, 1)) * 5),
+                          (four_holed, ((d4, 1), (f13, -1), (f12, 1)) * 2)):
+        images = [pushoff(page, i) for i in range(1, page.n_arcs + 1)]
+        for curve, sign in reversed(letters):
+            for target in images:
+                if not parallel(curve, target):
+                    arr = Arrangement(page, [curve, target])
+                    assert arr.att_order == oracle_att_order(arr)
+            images = [dehn_twist(page, curve, sign, t) for t in images]
+            arr = Arrangement(page, images)
+            assert arr.att_order == oracle_att_order(arr)
 
 
 def test_lantern_relation(four_holed):

@@ -12,11 +12,12 @@ from obfloer.surface import (
     geometric_intersection,
     make_page,
     normalize,
+    parallel,
     parse_curve,
     pushoff,
 )
-from oracles import (oracle_is_embeddable, oracle_min_arc_tokens, oracle_pair_crossings,
-                     oracle_self_crossings)
+from oracles import (oracle_att_order, oracle_is_embeddable, oracle_min_arc_tokens,
+                     oracle_pair_crossings, oracle_self_crossings)
 
 
 # -- page construction -------------------------------------------------------
@@ -350,3 +351,37 @@ def test_arrangement_deterministic():
     second = Arrangement(page, [f1, f2])
     assert first.att_order == second.att_order
     assert first.position == second.position
+
+
+def _random_curve(rng, page):
+    while True:
+        word = tuple((rng.randint(1, page.n_arcs), rng.choice((1, -1)))
+                     for _ in range(rng.randint(1, 4)))
+        try:
+            return parse_curve(page, word)
+        except ValueError:
+            continue
+
+
+def test_att_order_matches_germ_walk():
+    pages = [make_page(g, b) for g, b in ((0, 2), (0, 3), (0, 4), (1, 1), (1, 2), (2, 1))]
+    for seed in (43, 143, 243, 343):
+        rng = random.Random(seed)
+        for trial in range(60):
+            page = pages[trial % len(pages)]
+            x = _random_curve(rng, page)
+            kind = rng.randrange(3)
+            if kind == 0:
+                y = _random_curve(rng, page)
+            elif kind == 1:
+                y = pushoff(page, rng.randint(1, page.n_arcs))
+            else:
+                # an arc on a pushoff's slots: slot keys order the ends
+                x = pushoff(page, rng.randint(1, page.n_arcs))
+                word = tuple((rng.randint(1, page.n_arcs), rng.choice((1, -1)))
+                             for _ in range(rng.randint(0, 4)))
+                y = normalize(page, ArcImage(x.start_slot, x.end_slot, word))
+            if parallel(x, y):
+                continue
+            arr = Arrangement(page, [x, y])
+            assert arr.att_order == oracle_att_order(arr)
