@@ -11,9 +11,12 @@ its boundary (docs/conventions.md, "Domains on a flat diagram").
 The boundary matrix looks up each generator's disks in an index keyed
 by source corners.  The distinguished generator is the tuple of page
 crossings.  It is always a cycle; the open book's contact class
-vanishes exactly when it is a boundary, which one GF(2) elimination
-over int bitmask columns settles.  Both answers come with certificates
-that are re-checked by plain multiplication: a chain bounding the
+vanishes exactly when it is a boundary.  Only the columns that can
+reach it matter: its closure, grown from its row through the columns
+meeting it (docs/conventions.md, "Deciding on c's closure"), and one
+GF(2) elimination over int bitmask columns of that block settles it.
+Both answers come with certificates that are re-checked by plain
+multiplication against the whole matrix: a chain bounding the
 distinguished generator, or a functional that kills every boundary yet
 evaluates to 1 on it.
 """
@@ -63,7 +66,10 @@ class Verdict:
     outcome: str
     certificate: tuple       # chain w (VANISHING) or functional (NONVANISHING)
     generator_count: int
-    rank: int                # rank of the boundary operator, -1 if skipped
+    rank: int                # rank of c's closure block, -1 if skipped
+    # the matrix decide_vanishing decided on; None when the lazy test did
+    matrix: BoundaryMatrix | None = field(default=None, compare=False,
+                                          repr=False)
     # the diagram decide_lazy decided on; None from decide_vanishing
     diagram: HeegaardDiagram | None = field(default=None, compare=False,
                                             repr=False)
@@ -378,7 +384,7 @@ def _rows(vec: int) -> list[int]:
     return [k for k, bit in enumerate(bin(vec)[:1:-1]) if bit == "1"]
 
 
-def _eliminate(columns) -> dict:
+def _eliminate(columns, combos=True) -> dict:
     """Echelon basis of the column space over GF(2), as int bitmasks.
 
     Each column becomes an int with bit k set for row k, and is reduced
@@ -386,11 +392,12 @@ def _eliminate(columns) -> dict:
     equals the column's lowest set bit, until that bit is no pivot.  The
     result maps each pivot to (vector, combination): the vector has the
     pivot as its lowest bit, and the combination has bit i set for each
-    original column i summing to it.  The rank is the number of pivots.
+    original column i summing to it, or is 0 when combos is false.  The
+    rank is the number of pivots.
     """
     basis = {}
     for idx, col in enumerate(columns):
-        vec, combo = sum(1 << k for k in col), 1 << idx
+        vec, combo = sum(1 << k for k in col), 1 << idx if combos else 0
         while vec:
             p = _low(vec)
             if p not in basis:
@@ -402,21 +409,49 @@ def _eliminate(columns) -> dict:
     return basis
 
 
+def _closure(m: BoundaryMatrix, c_idx: int) -> tuple[list, list]:
+    """c's closure: the rows R and the columns C that can reach row c.
+
+    Starting from R = {c} and C = ∅, every column that meets R joins C
+    and its rows join R, until nothing changes.  Both come back sorted.
+    """
+    into = [[] for _ in range(m.n)]
+    for i, col in enumerate(m.columns):
+        for j in col:
+            into[j].append(i)
+    rows, cols = {c_idx}, set()
+    todo = [c_idx]
+    while todo:
+        for i in into[todo.pop()]:
+            if i not in cols:
+                cols.add(i)
+                for j in m.columns[i]:
+                    if j not in rows:
+                        rows.add(j)
+                        todo.append(j)
+    return sorted(rows), sorted(cols)
+
+
 def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
     """Decide whether c bounds, with a certificate either way.
 
-    One elimination (_eliminate) reduces c's unit vector.  When it
-    reduces to zero, the pivot combinations used sum to a chain w with
-    ∂w = c: VANISHING.  Otherwise the residual's lowest row r is no
-    pivot, and clearing the residual's pivot rows with basis vectors of
-    higher pivots keeps r.  The functional that is 1 on r and 0 on the
-    other rows that are no pivot, with its pivot values fixed by
-    back-substitution from the highest pivot down, kills every basis
-    vector and so every boundary, yet is 1 on the cleared residual and
-    so on c: NONVANISHING.  Both certificates are re-checked here by direct
-    multiplication, independently of the elimination.  That c is a
-    cycle is a structural fact, so an entry in its column is an
-    internal error.
+    Only c's closure (_closure) is eliminated: if c = Σ ∂y over a set S,
+    every y in S outside C has ∂y disjoint from R, so the y in C already
+    sum to c (docs/conventions.md, "Deciding on c's closure").  One
+    elimination (_eliminate) of the C columns, restricted to R, reduces
+    c's unit vector.  When it reduces to zero, the pivot combinations
+    used sum to a chain w with ∂w = c: VANISHING.  Otherwise the
+    residual's lowest row r is no pivot, and clearing the residual's
+    pivot rows with basis vectors of higher pivots keeps r.  The
+    functional on R that is 1 on r and 0 on the other rows that are no
+    pivot, with its pivot values fixed by back-substitution from the
+    highest pivot down, kills every C column, yet is 1 on the cleared
+    residual and so on c.  Extended by zero it also kills the columns
+    outside C, which miss R: NONVANISHING.  Both certificates are
+    re-checked here by direct multiplication against the whole matrix,
+    independently of the closure and the elimination.  That c is a cycle
+    is a structural fact, so an entry in its column is an internal
+    error.  The verdict carries m, and its rank is the closure block's.
     """
     try:
         c_idx = m.generators.index(c)
@@ -425,15 +460,17 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
     if m.columns[c_idx]:
         raise RuntimeError(
             "internal error: the distinguished generator is not a cycle")
-    basis = _eliminate(m.columns)
+    rows, cols = _closure(m, c_idx)
+    local = {j: k for k, j in enumerate(rows)}
+    basis = _eliminate([local[j] for j in m.columns[i]] for i in cols)
     rank = len(basis)
-    vec, used = 1 << c_idx, 0
+    vec, used = 1 << local[c_idx], 0
     while vec and _low(vec) in basis:
         b_vec, b_combo = basis[_low(vec)]
         vec ^= b_vec
         used ^= b_combo
     if not vec:
-        chain = _rows(used)
+        chain = [cols[k] for k in _rows(used)]
         acc = set()
         for i in chain:
             acc ^= set(m.columns[i])
@@ -443,14 +480,14 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
         return Verdict(outcome=VANISHING,
                        certificate=tuple(sorted(m.generators[i]
                                                 for i in chain)),
-                       generator_count=m.n, rank=rank)
+                       generator_count=m.n, rank=rank, matrix=m)
     phi = 1 << _low(vec)
     for p in sorted(basis, reverse=True):
         if (phi & basis[p][0]).bit_count() % 2:
             phi |= 1 << p
-    phi = set(_rows(phi))
+    phi = {rows[k] for k in _rows(phi)}
     for col in m.columns:
-        if len(phi & set(col)) % 2:
+        if len(phi.intersection(col)) % 2:
             raise RuntimeError(
                 "internal error: functional fails to kill a boundary")
     if c_idx not in phi:
@@ -458,7 +495,7 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
             "internal error: functional misses the distinguished cycle")
     cert = tuple(sorted(m.generators[i] for i in phi))
     return Verdict(outcome=NONVANISHING, certificate=cert,
-                   generator_count=m.n, rank=rank)
+                   generator_count=m.n, rank=rank, matrix=m)
 
 
 def decide_lazy(diagram: HeegaardDiagram, trace=None) -> Verdict:
@@ -467,20 +504,24 @@ def decide_lazy(diagram: HeegaardDiagram, trace=None) -> Verdict:
     When no generator's boundary can hit the distinguished generator it
     is not a boundary and the answer is NONVANISHING outright, with rank
     -1; otherwise the diagram is flattened fully and the complete
-    complex decides.  trace gets one line per flattening move, and the
-    verdict carries the diagram it was decided on.
+    complex decides.  A frontier diagram that is already flat goes
+    straight to the complete complex, so that its census runs once.
+    trace gets one line per flattening move, and the verdict carries
+    the diagram it was decided on and, from the complete complex, the
+    matrix.
     """
     lz = lazy_frontier(diagram, trace=trace)
-    c = lz.contact_tuple()
-    sources = set()
-    for dom in domain_census(lz):
-        x = _move(lz, c, dom, back=True)
-        if x is not None:
-            sources ^= {x}
-    if not sources:
-        return Verdict(outcome=NONVANISHING, certificate=(),
-                       generator_count=len(generators(lz)), rank=-1,
-                       diagram=lz)
+    if lz.bad_regions():
+        c = lz.contact_tuple()
+        sources = set()
+        for dom in domain_census(lz):
+            x = _move(lz, c, dom, back=True)
+            if x is not None:
+                sources ^= {x}
+        if not sources:
+            return Verdict(outcome=NONVANISHING, certificate=(),
+                           generator_count=len(generators(lz)), rank=-1,
+                           diagram=lz)
     nice = make_nice(lz, trace=trace)
     verdict = decide_vanishing(boundary_matrix(nice), contact_class(nice))
     return replace(verdict, diagram=nice)
@@ -488,7 +529,7 @@ def decide_lazy(diagram: HeegaardDiagram, trace=None) -> Verdict:
 
 def homology_rank(m: BoundaryMatrix) -> int:
     """dim ker − dim im of the boundary operator over GF(2)."""
-    return m.n - 2 * len(_eliminate(m.columns))
+    return m.n - 2 * len(_eliminate(m.columns, combos=False))
 
 
 __all__ = ["BoundaryMatrix", "DomainCandidate", "NONVANISHING", "VANISHING",

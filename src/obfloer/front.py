@@ -246,13 +246,12 @@ def _check_book(book: OpenBookFile, name: str, *, lazy: bool, rank: bool,
                                          floer.contact_class(post))
     n_gens, rank_val = verdict.generator_count, None
     if rank:
-        if verdict.rank == -1:
+        m = verdict.matrix
+        if m is None:
             # the lazy test decided without the full complex
             post = make_nice(post, trace=trace)
             m = floer.boundary_matrix(post)
-            n_gens, rank_val = m.n, floer.homology_rank(m)
-        else:
-            rank_val = verdict.generator_count - 2 * verdict.rank
+        n_gens, rank_val = m.n, floer.homology_rank(m)
     if export_post:
         export_diagram(post, fmt, export_post)
     return Report(

@@ -14,7 +14,9 @@ and a vector counts for the differential x -> y exactly when
 
 Membership of the distinguished cycle in the image is then settled by
 trying every one of the 2^n chains, and the rank by row reduction over
-integer bitmasks.  Everything is hard limits and plain arithmetic, so
+integer bitmasks.  oracle_bounds settles membership by rank alone, over
+every column, so it also checks the library's decision on complexes
+too big to search.  Everything is hard limits and plain arithmetic, so
 it only runs on desk-size inputs.
 """
 
@@ -202,6 +204,20 @@ def oracle_rank(gens, boundary):
         rows = [b for b in rows if b]
         rank += 1
     return rank
+
+
+def as_boundary(m):
+    """A library BoundaryMatrix as (generators, boundary) for the oracles."""
+    return m.generators, {x: {m.generators[k] for k in col}
+                          for x, col in zip(m.generators, m.columns)}
+
+
+def oracle_bounds(gens, boundary, c):
+    """Is c a boundary?  Exactly when appending c's unit vector as one
+    more column leaves the rank unchanged."""
+    extra = object()
+    grown = oracle_rank([*gens, extra], {**boundary, extra: {c}})
+    return grown == oracle_rank(gens, boundary)
 
 
 def oracle_homology_rank(gens, boundary):

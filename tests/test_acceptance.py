@@ -27,8 +27,8 @@ from obfloer.mapping import TwistWord, same_action_on_basis
 from obfloer.nicify import elementary_moves, finger_move, make_nice
 from obfloer.surface import make_page, parse_curve
 
-from floer_oracle import (oracle_complex, oracle_decide,
-                          oracle_homology_rank)
+from floer_oracle import (as_boundary, oracle_bounds, oracle_complex,
+                          oracle_decide, oracle_homology_rank)
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 RESULTS = []
@@ -207,6 +207,8 @@ def check_book_properties(dia, rng):
     assert m.columns[m.generators.index(c)] == (), \
         "the distinguished generator is not a cycle"
     full = decide_vanishing(m, c)
+    assert oracle_bounds(*as_boundary(m), c) == (
+        full.outcome == floer.VANISHING)
     assert decide_lazy(dia).outcome == full.outcome
     wiggled = dia
     for _ in range(5):
@@ -217,7 +219,10 @@ def check_book_properties(dia, rng):
             break
         wiggled = finger_move(wiggled, rng.choice(moves))
     redone = make_nice(wiggled)
-    again = decide_vanishing(boundary_matrix(redone), contact_class(redone))
+    m = boundary_matrix(redone)
+    again = decide_vanishing(m, contact_class(redone))
+    assert oracle_bounds(*as_boundary(m), contact_class(redone)) == (
+        again.outcome == floer.VANISHING)
     assert again.outcome == full.outcome, \
         "verdict changed under gratuitous finger moves"
 

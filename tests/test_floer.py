@@ -16,7 +16,8 @@ from obfloer.nicify import lazy_frontier, make_nice
 from obfloer.surface import make_page, parse_curve
 
 from census_oracle import oracle_census
-from floer_oracle import (oracle_complex, oracle_decide, oracle_generators,
+from floer_oracle import (as_boundary, oracle_bounds, oracle_complex,
+                          oracle_decide, oracle_generators,
                           oracle_homology_rank)
 from oracles import oracle_torus_h1_order
 from test_acceptance import random_book as property_book
@@ -60,6 +61,7 @@ def test_identity_annulus_complex():
     assert homology_rank(m) == 2
     v = decide_vanishing(m, contact_class(nice))
     assert v.outcome == floer.NONVANISHING
+    # the rank of c's closure block, which is empty here
     assert v.rank == 0
 
 
@@ -83,7 +85,7 @@ def test_negative_core_twist_complex():
     assert homology_rank(m) == 1
     v = decide_vanishing(m, c)
     assert v.outcome == floer.VANISHING
-    assert v.rank == 1
+    assert v.rank == 1      # closure rank: row c, columns 1 and 2
     # the bounding chain really bounds
     assert boundary_of(m, v.certificate) == {c}
 
@@ -116,7 +118,7 @@ def test_lantern_complex():
     assert c == (0, 1, 2)
     v = decide_vanishing(m, c)
     assert v.outcome == floer.NONVANISHING
-    assert v.rank == 10
+    assert v.rank == 2      # closure rank: 3 rows, 3 columns
     assert homology_rank(m) == 2
     # the functional certificate kills every boundary and hits c
     phi = set(v.certificate)
@@ -226,6 +228,93 @@ def test_lantern_word_twice_decides_in_both_modes(tmp_path):
             floer.VANISHING, 10, 25704)
 
 
+def flat_complex(text):
+    book = parse_input(text)
+    nice = make_nice(build_diagram(book.page, book.word))
+    return boundary_matrix(nice), contact_class(nice)
+
+
+def corpus_and_ladder():
+    """The corpus and the ladder up to torus (ab)^4, at most 247
+    generators."""
+    paths = sorted(glob.glob(os.path.join(CORPUS, "*.obk")))
+    return {os.path.basename(p): open(p).read() for p in paths} | BENCH_LADDER
+
+
+def test_decision_agrees_with_rank_oracle():
+    for name, text in corpus_and_ladder().items():
+        m, c = flat_complex(text)
+        v = decide_vanishing(m, c)
+        assert oracle_bounds(*as_boundary(m), c) == (
+            v.outcome == floer.VANISHING), name
+
+
+@pytest.mark.parametrize("text, rows, cols", [
+    (open(os.path.join(CORPUS, "lantern.obk")).read(), 3, 3),
+    (open(os.path.join(CORPUS, "neg_hopf.obk")).read(), 1, 2),
+    (torus_word("+a +b", 4), 11, 17),
+    (torus_word("+a -b", 3), 1, 2),
+    (LANTERN + "twists: +d4 -f1 +f2\n", 14, 27),
+    (LANTERN + "twists: +d4 -f1 +f2 +d4 -f1 +f2\n", 572, 657),
+], ids=["lantern", "neg_hopf", "torus_ab4", "torus_abinv3",
+        "lantern_word1", "lantern_word2"])
+def test_closure_sizes_are_pinned(text, rows, cols):
+    m, c = flat_complex(text)
+    r, cc = floer._closure(m, m.generators.index(c))
+    assert (len(r), len(cc)) == (rows, cols)
+
+
+def test_closure_is_closed():
+    complexes = [flat_complex(text) for text in corpus_and_ladder().values()]
+    for seed in (1105, 1205, 1305, 1405):
+        rng = random.Random(seed)
+        for _ in range(12):
+            nice = make_nice(random_book(rng))
+            complexes.append((boundary_matrix(nice), contact_class(nice)))
+    for m, c in complexes:
+        c_idx = m.generators.index(c)
+        rows, cols = map(set, floer._closure(m, c_idx))
+        assert c_idx in rows
+        for i, col in enumerate(m.columns):
+            assert (i in cols) == bool(rows.intersection(col))
+            if i in cols:
+                assert rows.issuperset(col)
+
+
+def test_rechecks_catch_a_wrong_elimination(monkeypatch):
+    # the plain multiplications over the whole matrix guard the decision
+    # apart from the closure: a corrupt basis must never yield a verdict
+    eliminate = floer._eliminate
+
+    def flip_combination(columns, combos=True):
+        return {p: (vec, combo ^ 1)
+                for p, (vec, combo) in eliminate(columns, combos).items()}
+
+    def drop_lowest_pivot(columns, combos=True):
+        basis = eliminate(columns, combos)
+        if basis:
+            del basis[min(basis)]
+        return basis
+
+    chains = functionals = 0
+    for name, text in corpus_and_ladder().items():
+        m, c = flat_complex(text)
+        v = decide_vanishing(m, c)
+        _, cols = floer._closure(m, m.generators.index(c))
+        if v.outcome == floer.VANISHING:
+            monkeypatch.setattr(floer, "_eliminate", flip_combination)
+            with pytest.raises(RuntimeError, match="bounding chain fails"):
+                decide_vanishing(m, c)
+            chains += 1
+        if cols:
+            monkeypatch.setattr(floer, "_eliminate", drop_lowest_pivot)
+            with pytest.raises(RuntimeError, match="functional fails"):
+                decide_vanishing(m, c)
+            functionals += 1
+        monkeypatch.setattr(floer, "_eliminate", eliminate)
+    assert chains and functionals
+
+
 def test_boundary_matrix_refuses_oversized_regions():
     with pytest.raises(ValueError, match="flattened"):
         boundary_matrix(lantern_book())
@@ -275,6 +364,8 @@ def test_random_books_have_consistent_complexes():
         c = contact_class(nice)         # cycle condition asserted inside
         v = decide_vanishing(m, c)
         assert decide_lazy(dia).outcome == v.outcome
+        assert oracle_bounds(*as_boundary(m), c) == (
+            v.outcome == floer.VANISHING)
         assert homology_rank(m) >= 1
         if v.outcome == floer.VANISHING:
             assert boundary_of(m, v.certificate) == {c}

@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from obfloer import floer
 from obfloer.front import _render_text, export_diagram, main, parse_input, run_check
 from obfloer.heegaard import build_diagram
 from obfloer.nicify import make_nice
@@ -234,6 +235,32 @@ def test_lazy_rank_trace_comes_from_one_flattening(tmp_path):
         assert ((lazy.generators, lazy.crossings_post, lazy.regions_post,
                  lazy.moves) == (full.generators, full.crossings_post,
                                  full.regions_post, full.moves)), path
+
+
+@pytest.mark.parametrize("name, censuses", [
+    ("torus_abinv3.obk", 1), ("lantern_word1.obk", 2)])
+def test_lazy_rank_fallback_runs_each_census_once(tmp_path, monkeypatch,
+                                                  name, censuses):
+    # the lazy test falls back on both; (a b^-1)^3's frontier diagram is
+    # already flat, so one census serves the decision and the rank, and
+    # lantern x1 adds one on its partly flat frontier diagram
+    path = tmp_path / name
+    path.write_text(BENCH_LADDER[name])
+    _, full = run_check(str(path), rank=True, out=io.StringIO())
+    seen = []
+    census = floer.domain_census
+
+    def counted(diagram):
+        seen.append(diagram)
+        return census(diagram)
+
+    monkeypatch.setattr(floer, "domain_census", counted)
+    _, lazy = run_check(str(path), lazy=True, rank=True, out=io.StringIO())
+    assert len(seen) == censuses
+    assert len({id(d) for d in seen}) == censuses
+    assert not seen[-1].bad_regions()
+    assert (lazy.verdict, lazy.rank, lazy.generators) == (
+        full.verdict, full.rank, full.generators)
 
 
 def test_trace_prints_finger_lines():
