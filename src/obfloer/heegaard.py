@@ -353,16 +353,14 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
 
     # A curve piece is ("p", instance, flipped): the walk instance going
     # along the curve, and the one with the other side on the left.
-    def alpha_piece(sheet, i, t, direction):
+    def alpha_piece(sheet, i, t):
         """The arc piece at parameter slot t."""
         pos_l, pos_r = arc_sides[i]
         m = len(strands[(sheet, i)])
         d = 1 if sheet == _TOP else -1
         left = (sheet, ("i", charts[sheet].corner_node(pos_l) + t), d)
         right = (sheet, ("i", charts[sheet].corner_node(pos_r) + (m - t)), d)
-        if (direction > 0) == (sheet == _TOP):
-            return ("p", left, right)
-        return ("p", right, left)
+        return ("p", left, right)
 
     def chord_piece(sheet, j, c, d):
         return ("p", (sheet, ("c", j, c), d), (sheet, ("c", j, c), -d))
@@ -400,11 +398,11 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
         seq_top = strands[(_TOP, i)]
         seq_bot = strands[(_BOTTOM, i)]
         for t in range(len(seq_top) + 1):
-            elems.append(alpha_piece(_TOP, i, t, 1))
+            elems.append(alpha_piece(_TOP, i, t))
             if t < len(seq_top):
                 elems.append(("v", vertex_of[(_TOP,) + seq_top[t]]))
         for t in range(len(seq_bot), -1, -1):
-            elems.append(alpha_piece(_BOTTOM, i, t, -1))
+            elems.append(alpha_piece(_BOTTOM, i, t))
             if t > 0:
                 elems.append(("v", vertex_of[(_BOTTOM,) + seq_bot[t - 1]]))
         walk = []

@@ -1,13 +1,15 @@
 """Flattening a doubled-page diagram into bigon and square regions.
 
-The only primitive is a poke: one attaching-circle edge of the "b"
-family is pushed through the region in front of it and across one "a"
-edge on that region's far boundary, so the tip comes to rest inside
-the next region over.  A poke adds two crossings, cuts the region it
-passed through in two (or merges two of its boundary circles, when the
-entry and exit sat on different circles), carves a small bigon out of
-the region the tip rests in, and lengthens the region behind the
-pushed edge by two sides.
+Every region of a doubled-page diagram except the basepoint one is a
+disk with one boundary cycle (docs/conventions.md), and flattening only
+ever meets such regions.  The only primitive is a poke: one
+attaching-circle edge of the "b" family is pushed through the unpointed
+disk region in front of it and across one "a" edge on that region's far
+boundary, so the tip comes to rest inside the next region over.  A poke
+adds two crossings, cuts the disk it passed through in two, carves a
+small bigon out of the region the tip rests in, and lengthens the
+region behind the pushed edge by two sides; every unpointed region
+stays a disk.
 
 A finger is a chain of pokes: after the first one, the tip edge itself
 is pushed onward, which turns the previous tip bigon into a plain
@@ -17,10 +19,13 @@ one family stay disjoint, so all routing happens across "a" edges.
 The flattening strategy chops one square off the lowest-numbered
 oversized region per finger and routes the tip straight through
 squares until it can rest in a bigon or the basepoint region, where
-the damage of resting (two extra sides) is harmless.  When no harmless entry exists
-the finger accepts collateral damage on a neighboring region and the
-main loop picks the pieces up later; a global move budget turns any
-failure of this process into a loud error instead of a spin.
+the damage of resting (two extra sides) is harmless.  When no harmless
+entry exists the finger accepts collateral damage on a neighboring
+region and the main loop picks the pieces up later.  That loop is not
+known to terminate: on some books each finger chops a hexagon or
+octagon and leaves a new one behind, and the global move budget, which
+grows with the square of the diagram's size, is too large to stop such
+a spin in practice.
 """
 
 from __future__ import annotations
@@ -48,41 +53,32 @@ class FingerMoveSpec:
 def _poke(d: HeegaardDiagram, h_beta: int, h_alpha: int) -> tuple:
     """Push the edge of h_beta through the region ahead, across h_alpha.
 
-    he_region[twin(h_beta)] is the region pushed through; h_alpha must
-    lie on its boundary.  Returns (tip_half_edge, rest_region): the tip
-    half-edge is the one to push to extend the finger, and rest_region
-    is where the tip now sits.  Mutates d in place.
+    he_region[twin(h_beta)] is the region pushed through: an unpointed
+    disk with h_alpha on its boundary.  Returns (tip_half_edge,
+    rest_region): the tip half-edge is the one to push to extend the
+    finger, and rest_region is where the tip now sits.  Mutates d in
+    place.
     """
     if d.label(h_beta)[0] != "b":
         raise ValueError("a finger can only push an edge of the b family")
+    if not 0 <= h_alpha < 2 * d.n_edges:
+        raise ValueError("crossed half-edge does not exist")
     if d.label(h_alpha)[0] != "a":
         raise ValueError("a finger can only cross edges of the a family")
     R = d.he_region[d.twin(h_beta)]
     if d.he_region[h_alpha] != R:
         raise ValueError(
-            "the crossed edge must bound the region the finger enters")
+            "the crossed edge does not bound the region the finger is in")
     reg = d.regions[R]
     if reg.pointed:
         raise ValueError("the basepoint region cannot be pushed through")
+    if len(reg.cycles) != 1 or not reg.is_disk:
+        raise ValueError("a finger can only pass through a disk region")
 
     j = d.label(h_beta)[1]
     i = d.label(h_alpha)[1]
-    v1 = d.he_origin[h_beta]
     v2 = d.head(h_beta)
     w2 = d.head(h_alpha)
-
-    ci_b = ci_a = None
-    for ci, cyc in enumerate(reg.cycles):
-        if d.twin(h_beta) in cyc:
-            ci_b = ci
-        if h_alpha in cyc:
-            ci_a = ci
-    if ci_b is None or ci_a is None:
-        raise RuntimeError("internal error: region lost its boundary edges")
-    if ci_b == ci_a and (len(reg.cycles) > 1 or reg.euler != 1):
-        raise ValueError(
-            "cutting along one boundary circle of a region with handles or "
-            "several boundary circles is ambiguous")
 
     x_L = d.n_vertices
     x_R = x_L + 1
@@ -101,59 +97,42 @@ def _poke(d: HeegaardDiagram, h_beta: int, h_alpha: int) -> tuple:
     d.he_origin[d.twin(h_beta)] = x_L  # pushed edge now ends at x_L
     d.he_origin[d.twin(h_alpha)] = x_L  # crossed edge keeps its near piece
 
-    # cut the region that was pushed through
-    cyc_b = reg.cycles[ci_b]
-    pos_b = cyc_b.index(d.twin(h_beta))
-    if ci_b == ci_a:
-        cyc = cyc_b[pos_b:] + cyc_b[:pos_b]
-        pos_a = cyc.index(h_alpha)
-        c2 = cyc[1:pos_a] + [h_alpha, d.twin(h_beta)]
-        c1 = [2 * e3 + 1, 2 * f3] + cyc[pos_a + 1:]
-        reg.cycles[ci_b] = c1
-        new_r = len(d.regions)
-        d.regions.append(Region(cycles=[c2], euler=1))
-        for h in c2:
-            d.he_region[h] = new_r
-    else:
-        cyc_a = reg.cycles[ci_a]
-        pos_a = cyc_a.index(h_alpha)
-        merged = ([2 * e3 + 1, 2 * f3]
-                  + cyc_a[pos_a + 1:] + cyc_a[:pos_a]
-                  + [h_alpha, d.twin(h_beta)]
-                  + cyc_b[pos_b + 1:] + cyc_b[:pos_b])
-        keep = [c for ci, c in enumerate(reg.cycles)
-                if ci not in (ci_b, ci_a)]
-        reg.cycles[:] = [merged] + keep
-        reg.euler += 1
+    # cut the region that was pushed through along the finger
+    cyc = reg.cycles[0]
+    pos_b = cyc.index(d.twin(h_beta))
+    cyc = cyc[pos_b:] + cyc[:pos_b]
+    pos_a = cyc.index(h_alpha)
+    c2 = cyc[1:pos_a] + [h_alpha, d.twin(h_beta)]
+    reg.cycles[0] = [2 * e3 + 1, 2 * f3] + cyc[pos_a + 1:]
+    new_r = len(d.regions)
+    d.regions.append(Region(cycles=[c2], euler=1))
+    for h in c2:
+        d.he_region[h] = new_r
     d.he_region[2 * e3 + 1] = R
     d.he_region[2 * f3] = R
 
-    # the region behind the pushed edge absorbs the strip
+    # the region behind the pushed edge absorbs the strip; it and the
+    # region past the crossing may be the pointed one, which need not
+    # be a disk
     r_S = d.he_region[h_beta]
-    s_cycles = d.regions[r_S].cycles
-    done = False
-    for cyc in s_cycles:
+    for cyc in d.regions[r_S].cycles:
         if h_beta in cyc:
             p = cyc.index(h_beta)
             cyc[p:p + 1] = [h_beta, 2 * f2, 2 * e3]
-            done = True
             break
-    if not done:
+    else:
         raise RuntimeError("internal error: pushed edge left no trace")
     d.he_region[2 * f2] = r_S
     d.he_region[2 * e3] = r_S
 
     # the tip carves a bigon sliver out of the region past the crossing
     r_N = d.he_region[d.twin(h_alpha)]
-    n_cycles = d.regions[r_N].cycles
-    done = False
-    for cyc in n_cycles:
+    for cyc in d.regions[r_N].cycles:
         if d.twin(h_alpha) in cyc:
             p = cyc.index(d.twin(h_alpha))
             cyc[p:p + 1] = [2 * f3 + 1, 2 * e2 + 1, d.twin(h_alpha)]
-            done = True
             break
-    if not done:
+    else:
         raise RuntimeError("internal error: crossed edge left no trace")
     d.he_region[2 * f3 + 1] = r_N
     d.he_region[2 * e2 + 1] = r_N
@@ -182,38 +161,33 @@ def _poke(d: HeegaardDiagram, h_beta: int, h_alpha: int) -> tuple:
     return 2 * e2, r_N
 
 
+def _execute(d: HeegaardDiagram, move: FingerMoveSpec) -> None:
+    h = d.twin(move.source)
+    for cross in move.crossings:
+        h, rest = _poke(d, h, cross)
+    if rest != move.terminal:
+        raise ValueError(
+            f"the finger comes to rest in region {rest}, "
+            f"not the declared terminal {move.terminal}")
+
+
 def finger_move(diagram: HeegaardDiagram,
                 move: FingerMoveSpec) -> HeegaardDiagram:
     """Perform one finger move and return the new diagram.
 
     The input diagram is not touched.  The source half-edge must carry
     a "b" label; the finger pushes its edge into the region on the
-    source side, crossing the listed "a" half-edges one region at a
-    time, and the tip must come to rest in move.terminal.
+    source side, crossing the listed "a" half-edges one unpointed disk
+    region at a time, and the tip must come to rest in move.terminal.
     """
     if not isinstance(move, FingerMoveSpec):
         raise TypeError("move must be a FingerMoveSpec")
     if not move.crossings:
         raise ValueError("a finger move must cross at least one a edge")
-    if move.source >= 2 * diagram.n_edges or move.source < 0:
+    if not 0 <= move.source < 2 * diagram.n_edges:
         raise ValueError("source half-edge does not exist")
-    if diagram.label(move.source)[0] != "b":
-        raise ValueError("the pushed edge must belong to the b family")
     d = diagram.clone()
-    h = d.twin(move.source)
-    for k, cross in enumerate(move.crossings):
-        if cross >= 2 * d.n_edges or cross < 0:
-            raise ValueError("crossed half-edge does not exist")
-        if d.label(cross)[0] != "a":
-            raise ValueError("fingers may only cross edges of the a family")
-        if d.he_region[cross] != d.he_region[d.twin(h)]:
-            raise ValueError(
-                f"crossing {k} does not bound the region the finger is in")
-        h, rest = _poke(d, h, cross)
-    if rest != move.terminal:
-        raise ValueError(
-            f"the finger comes to rest in region {rest}, "
-            f"not the declared terminal {move.terminal}")
+    _execute(d, move)
     d.validate()
     return d
 
@@ -224,31 +198,19 @@ def elementary_moves(diagram: HeegaardDiagram):
     Yields FingerMoveSpec values; useful for exercising invariance of
     downstream answers under gratuitous isotopies.
     """
-    for r, reg in enumerate(diagram.regions):
-        if reg.pointed:
+    for reg in diagram.regions:
+        if reg.pointed or len(reg.cycles) != 1 or not reg.is_disk:
             continue
-        single = len(reg.cycles) == 1 and reg.euler == 1
-        for ci, cyc in enumerate(reg.cycles):
-            for hh in cyc:
-                if diagram.label(hh)[0] != "b":
+        cyc = reg.cycles[0]
+        for hh in cyc:
+            if diagram.label(hh)[0] != "b":
+                continue
+            for ha in cyc:
+                if diagram.label(ha)[0] != "a":
                     continue
-                for cj, cyc2 in enumerate(reg.cycles):
-                    if cj == ci and not single:
-                        continue
-                    for ha in cyc2:
-                        if diagram.label(ha)[0] != "a":
-                            continue
-                        yield FingerMoveSpec(
-                            source=hh, crossings=(ha,),
-                            terminal=diagram.he_region[diagram.twin(ha)])
-
-
-def _region_rank(d: HeegaardDiagram, r: int) -> int:
-    """Cost of adding two sides to region r: 0 when harmless."""
-    reg = d.regions[r]
-    if reg.pointed or reg.is_bigon:
-        return 0
-    return 2
+                yield FingerMoveSpec(
+                    source=hh, crossings=(ha,),
+                    terminal=diagram.he_region[diagram.twin(ha)])
 
 
 def _chain_from(d: HeegaardDiagram, start: int, exit_h: int, budget: int):
@@ -288,8 +250,15 @@ def _plan_finger(d: HeegaardDiagram, target: int) -> FingerMoveSpec:
     for pos, hh in enumerate(cyc):
         if d.label(hh)[0] != "b":
             continue
+        # cost of the two sides the strip adds behind the pushed edge
         absorber = d.he_region[d.twin(hh)]
-        a_rank = 6 if absorber == target else _region_rank(d, absorber)
+        areg = d.regions[absorber]
+        if absorber == target:
+            a_rank = 6
+        elif areg.pointed or areg.is_bigon:
+            a_rank = 0
+        else:
+            a_rank = 2
         for p in (3, L - 3):
             exit_h = cyc[(pos + p) % L]
             if d.he_region[d.twin(exit_h)] == target:
@@ -311,63 +280,26 @@ def _plan_finger(d: HeegaardDiagram, target: int) -> FingerMoveSpec:
     return best[1]
 
 
-def _plan_merge(d: HeegaardDiagram, target: int) -> FingerMoveSpec:
-    """Choose a poke joining two boundary circles of a non-disk region."""
-    reg = d.regions[target]
-    best = None
-    for ci, cyc in enumerate(reg.cycles):
-        for hh in cyc:
-            if d.label(hh)[0] != "b":
-                continue
-            absorber = d.he_region[d.twin(hh)]
-            a_rank = 6 if absorber == target else _region_rank(d, absorber)
-            for cj, cyc2 in enumerate(reg.cycles):
-                if cj == ci:
-                    continue
-                for ha in cyc2:
-                    if d.label(ha)[0] != "a":
-                        continue
-                    rest = d.he_region[d.twin(ha)]
-                    r_rank = 2 if rest == target else _region_rank(d, rest)
-                    key = (a_rank + r_rank, hh, ha)
-                    if best is None or key < best[0]:
-                        best = (key, FingerMoveSpec(
-                            source=hh, crossings=(ha,),
-                            terminal=rest))
-    if best is None:
-        raise RuntimeError(
-            "internal error: non-disk region offers no joining poke")
-    return best[1]
-
-
-def _execute(d: HeegaardDiagram, move: FingerMoveSpec) -> None:
-    h = d.twin(move.source)
-    for cross in move.crossings:
-        h, rest = _poke(d, h, cross)
-    if rest != move.terminal:
-        raise RuntimeError("internal error: finger rested off plan")
-
-
 def _flatten(diagram: HeegaardDiagram, frontier_only: bool,
              trace) -> HeegaardDiagram:
+    for r in diagram.bad_regions():
+        if not diagram.regions[r].is_disk:
+            raise ValueError(
+                f"region {r} is not a disk; only disk regions can be "
+                "flattened")
     d = diagram.clone()
     moves = 0
     budget = 64 + 16 * (d.n_vertices + d.n_edges) ** 2
     while True:
         bad = d.bad_regions()
-        non_disks = [r for r in bad if not d.regions[r].is_disk]
-        if non_disks:
-            target = non_disks[0]
-            move = _plan_merge(d, target)
-        else:
-            if frontier_only:
-                keep = _frontier(d)
-                bad = [r for r in bad if r in keep]
-            if not bad:
-                d.validate()
-                return d
-            target = bad[0]
-            move = _plan_finger(d, target)
+        if frontier_only:
+            keep = _frontier(d)
+            bad = [r for r in bad if r in keep]
+        if not bad:
+            d.validate()
+            return d
+        target = bad[0]
+        move = _plan_finger(d, target)
         moves += len(move.crossings)
         if moves > budget:
             raise RuntimeError(

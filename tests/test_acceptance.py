@@ -24,11 +24,13 @@ from obfloer.floer import (_move, boundary_matrix, contact_class,
 from obfloer.front import parse_input, run_check
 from obfloer.heegaard import build_diagram
 from obfloer.mapping import TwistWord, same_action_on_basis
-from obfloer.nicify import elementary_moves, finger_move, make_nice
+from obfloer.nicify import (elementary_moves, finger_move, lazy_frontier,
+                            make_nice)
 from obfloer.surface import make_page, parse_curve
 
 from floer_oracle import (as_boundary, oracle_bounds, oracle_complex,
                           oracle_decide, oracle_homology_rank)
+from test_nicify import assert_disk_regions
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 RESULTS = []
@@ -192,7 +194,10 @@ def random_book(rng):
 
 
 def check_book_properties(dia, rng):
+    assert_disk_regions(dia)
     post = make_nice(dia)
+    assert_disk_regions(post)
+    assert_disk_regions(lazy_frontier(dia))
     assert post.bad_regions() == []
     assert [t for t in post.v_tag if t[0] != "finger"] == dia.v_tag
     assert post.contact_tuple() == dia.contact_tuple()
@@ -218,7 +223,9 @@ def check_book_properties(dia, rng):
             # would have to cross the basepoint region
             break
         wiggled = finger_move(wiggled, rng.choice(moves))
+        assert_disk_regions(wiggled)
     redone = make_nice(wiggled)
+    assert_disk_regions(redone)
     m = boundary_matrix(redone)
     again = decide_vanishing(m, contact_class(redone))
     assert oracle_bounds(*as_boundary(m), contact_class(redone)) == (

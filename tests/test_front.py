@@ -7,6 +7,8 @@ import os
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obfloer import floer
 from obfloer.front import _render_text, export_diagram, main, parse_input, run_check
@@ -132,6 +134,93 @@ def test_render_normalizes_options_order():
     rendered = parse_input(text).render()
     assert rendered.endswith("option lazy=true\noption trace=true\n")
     assert parse_input(rendered).render() == rendered
+
+
+OPTION_VALUES = {"export-post": "post.txt", "export-pre": "pre.svg",
+                 "format": ("text", "svg"), "lazy": ("true", "false"),
+                 "rank": ("true", "false"), "report": "out.txt",
+                 "trace": ("true", "false")}
+FUZZ = settings(derandomize=True, max_examples=200, deadline=None,
+                database=None)
+POSITIONED = re.compile(r"line (\d+), column (\d+): \S")
+
+
+@st.composite
+def book_texts(draw):
+    """Well-formed-looking files: a page, curves, a word, options."""
+    g = draw(st.integers(0, 2))
+    b = draw(st.integers(1, 4))
+    top = max(1, 2 * g + b - 1)
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", "core"]),
+                          max_size=3, unique=True))
+    lines = [f"page g={g} b={b}"]
+    for name in names:
+        tokens = draw(st.lists(st.tuples(st.integers(1, top),
+                                         st.sampled_from("+-")),
+                               min_size=1, max_size=4))
+        lines.append(f"curve {name}: "
+                     + " ".join(f"{arc}{sign}" for arc, sign in tokens))
+    letters = draw(st.lists(st.tuples(st.sampled_from("+-"),
+                                      st.sampled_from(names or ["a"])),
+                            max_size=4 if names else 0))
+    lines.append(" ".join(["twists:"] + [s + n for s, n in letters]))
+    keys = draw(st.lists(st.sampled_from(sorted(OPTION_VALUES)), max_size=3,
+                         unique=True))
+    for key in keys:
+        values = OPTION_VALUES[key]
+        value = (draw(st.sampled_from(values))
+                 if isinstance(values, tuple) else values)
+        lines.append(f"option {key}={value}")
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "# a comment")
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "  # end\n"]))
+
+
+def assert_renders_to_fixed_point(text):
+    book = parse_input(text)
+    rendered = book.render()
+    again = parse_input(rendered)
+    assert (again.curve_tokens, again.letters, again.options) == (
+        book.curve_tokens, book.letters, book.options)
+    assert again.render() == rendered
+
+
+def assert_parses_or_points(text):
+    try:
+        assert_renders_to_fixed_point(text)
+    except ValueError as err:
+        found = POSITIONED.match(str(err))
+        assert found, str(err)
+        line, column = int(found[1]), int(found[2])
+        assert 1 <= line <= len(text.splitlines()) + 1
+        assert column >= 1
+
+
+@FUZZ
+@given(book_texts())
+def test_parsed_files_render_to_a_fixed_point(text):
+    assert_parses_or_points(text)
+
+
+GARBAGE_TOKENS = st.one_of(
+    st.sampled_from(["page", "curve", "twists:", "option", "g=0", "g=1",
+                     "b=1", "b=3", "g=", "b=x", "a:", ":", "1+", "2-",
+                     "0+", "1x", "+", "-", "+a", "-q", "lazy=true",
+                     "rank=no", "format=svg", "threads=2", "=", "#"]),
+    st.text(alphabet="abgq=+-:#0123", min_size=1, max_size=4))
+GARBAGE_LINES = st.builds(
+    lambda head, tail: " ".join([head] + tail),
+    st.one_of(st.sampled_from(["page", "curve", "twists:", "option"]),
+              GARBAGE_TOKENS),
+    st.lists(GARBAGE_TOKENS, max_size=4))
+
+
+@FUZZ
+@given(st.one_of(st.sampled_from(["page g=0 b=2", "page g=1 b=2"]),
+                 GARBAGE_LINES),
+       st.lists(GARBAGE_LINES, max_size=5))
+def test_garbage_fails_only_with_a_position(first, lines):
+    assert_parses_or_points("\n".join([first] + lines))
 
 
 @pytest.mark.parametrize("name, code, verdict", [

@@ -1,15 +1,28 @@
+import glob
+import os
 import random
+import signal
 
 import pytest
 
+from obfloer.front import parse_input
 from obfloer.heegaard import build_diagram
 from obfloer.mapping import TwistWord
 from obfloer.nicify import (FingerMoveSpec, elementary_moves, finger_move,
                             lazy_frontier, make_nice)
 from obfloer.surface import make_page, parse_curve
 
+from test_front import BENCH_LADDER, CORPUS, LANTERN
+
 annulus = make_page(0, 2)
 four_holed = make_page(0, 4)
+
+
+def assert_disk_regions(diagram):
+    """Every unpointed region is a disk with one boundary cycle."""
+    for r, reg in enumerate(diagram.regions):
+        if not reg.pointed:
+            assert reg.euler == 1 and len(reg.cycles) == 1, r
 
 
 def region_shapes(diagram):
@@ -146,10 +159,9 @@ def test_basepoint_region_is_never_pushed_through():
         finger_move(dia, FingerMoveSpec(b_half, (a_half,), 0))
 
 
-def test_flattening_a_region_with_two_boundary_circles():
+def test_flattening_rejects_a_non_disk_region():
     # the identity annulus book is flat, but moving the basepoint onto a
-    # bigon exposes the annular region; a merge poke must join its two
-    # circles before the usual chopping applies
+    # bigon exposes the annular region, which no doubled page produces
     dia = build_diagram(annulus, TwistWord(()))
     wrapped = dia.clone()
     ring = next(r for r, reg in enumerate(wrapped.regions)
@@ -161,17 +173,25 @@ def test_flattening_a_region_with_two_boundary_circles():
     wrapped.validate()
     assert wrapped.bad_regions() == [ring]
 
-    nice = make_nice(wrapped)
-    assert nice.bad_regions() == []
-    nice.validate()
-    assert all(len(reg.cycles) == 1 for reg in nice.regions)
+    with pytest.raises(ValueError, match=f"region {ring} is not a disk"):
+        make_nice(wrapped)
+    cycles = wrapped.regions[ring].cycles
+    b_half = next(h for cyc in cycles for h in cyc
+                  if wrapped.label(h)[0] == "b")
+    a_half = next(h for cyc in cycles for h in cyc
+                  if wrapped.label(h)[0] == "a")
+    with pytest.raises(ValueError, match="only pass through a disk"):
+        finger_move(wrapped, FingerMoveSpec(
+            b_half, (a_half,), wrapped.he_region[wrapped.twin(a_half)]))
 
 
 def test_random_books_flatten_clean():
     rng = random.Random(411)
     for _ in range(40):
         dia = random_book(rng)
+        assert_disk_regions(dia)
         nice = make_nice(dia)
+        assert_disk_regions(nice)
         assert nice.bad_regions() == []
         nice.validate()
         assert [t for t in nice.v_tag if t[0] != "finger"] == dia.v_tag
@@ -179,8 +199,48 @@ def test_random_books_flatten_clean():
         assert make_nice(nice) is nice
         lz = lazy_frontier(dia)
         lz.validate()
+        assert_disk_regions(lz)
         contact = set(lz.contact_tuple())
         for r in lz.bad_regions():
             touched = {lz.he_origin[h]
                        for cyc in lz.regions[r].cycles for h in cyc}
             assert not touched & contact
+
+
+def test_doubled_pages_have_disk_regions():
+    # the identity books on these pages, then the corpus and the bench
+    # ladder, built and flattened both ways
+    diagrams = [build_diagram(make_page(g, b), TwistWord(()))
+                for g, b in ((0, 2), (0, 3), (0, 5), (1, 1), (1, 2),
+                             (2, 1), (2, 3), (3, 2))]
+    texts = [open(p).read() for p in sorted(glob.glob(os.path.join(
+        CORPUS, "*.obk")))]
+    texts += list(BENCH_LADDER.values())
+    texts.append(LANTERN + "twists: +d4 -f1 +f2 +d4 -f1 +f2\n")
+    for text in texts:
+        book = parse_input(text)
+        dia = build_diagram(book.page, book.word)
+        diagrams += [dia, lazy_frontier(dia), make_nice(dia)]
+    for dia in diagrams:
+        assert_disk_regions(dia)
+
+
+@pytest.mark.xfail(raises=TimeoutError, strict=True,
+                   reason="the flattening planner spins on this book")
+def test_flattening_spins_on_a_genus_one_book():
+    # each finger chops a hexagon or octagon and leaves a new one; the
+    # move budget (63,568 pokes here) is never reached in practice
+    book = parse_input("page g=1 b=1\ncurve a: 1+\n"
+                       "curve d: 1+ 2+ 1- 2-\ntwists: -a -d\n")
+    dia = build_diagram(book.page, book.word)
+
+    def expire(signum, frame):
+        raise TimeoutError("make_nice still running after 2 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(2)
+    try:
+        make_nice(dia)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
