@@ -9,8 +9,8 @@ and a bigon is one bigon tile with squares around it, found by tracing
 its boundary (docs/conventions.md, "Domains on a flat diagram").
 
 The boundary matrix looks up each generator's disks in an index keyed
-by source corners.  The distinguished generator is the tuple of page
-crossings.  It is always a cycle; the open book's contact class
+by their source vertices.  The distinguished generator is the tuple of
+page crossings.  It is always a cycle; the open book's contact class
 vanishes exactly when it is a boundary.  Only the columns that can
 reach it matter: its closure, grown from its row through the columns
 meeting it (docs/conventions.md, "Deciding on c's closure"), and one
@@ -23,6 +23,7 @@ evaluates to 1 on it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -51,9 +52,13 @@ class DomainCandidate:
 
 @dataclass(frozen=True)
 class BoundaryMatrix:
-    """Sparse boundary operator: column x lists the targets of x."""
+    """Sparse boundary operator: column x lists the targets of x.
 
-    generators: tuple        # tuple of generator tuples
+    The generators are sorted, as generators() emits them, so that
+    decide_vanishing finds the distinguished one by bisection.
+    """
+
+    generators: tuple        # generator tuples, in lexicographic order
     columns: tuple           # columns[i] = sorted tuple of generator indices
 
     @property
@@ -76,7 +81,11 @@ class Verdict:
 
 
 def generators(diagram: HeegaardDiagram) -> list[tuple]:
-    """All matchings: one crossing per pushoff circle, arcs all distinct."""
+    """All matchings: one crossing per pushoff circle, arcs all distinct.
+
+    The tuples come in lexicographic order: each circle's vertices are
+    tried in increasing order, the first circle outermost.
+    """
     n = diagram.n
     by_beta = [[] for _ in range(n)]
     for v in range(diagram.n_vertices):
@@ -127,70 +136,106 @@ def _rectangles(diagram: HeegaardDiagram, tile, pos) -> list:
     A cell is (square, e): the square's cycle has its u-exit at e and
     its v-exit at e + 1, so that its corner e + 3 is the grid's lower
     left.  Crossing a u-exit into a square entered at position q gives
-    u-exit q + 2, crossing a v-exit gives q + 1.  Rows are stacked by
-    v-steps alone: the square above a right neighbour is the right
-    neighbour of the square above, since every vertex is four-valent.
+    u-exit q + 2, crossing a v-exit gives q + 1.  Columns are stacked by
+    v-steps from the bottom row: the square above a right neighbour is
+    the right neighbour of the square above, since every vertex is
+    four-valent.  So each width adds one column, walked once.
+
     A grid that repeats a region or a vertex is no embedded disk, and
-    neither is any grid containing it, so the walk stops there.
+    neither is any grid containing it.  The walk keeps the lowest row of
+    every region and the lowest line of every vertex it has met; a
+    repeat caps the height of this width and of every wider one.  The
+    top side's β circle at each height is read off the first column, so
+    the height is also capped at the last one above the lower corner's
+    circle, and a start on the last β circle is skipped: only a
+    rectangle whose lower corner has the lower circle is emitted.
     """
     origin, region, v_beta = (diagram.he_origin, diagram.he_region,
                               diagram.v_beta)
     cyc = {r: diagram.regions[r].cycles[0]
            for r, size in enumerate(tile) if size == 4}
 
-    def cross(cell, side, turn):
-        r, e = cell
-        h = cyc[r][(e + side) % 4] ^ 1
-        s = region[h]
-        return (s, (pos[h] + turn) % 4) if tile[s] == 4 else None
+    def climb(r, e, cap, row_of, line_of, sides):
+        """Walk one column up from its bottom cell (r, e) below cap.
 
-    def corner(cell, k):
-        r, e = cell
-        return origin[cyc[r][(e + k) % 4]]
+        sides holds one (lower, upper) pair of corner offsets per edge
+        of the column to record: the edge's vertex on line 0 is the
+        bottom cell's lower corner, and on line k + 1 row k's upper one.
+        Returns the region of each row, the vertices of each edge by
+        line and the lowered cap.
+        """
+        regs, edges = [], [[origin[cyc[r][(e + lo) % 4]]] for lo, _ in sides]
+        for line in edges:
+            seen = line_of.get(line[0])
+            if seen is not None:
+                cap = min(cap, seen - 1)
+            line_of[line[0]] = 0
+        k = 0
+        while k < cap:
+            c4 = cyc[r]
+            seen = row_of.get(r)
+            if seen is None:
+                row_of[r] = k
+            else:
+                cap = min(cap, max(seen, k))
+                row_of[r] = min(seen, k)
+            regs.append(r)
+            k += 1
+            for line, (_, hi) in zip(edges, sides):
+                v = origin[c4[(e + hi) % 4]]
+                line.append(v)
+                seen = line_of.get(v)
+                if seen is None:
+                    line_of[v] = k
+                else:
+                    cap = min(cap, max(seen, k) - 1)
+                    line_of[v] = min(seen, k)
+            if k < cap:
+                h = c4[(e + 1) % 4] ^ 1
+                r = region[h]
+                if tile[r] != 4:
+                    cap = k
+                e = (pos[h] + 1) % 4
+        return regs, edges, cap
 
     out = []
     for r0 in sorted(cyc):
         for e0 in range(4):
-            if diagram.label(cyc[r0][(e0 + 3) % 4])[0] != "b":
+            h = cyc[r0][(e0 + 3) % 4]
+            low = origin[h]
+            j = v_beta[low]
+            if diagram.label(h)[0] != "b" or j == diagram.n:
                 continue
-            row0 = [(r0, e0)]
-            height = None
+            row_of, line_of = {}, {}
+            regs, lines, cap = climb(r0, e0, len(cyc), row_of, line_of,
+                                     ((3, 2), (0, 1)))
+            columns, cell = [regs], (r0, e0)
             while True:
-                row = row0
-                bottom = [corner(cell, 3) for cell in row] + [
-                    corner(row[-1], 0)]
-                regs, verts = set(), set(bottom)
-                h = 0
-                if len(verts) == len(bottom):
-                    while height is None or h < height:
-                        if h:
-                            row = [cross(cell, 1, 1) for cell in row]
-                            if None in row:
-                                break
-                        new = {r for r, _ in row}
-                        top = [corner(cell, 2) for cell in row] + [
-                            corner(row[-1], 1)]
-                        if (len(new) < len(row) or not regs.isdisjoint(new)
-                                or len(set(top)) < len(top)
-                                or not verts.isdisjoint(top)):
-                            break
-                        regs |= new
-                        verts.update(top)
-                        h += 1
-                        low, high = bottom[0], top[-1]
-                        if v_beta[low] < v_beta[high]:
-                            ends = {low, bottom[-1], high, top[0]}
-                            out.append(DomainCandidate(
-                                regions=tuple(sorted(regs)),
-                                kind="rectangle",
-                                swap=((v_beta[low], low, bottom[-1]),
-                                      (v_beta[high], high, top[0])),
-                                passthrough=tuple(sorted(verts - ends))))
-                height = h
-                right = cross(row0[-1], 0, 2) if h else None
-                if right is None:
+                while cap > 0 and v_beta[lines[0][cap]] <= j:
+                    cap -= 1
+                if cap <= 0:
                     break
-                row0 = row0 + [right]
+                body = [line[0] for line in lines[1:-1]]
+                regs = []
+                for k in range(cap):
+                    regs.extend(col[k] for col in columns)
+                    top = [line[k + 1] for line in lines]
+                    if v_beta[top[0]] > j:
+                        out.append(DomainCandidate(
+                            regions=tuple(sorted(regs)), kind="rectangle",
+                            swap=((j, low, lines[-1][0]),
+                                  (v_beta[top[-1]], top[-1], top[0])),
+                            passthrough=tuple(sorted(body + top[1:-1]))))
+                    body += top
+                r, e = cell
+                h = cyc[r][e] ^ 1
+                if tile[region[h]] != 4:
+                    break
+                cell = (region[h], (pos[h] + 2) % 4)
+                regs, (line,), cap = climb(*cell, cap, row_of, line_of,
+                                           ((0, 1),))
+                columns.append(regs)
+                lines.append(line)
     return out
 
 
@@ -285,11 +330,17 @@ def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
     it, so on a partially flattened diagram the census sees exactly the
     domains that avoid the regions not yet flattened.  A rectangle has
     only square tiles and is walked once as a grid from its source
-    corner on the lower β circle; a bigon is found by tracing its
+    corner on the lower β circle, one new column per width, with its
+    height capped by the regions and vertices already met and by the
+    first column's top circles; a bigon is found by tracing its
     boundary from its source corner (docs/conventions.md, "Domains on a
     flat diagram").  A disk is kept only when each β circle its corners
     touch carries one source and one target corner, since no other disk
-    fits a generator.  The list is sorted by region tuple.
+    fits a generator.  Each source shares its α circle with a target, so
+    a move by a disk keeps a generator's α circles distinct, and
+    boundary_matrix needs only the source vertices, as index keys, and
+    the passthrough vertices, as a mask.  The list is sorted by region
+    tuple.
     """
     tile, nxt, prv, pos = _cycle_tables(diagram)
     out = _rectangles(diagram, tile, pos) + _bigons(diagram, tile, nxt, prv)
@@ -322,13 +373,18 @@ def _move(diagram, x, dom, back=False):
 def boundary_matrix(diagram: HeegaardDiagram) -> BoundaryMatrix:
     """Assemble the full boundary operator of a flattened diagram.
 
-    Census disks are indexed by their source corners, one (β circle,
-    vertex) pair per swap entry.  A generator x looks up the key of
-    every one or two of its coordinates, so it meets exactly the disks
-    whose source corners it holds, each once, and _move only checks the
-    passthrough vertices and the α circles.  Column x lists, sorted,
-    the generators reached an odd number of times; ∂² = 0 is checked
-    before the matrix is returned.
+    A vertex names its β circle, so census disks are indexed by their
+    source corners alone: one vertex for a bigon, the pair in circle
+    order for a rectangle.  A generator x looks up each of its
+    coordinates and each pair of them, so it meets exactly the disks
+    whose source corners it holds, each once.  A disk fits x when its
+    passthrough mask, an int with bit v set for each passthrough vertex,
+    misses the mask of x's vertices.  The move keeps the α circles,
+    since each source shares its α circle with a target, so the moved
+    tuple is looked up in the generator index, and a miss is an
+    internal error.  Column x lists, sorted, the generators reached an
+    odd number of times; ∂² = 0 is checked before the matrix is
+    returned.
     """
     if diagram.bad_regions():
         raise ValueError(
@@ -336,23 +392,36 @@ def boundary_matrix(diagram: HeegaardDiagram) -> BoundaryMatrix:
             "run make_nice first")
     gens = generators(diagram)
     index = {x: i for i, x in enumerate(gens)}
+    bit = [1 << v for v in range(diagram.n_vertices)]
     by_source = {}
     for dom in domain_census(diagram):
-        key = tuple((j, src) for j, src, _ in dom.swap)
-        by_source.setdefault(key, []).append(dom)
-
-    def column(x):
-        pairs = list(enumerate(x, start=1))
+        sources = tuple(src for _, src, _ in dom.swap)
+        mask = 0
+        for v in dom.passthrough:
+            mask |= bit[v]
+        by_source.setdefault(sources[0] if len(sources) == 1 else sources,
+                             []).append((mask, dom.swap))
+    columns = []
+    for x in gens:
+        held = 0
+        for v in x:
+            held |= bit[v]
         hits = set()
-        for key in [(a,) for a in pairs] + list(combinations(pairs, 2)):
-            for dom in by_source.get(key, ()):
-                y = _move(diagram, x, dom)
-                if y is not None:
-                    hits ^= {index[y]}
-        return tuple(sorted(hits))
-
-    m = BoundaryMatrix(generators=tuple(gens),
-                       columns=tuple(column(x) for x in gens))
+        for key in (*x, *combinations(x, 2)):
+            for mask, swap in by_source.get(key, ()):
+                if held & mask:
+                    continue
+                y = list(x)
+                for j, _, tgt in swap:
+                    y[j - 1] = tgt
+                i = index.get(tuple(y))
+                if i is None:
+                    raise RuntimeError(
+                        f"internal error: a disk moves generator {x} to "
+                        f"{tuple(y)}, which is no generator")
+                hits ^= {i}
+        columns.append(tuple(sorted(hits)))
+    m = BoundaryMatrix(generators=tuple(gens), columns=tuple(columns))
     _check_square_zero(m)
     return m
 
@@ -435,9 +504,10 @@ def _closure(m: BoundaryMatrix, c_idx: int) -> tuple[list, list]:
 def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
     """Decide whether c bounds, with a certificate either way.
 
-    Only c's closure (_closure) is eliminated: if c = Σ ∂y over a set S,
-    every y in S outside C has ∂y disjoint from R, so the y in C already
-    sum to c (docs/conventions.md, "Deciding on c's closure").  One
+    c is found by bisection in m's sorted generators.  Only c's closure
+    (_closure) is eliminated: if c = Σ ∂y over a set S, every y in S
+    outside C has ∂y disjoint from R, so the y in C already sum to c
+    (docs/conventions.md, "Deciding on c's closure").  One
     elimination (_eliminate) of the C columns, restricted to R, reduces
     c's unit vector.  When it reduces to zero, the pivot combinations
     used sum to a chain w with ∂w = c: VANISHING.  Otherwise the
@@ -453,10 +523,9 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
     is a structural fact, so an entry in its column is an internal
     error.  The verdict carries m, and its rank is the closure block's.
     """
-    try:
-        c_idx = m.generators.index(c)
-    except ValueError:
-        raise ValueError("c is not a generator of this complex") from None
+    c_idx = bisect_left(m.generators, c)
+    if c_idx == m.n or m.generators[c_idx] != c:
+        raise ValueError("c is not a generator of this complex")
     if m.columns[c_idx]:
         raise RuntimeError(
             "internal error: the distinguished generator is not a cycle")

@@ -8,6 +8,8 @@ reversed.  Chords then cross exactly when their endpoints interleave
 around the polygon, so minimal crossing numbers come from exhaustive
 search over the per-arc orders.  oracle_att_order instead recomputes
 the canonical arrangement's side orders by comparing strands in pairs.
+oracle_columns assembles the boundary operator without the source
+index, trying every census disk on every generator.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 
+from obfloer.floer import _move, domain_census, generators
 from obfloer.surface import ArcImage, Curve, Page, invert_word, reduce_cyclic
 
 
@@ -282,3 +285,24 @@ def oracle_torus_h1_order(letters) -> int:
         m = tuple(tuple(sum(m[i][k] * t[k][j] for k in range(2))
                         for j in range(2)) for i in range(2))
     return abs(2 - (m[0][0] + m[1][1]))
+
+
+def oracle_columns(diagram) -> tuple:
+    """Boundary columns of a flattened diagram, by the all-pairs rule.
+
+    Every census disk is tried on every generator through _move; column
+    x lists, sorted, the indices of the generators reached an odd number
+    of times, in the order generators() lists them.
+    """
+    gens = generators(diagram)
+    index = {x: i for i, x in enumerate(gens)}
+    census = domain_census(diagram)
+    columns = []
+    for x in gens:
+        hits = set()
+        for dom in census:
+            y = _move(diagram, x, dom)
+            if y is not None:
+                hits ^= {index[y]}
+        columns.append(tuple(sorted(hits)))
+    return tuple(columns)

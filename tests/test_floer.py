@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import io
 import os
 import random
@@ -6,9 +7,10 @@ import random
 import pytest
 
 from obfloer import floer
-from obfloer.floer import (BoundaryMatrix, _move, boundary_matrix,
-                           contact_class, decide_lazy, decide_vanishing,
-                           domain_census, generators, homology_rank)
+from obfloer.floer import (BoundaryMatrix, DomainCandidate, _move,
+                           boundary_matrix, contact_class, decide_lazy,
+                           decide_vanishing, domain_census, generators,
+                           homology_rank)
 from obfloer.front import parse_input, run_check
 from obfloer.heegaard import build_diagram
 from obfloer.mapping import TwistWord
@@ -19,7 +21,7 @@ from census_oracle import oracle_census
 from floer_oracle import (as_boundary, oracle_bounds, oracle_complex,
                           oracle_decide, oracle_generators,
                           oracle_homology_rank)
-from oracles import oracle_torus_h1_order
+from oracles import oracle_columns, oracle_torus_h1_order
 from test_acceptance import random_book as property_book
 from test_front import BENCH_LADDER, CORPUS, LADDER, LANTERN, torus_word
 
@@ -201,6 +203,32 @@ def test_census_matches_region_union_oracle():
     assert domains > 2000
 
 
+# sha256 of repr(domain_census(...)) for censuses far past the
+# region-union oracle; book, flattening, disk count
+LARGE_CENSUS_SHA256 = {
+    ("lantern_word2", "make_nice", 9638):
+        "3ade5d621b33d2b1508db6f33e1c3ffae5ed5e46c1724337d16902934375b28d",
+    ("lantern_word2", "lazy_frontier", 2430):
+        "aab860bc21d351429de9bee917691be4b99501832fb5dd8e0d5440f815819b3a",
+    ("torus_abinv4", "make_nice", 3064):
+        "8aebbe5fc83d4bf9074a1334c5d0775ed1dabf8fdc07692ae71e3f8a74829d84",
+}
+
+
+def test_large_censuses_are_pinned():
+    books = {"lantern_word2": LANTERN + "twists: +d4 -f1 +f2 +d4 -f1 +f2\n",
+             "torus_abinv4": torus_word("+a -b", 4)}
+    flatten = {"make_nice": make_nice, "lazy_frontier": lazy_frontier}
+    got = {}
+    for name, how, _ in LARGE_CENSUS_SHA256:
+        book = parse_input(books[name])
+        census = domain_census(flatten[how](build_diagram(book.page,
+                                                          book.word)))
+        got[name, how, len(census)] = hashlib.sha256(
+            repr(census).encode()).hexdigest()
+    assert got == LARGE_CENSUS_SHA256
+
+
 @pytest.mark.parametrize("letters, k, outcome", [
     ("+a -b", 1, floer.VANISHING), ("+a -b", 2, floer.VANISHING),
     ("+a -b", 3, floer.VANISHING), ("+a -b", 4, floer.VANISHING),
@@ -247,6 +275,31 @@ def test_decision_agrees_with_rank_oracle():
         v = decide_vanishing(m, c)
         assert oracle_bounds(*as_boundary(m), c) == (
             v.outcome == floer.VANISHING), name
+
+
+def test_generators_are_sorted():
+    # decide_vanishing finds c by bisection
+    for name, text in corpus_and_ladder().items():
+        book = parse_input(text)
+        gens = generators(make_nice(build_diagram(book.page, book.word)))
+        assert gens == sorted(gens), name
+
+
+def test_columns_match_all_pairs_oracle():
+    diagrams = []
+    for text in [*corpus_and_ladder().values(), torus_word("+a -b", 4)]:
+        book = parse_input(text)
+        diagrams.append(build_diagram(book.page, book.word))
+    for seed in (2026, 2126):
+        rng = random.Random(seed)
+        diagrams += [property_book(rng) for _ in range(100)]
+    nonzeros = 0
+    for dia in diagrams:
+        nice = make_nice(dia)
+        columns = boundary_matrix(nice).columns
+        assert columns == oracle_columns(nice)
+        nonzeros += sum(map(len, columns))
+    assert nonzeros > 4000
 
 
 @pytest.mark.parametrize("text, rows, cols", [
@@ -318,6 +371,22 @@ def test_rechecks_catch_a_wrong_elimination(monkeypatch):
 def test_boundary_matrix_refuses_oversized_regions():
     with pytest.raises(ValueError, match="flattened"):
         boundary_matrix(lantern_book())
+
+
+def test_a_move_out_of_the_generators_is_an_internal_error(monkeypatch):
+    # a disk's move keeps α circles distinct; one that breaks this, here
+    # a bigon whose target repeats the α circle of x's second coordinate,
+    # must stop the assembly and never be dropped as a non-fit
+    nice = make_nice(lantern_book())
+    x = generators(nice)[0]
+    target = next(v for v in range(nice.n_vertices)
+                  if nice.v_beta[v] == 1
+                  and nice.v_alpha[v] == nice.v_alpha[x[1]])
+    bad = DomainCandidate(regions=(), kind="bigon",
+                          swap=((1, x[0], target),), passthrough=())
+    monkeypatch.setattr(floer, "domain_census", lambda diagram: [bad])
+    with pytest.raises(RuntimeError, match="internal error.*no generator"):
+        boundary_matrix(nice)
 
 
 def test_decide_vanishing_rejects_foreign_cycle():

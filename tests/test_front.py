@@ -5,6 +5,8 @@ import hashlib
 import io
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -408,6 +410,18 @@ def test_cli_main(tmp_path, capsys):
                  "--export-post", str(post), "--format", "svg"]) == 0
     capsys.readouterr()
     assert post.read_text().startswith("<svg")
+
+
+def test_module_runs_as_a_command():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run(
+        [sys.executable, "-m", "obfloer", "check", corpus_path("lantern.obk")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert "lantern.obk: NONVANISHING" in run.stdout.splitlines()
 
 
 # sha256 of _render_text of the built and the flattened diagram
