@@ -120,7 +120,7 @@ def _cycle_tables(diagram: HeegaardDiagram):
     tile = [0] * len(diagram.regions)
     nxt, prv, pos = [0] * n_he, [0] * n_he, [0] * n_he
     for r, reg in enumerate(diagram.regions):
-        if not reg.pointed and (reg.is_bigon or reg.is_square):
+        if r != diagram.z0_region and (reg.is_bigon or reg.is_square):
             tile[r] = reg.corner_count
         for cyc in reg.cycles:
             for t, h in enumerate(cyc):
@@ -142,20 +142,21 @@ def _rectangles(diagram: HeegaardDiagram, tile, pos) -> list:
     four-valent.  So each width adds one column, walked once.
 
     A grid that repeats a region or a vertex is no embedded disk, and
-    neither is any grid containing it.  The walk keeps the lowest row of
-    every region and the lowest line of every vertex it has met; a
-    repeat caps the height of this width and of every wider one.  The
-    top side's β circle at each height is read off the first column, so
-    the height is also capped at the last one above the lower corner's
-    circle, and a start on the last β circle is skipped: only a
-    rectangle whose lower corner has the lower circle is emitted.
+    neither is any grid containing it.  A repeated square repeats its
+    four corners, so vertices suffice: the walk keeps the lowest line of
+    every vertex it has met, and a repeat caps the height of this width
+    and of every wider one.  The top side's β circle at each height is
+    read off the first column, so the height is also capped at the last
+    one above the lower corner's circle, and a start on the last β
+    circle is skipped: only a rectangle whose lower corner has the
+    lower circle is emitted.
     """
     origin, region, v_beta = (diagram.he_origin, diagram.he_region,
                               diagram.v_beta)
     cyc = {r: diagram.regions[r].cycles[0]
            for r, size in enumerate(tile) if size == 4}
 
-    def climb(r, e, cap, row_of, line_of, sides):
+    def climb(r, e, cap, line_of, sides):
         """Walk one column up from its bottom cell (r, e) below cap.
 
         sides holds one (lower, upper) pair of corner offsets per edge
@@ -173,12 +174,6 @@ def _rectangles(diagram: HeegaardDiagram, tile, pos) -> list:
         k = 0
         while k < cap:
             c4 = cyc[r]
-            seen = row_of.get(r)
-            if seen is None:
-                row_of[r] = k
-            else:
-                cap = min(cap, max(seen, k))
-                row_of[r] = min(seen, k)
             regs.append(r)
             k += 1
             for line, (_, hi) in zip(edges, sides):
@@ -206,8 +201,8 @@ def _rectangles(diagram: HeegaardDiagram, tile, pos) -> list:
             j = v_beta[low]
             if diagram.label(h)[0] != "b" or j == diagram.n:
                 continue
-            row_of, line_of = {}, {}
-            regs, lines, cap = climb(r0, e0, len(cyc), row_of, line_of,
+            line_of = {}
+            regs, lines, cap = climb(r0, e0, len(cyc), line_of,
                                      ((3, 2), (0, 1)))
             columns, cell = [regs], (r0, e0)
             while True:
@@ -232,8 +227,7 @@ def _rectangles(diagram: HeegaardDiagram, tile, pos) -> list:
                 if tile[region[h]] != 4:
                     break
                 cell = (region[h], (pos[h] + 2) % 4)
-                regs, (line,), cap = climb(*cell, cap, row_of, line_of,
-                                           ((0, 1),))
+                regs, (line,), cap = climb(*cell, cap, line_of, ((0, 1),))
                 columns.append(regs)
                 lines.append(line)
     return out
@@ -331,12 +325,12 @@ def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
     domains that avoid the regions not yet flattened.  A rectangle has
     only square tiles and is walked once as a grid from its source
     corner on the lower β circle, one new column per width, with its
-    height capped by the regions and vertices already met and by the
-    first column's top circles; a bigon is found by tracing its
-    boundary from its source corner (docs/conventions.md, "Domains on a
-    flat diagram").  A disk is kept only when each β circle its corners
-    touch carries one source and one target corner, since no other disk
-    fits a generator.  Each source shares its α circle with a target, so
+    height capped by the vertices already met and by the first column's
+    top circles; a bigon is found by tracing its boundary from its
+    source corner (docs/conventions.md, "Domains on a flat diagram").
+    A disk is kept only when each β circle its corners touch carries
+    one source and one target corner, since no other disk fits a
+    generator.  Each source shares its α circle with a target, so
     a move by a disk keeps a generator's α circles distinct, and
     boundary_matrix needs only the source vertices, as index keys, and
     the passthrough vertices, as a mask.  The list is sorted by region

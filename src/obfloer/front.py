@@ -309,12 +309,11 @@ def _render_text(d: HeegaardDiagram) -> str:
     """Canonical dump of the diagram, byte-stable across runs."""
     lines = [f"diagram arcs={d.n} vertices={d.n_vertices} "
              f"edges={d.n_edges} regions={len(d.regions)} z0={d.z0_region}"]
-    flat = sum(1 for r in d.regions
-               if not r.pointed and (r.is_bigon or r.is_square))
-    oversized = sum(1 for r in d.regions
-                    if not r.pointed and r.is_disk
-                    and not (r.is_bigon or r.is_square))
-    nondisk = sum(1 for r in d.regions if not r.pointed and not r.is_disk)
+    plain = [r for i, r in enumerate(d.regions) if i != d.z0_region]
+    flat = sum(1 for r in plain if r.is_bigon or r.is_square)
+    oversized = sum(1 for r in plain
+                    if r.is_disk and not (r.is_bigon or r.is_square))
+    nondisk = sum(1 for r in plain if not r.is_disk)
     lines.append(f"census flat={flat} oversized={oversized} "
                  f"nondisk={nondisk} "
                  f"pointed_sides={d.regions[d.z0_region].corner_count}")
@@ -328,7 +327,7 @@ def _render_text(d: HeegaardDiagram) -> str:
     for r, region in enumerate(d.regions):
         cycles = "|".join(" ".join(str(h) for h in cyc)
                           for cyc in region.cycles)
-        pointed = "yes" if region.pointed else "no"
+        pointed = "yes" if r == d.z0_region else "no"
         lines.append(f"region {r} euler={region.euler} "
                      f"sides={region.corner_count} pointed={pointed} "
                      f"cycles={cycles}")

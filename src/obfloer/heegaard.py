@@ -46,7 +46,6 @@ class Region:
 
     cycles: list
     euler: int
-    pointed: bool = False
 
     @property
     def corner_count(self) -> int:
@@ -73,17 +72,17 @@ class HeegaardDiagram:
     naming its attaching circle.  alpha_walk[i-1] and beta_walk[j-1]
     trace each circle as a cyclic list of forward half-edges.  Regions
     own their boundary cycles, walked with the region on the left;
-    he_region maps a half-edge to the region on its left.
+    he_region maps a half-edge to the region on its left.  z0_region
+    indexes the basepoint region, and vertices 0 .. n - 1 are the
+    top-sheet crossings of the distinguished generator.
 
     Instances are produced by build_diagram and later mutated in place
     by the flattening moves; consistency can be rechecked at any point
     with validate().
     """
 
-    def __init__(self, page, n, v_alpha, v_beta, v_tag, alpha_walk,
-                 beta_walk, edge_label, he_origin, regions, he_region,
-                 z0_region):
-        self.page = page
+    def __init__(self, n, v_alpha, v_beta, v_tag, alpha_walk, beta_walk,
+                 edge_label, he_origin, regions, he_region, z0_region):
         self.n = n
         self.v_alpha = v_alpha
         self.v_beta = v_beta
@@ -118,29 +117,26 @@ class HeegaardDiagram:
     def clone(self) -> "HeegaardDiagram":
         """Independent copy that the flattening moves may mutate."""
         return HeegaardDiagram(
-            page=self.page, n=self.n,
+            n=self.n,
             v_alpha=list(self.v_alpha), v_beta=list(self.v_beta),
             v_tag=list(self.v_tag),
             alpha_walk=[list(w) for w in self.alpha_walk],
             beta_walk=[list(w) for w in self.beta_walk],
             edge_label=list(self.edge_label),
             he_origin=list(self.he_origin),
-            regions=[Region(cycles=[list(c) for c in r.cycles],
-                            euler=r.euler, pointed=r.pointed)
+            regions=[Region(cycles=[list(c) for c in r.cycles], euler=r.euler)
                      for r in self.regions],
             he_region=list(self.he_region),
             z0_region=self.z0_region)
 
     def contact_tuple(self) -> tuple[int, ...]:
-        """The distinguished generator: the top-sheet point on each arc."""
-        out = []
-        for i in range(1, self.n + 1):
-            hits = [v for v in range(self.n_vertices)
-                    if self.v_tag[v] == ("contact", i)]
-            if len(hits) != 1:
-                raise RuntimeError("internal error: missing contact point")
-            out.append(hits[0])
-        return tuple(out)
+        """The distinguished generator: the top-sheet point on each arc.
+
+        assemble_diagram numbers these n crossings first, and flattening
+        only appends vertices, so they are vertices 0 .. n - 1; validate()
+        checks their tags.
+        """
+        return tuple(range(self.n))
 
     def bad_regions(self) -> list[int]:
         """Regions that keep the diagram from being combinatorially flat.
@@ -151,7 +147,7 @@ class HeegaardDiagram:
         """
         out = []
         for r, region in enumerate(self.regions):
-            if region.pointed or region.is_bigon or region.is_square:
+            if r == self.z0_region or region.is_bigon or region.is_square:
                 continue
             out.append(r)
         return out
@@ -191,10 +187,9 @@ class HeegaardDiagram:
             raise RuntimeError(
                 f"internal error: region complex has Euler number {euler}, "
                 f"the surface needs {2 - 2 * self.n}")
-        if not self.regions[self.z0_region].pointed:
-            raise RuntimeError("internal error: basepoint region lost its mark")
-        if sum(1 for region in self.regions if region.pointed) != 1:
-            raise RuntimeError("internal error: basepoint mark duplicated")
+        if self.v_tag[:self.n] != [("contact", i)
+                                   for i in range(1, self.n + 1)]:
+            raise RuntimeError("internal error: missing contact point")
         by_label = {}
         for e, label in enumerate(self.edge_label):
             by_label.setdefault(label, []).append(e)
@@ -316,7 +311,8 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
     bottom = _Chart(page, images, _BOTTOM)
     charts = (top, bottom)
 
-    # vertices: one per strand through an arc, on either sheet
+    # vertices: one per strand through an arc, on either sheet; the top
+    # sheet goes first, so pushoff j's contact crossing is vertex j - 1
     v_alpha, v_beta, v_tag = [], [], []
     vertex_of = {}
     for chart in charts:
@@ -457,7 +453,7 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
     # and the faces on either side merge into one region
     glue = {}
     for pos in range(page.n_sides):
-        if page.cut_polygon[pos].kind != "boundary":
+        if page.is_arc_side(pos):
             continue
         tkeys = [(top.arr.events[p][k][1], p, top.arr.events[p][k][2])
                  for p, k, _role in top.arr.att_order[pos]]
@@ -526,11 +522,10 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
     # the basepoint sits just counterclockwise of the first pushoff's start
     u1 = top.node_index[("att", (0, 0, _END))]
     z0_region = region_index[face_of((_TOP, ("i", u1), 1))]
-    regions[z0_region].pointed = True
 
     he_region = [he_region_map[h] for h in range(2 * len(edge_label))]
     diagram = HeegaardDiagram(
-        page=page, n=n, v_alpha=v_alpha, v_beta=v_beta, v_tag=v_tag,
+        n=n, v_alpha=v_alpha, v_beta=v_beta, v_tag=v_tag,
         alpha_walk=alpha_walk, beta_walk=beta_walk,
         edge_label=edge_label, he_origin=he_origin, regions=regions,
         he_region=he_region, z0_region=z0_region)

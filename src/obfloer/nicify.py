@@ -70,7 +70,7 @@ def _poke(d: HeegaardDiagram, h_beta: int, h_alpha: int) -> tuple:
         raise ValueError(
             "the crossed edge does not bound the region the finger is in")
     reg = d.regions[R]
-    if reg.pointed:
+    if R == d.z0_region:
         raise ValueError("the basepoint region cannot be pushed through")
     if len(reg.cycles) != 1 or not reg.is_disk:
         raise ValueError("a finger can only pass through a disk region")
@@ -198,8 +198,8 @@ def elementary_moves(diagram: HeegaardDiagram):
     Yields FingerMoveSpec values; useful for exercising invariance of
     downstream answers under gratuitous isotopies.
     """
-    for reg in diagram.regions:
-        if reg.pointed or len(reg.cycles) != 1 or not reg.is_disk:
+    for r, reg in enumerate(diagram.regions):
+        if r == diagram.z0_region or len(reg.cycles) != 1 or not reg.is_disk:
             continue
         cyc = reg.cycles[0]
         for hh in cyc:
@@ -225,7 +225,7 @@ def _chain_from(d: HeegaardDiagram, start: int, exit_h: int, budget: int):
     cur = d.he_region[enter]
     while len(crossings) <= budget:
         reg = d.regions[cur]
-        if reg.pointed or reg.is_bigon:
+        if cur == d.z0_region or reg.is_bigon:
             return crossings, cur, 0
         if cur in visited:
             return None
@@ -255,7 +255,7 @@ def _plan_finger(d: HeegaardDiagram, target: int) -> FingerMoveSpec:
         areg = d.regions[absorber]
         if absorber == target:
             a_rank = 6
-        elif areg.pointed or areg.is_bigon:
+        elif absorber == d.z0_region or areg.is_bigon:
             a_rank = 0
         else:
             a_rank = 2
@@ -319,16 +319,17 @@ def _frontier(d: HeegaardDiagram) -> set:
     """Regions with a corner on the page, where the contact points live.
 
     These are the regions touching the thin strips between each arc
-    and its pushoff; the distinguished generator's differentials only
-    ever tile through them.
+    and its pushoff: the regions at vertices 0 .. n - 1.  The lazy test
+    assumes that the disks into the distinguished generator only ever
+    tile through them.  That assumption is unproved (ROADMAP.md, the
+    item on certifying the lazy NONVANISHING), and a lazy NONVANISHING
+    rests on it.
     """
-    contact = {v for v in range(d.n_vertices)
-               if d.v_tag[v][0] == "contact"}
     out = set()
     for r, reg in enumerate(d.regions):
         for cyc in reg.cycles:
             for h in cyc:
-                if d.he_origin[h] in contact:
+                if d.he_origin[h] < d.n:
                     out.add(r)
     return out
 

@@ -26,7 +26,6 @@ import itertools
 from dataclasses import dataclass, replace
 
 __all__ = [
-    "Side",
     "Page",
     "Slot",
     "Curve",
@@ -39,7 +38,6 @@ __all__ = [
     "parallel",
     "successor_cycles",
     "pushoff",
-    "euler_characteristic_from_cut",
 ]
 
 Token = tuple[int, int]
@@ -115,55 +113,38 @@ def successor_cycles(succ: dict, key=None) -> list[list]:
 
 
 @dataclass(frozen=True)
-class Side:
-    """One side of the cut polygon.
-
-    kind is "arc" for a copy of a basis arc, with its 1-based arc index
-    and copy label "L" for the first occurrence or "R" for the second,
-    or "boundary" for a segment of the page boundary.
-    """
-
-    kind: str
-    arc: int | None = None
-    copy: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("arc", "boundary"):
-            raise ValueError(f"unknown side kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class Page:
     """A page together with its cut polygon.
 
     occurrence_word lists the arc index at each of the 2n arc-side
-    occurrences in counterclockwise order; the remaining tables are
-    derived from it and kept for O(1) lookups.
+    occurrences in counterclockwise order; first_occurrence and
+    second_occurrence are derived from it and kept for O(1) lookups.
+    The polygon's sides alternate, so a side's kind is the parity of
+    its position.
     """
 
     genus: int
     boundary_components: int
     n_arcs: int
-    cut_polygon: tuple[Side, ...]
     occurrence_word: tuple[int, ...]
-    twin_occurrence: tuple[int, ...]
     first_occurrence: tuple[int, ...]
     second_occurrence: tuple[int, ...]
-    boundary_cycles: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if self.n_arcs != 2 * self.genus + self.boundary_components - 1:
             raise ValueError("arc count must equal 2*genus + boundary components - 1")
-        if len(self.boundary_cycles) != self.boundary_components:
-            raise ValueError("boundary walk does not close up into the right number of circles")
 
     @property
     def n_sides(self) -> int:
-        return len(self.cut_polygon)
+        return 2 * len(self.occurrence_word)
 
     def arc_side_pos(self, occ: int) -> int:
         """Polygon position of arc occurrence occ."""
         return 2 * occ
+
+    def is_arc_side(self, pos: int) -> bool:
+        """Is polygon position pos an arc copy, not a boundary segment?"""
+        return pos % 2 == 0
 
     def segment_side_pos(self, seg: int) -> int:
         return 2 * seg + 1
@@ -196,12 +177,9 @@ def make_page(genus: int, boundary_components: int) -> Page:
             genus=0,
             boundary_components=1,
             n_arcs=0,
-            cut_polygon=(Side(kind="boundary"),),
             occurrence_word=(),
-            twin_occurrence=(),
             first_occurrence=(),
             second_occurrence=(),
-            boundary_cycles=((0,),),
         )
 
     occ_word: list[int] = []
@@ -231,53 +209,14 @@ def make_page(genus: int, boundary_components: int) -> Page:
     if len(cycles) != boundary_components:
         raise AssertionError("attachment word produced the wrong boundary count")
 
-    sides: list[Side] = []
-    for j, arc in enumerate(occ_word):
-        sides.append(Side(kind="arc", arc=arc, copy="L" if first[arc - 1] == j else "R"))
-        sides.append(Side(kind="boundary"))
-
     return Page(
         genus=genus,
         boundary_components=boundary_components,
         n_arcs=n,
-        cut_polygon=tuple(sides),
         occurrence_word=tuple(occ_word),
-        twin_occurrence=tuple(twin),
         first_occurrence=tuple(first),
         second_occurrence=tuple(second),
-        boundary_cycles=tuple(tuple(c) for c in cycles),
     )
-
-
-def euler_characteristic_from_cut(page: Page) -> int:
-    """Recompute the page's Euler characteristic from the identifications.
-
-    The polygon contributes one face; arc sides glue in pairs and corners
-    glue along arc endpoints.  The result must equal 2 - 2g - b.
-    """
-    n = page.n_arcs
-    if n == 0:
-        return 1
-    # Corner before occurrence j is the same page point as the corner
-    # after its twin occurrence; the matching pairs up all 4n corners.
-    parent = list(range(4 * n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
-    # Encode corner-before-occ-j as 2j and corner-after-occ-j as 2j + 1.
-    for j in range(2 * n):
-        union(2 * j, 2 * page.twin_occurrence[j] + 1)
-    vertices = len({find(x) for x in range(4 * n)})
-    edges = n + 2 * n  # glued arc sides + boundary segments
-    faces = 1
-    return vertices - edges + faces
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +479,7 @@ class Arrangement:
             self.att_order[pos].append(handle)
         rank = None
         for pos, atts in self.att_order.items():
-            if page.cut_polygon[pos].kind == "boundary":
+            if not page.is_arc_side(pos):
                 atts.sort(key=self._slot_key)
             elif len(atts) > 1:
                 rank = rank or self._rank_germs(side)
@@ -616,7 +555,7 @@ class Arrangement:
 
     def _share_arc_side(self, c1, c2) -> bool:
         shared = set(map(self._att_side, c1)) & set(map(self._att_side, c2))
-        return any(self.page.cut_polygon[s].kind == "arc" for s in shared)
+        return any(map(self.page.is_arc_side, shared))
 
 
 # ---------------------------------------------------------------------------

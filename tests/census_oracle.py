@@ -64,7 +64,7 @@ def oracle_census(diagram, max_states: int = MAX_STATES):
     quads = quadrants(diagram)
     eligible = frozenset(
         r for r, reg in enumerate(diagram.regions)
-        if not reg.pointed and (reg.is_bigon or reg.is_square))
+        if r != diagram.z0_region and (reg.is_bigon or reg.is_square))
     verts_of, nbrs, is_bigon = {}, {}, {}
     for r in eligible:
         cycles = diagram.regions[r].cycles

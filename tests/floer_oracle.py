@@ -135,8 +135,7 @@ def oracle_complex(dia, max_regions: int = 18):
 
     Returns (generators, boundary) with boundary[x] = set of targets.
     """
-    usable = [r for r in range(len(dia.regions))
-              if not dia.regions[r].pointed]
+    usable = [r for r in range(len(dia.regions)) if r != dia.z0_region]
     if len(usable) > max_regions:
         raise ValueError("diagram too large for the brute-force oracle")
     gens = oracle_generators(dia)

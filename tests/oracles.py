@@ -9,7 +9,8 @@ around the polygon, so minimal crossing numbers come from exhaustive
 search over the per-arc orders.  oracle_att_order instead recomputes
 the canonical arrangement's side orders by comparing strands in pairs.
 oracle_columns assembles the boundary operator without the source
-index, trying every census disk on every generator.
+index, trying every census disk on every generator.  The page oracles
+rebuild the gluing of the cut polygon from the occurrence tables.
 """
 
 from __future__ import annotations
@@ -18,7 +19,57 @@ import functools
 import itertools
 
 from obfloer.floer import _move, domain_census, generators
-from obfloer.surface import ArcImage, Curve, Page, invert_word, reduce_cyclic
+from obfloer.surface import (ArcImage, Curve, Page, invert_word, reduce_cyclic,
+                             successor_cycles)
+
+
+def twin_occurrences(page: Page) -> list[int]:
+    """For each arc occurrence, the occurrence of the other copy."""
+    twin = [0] * (2 * page.n_arcs)
+    for first, second in zip(page.first_occurrence, page.second_occurrence):
+        twin[first], twin[second] = second, first
+    return twin
+
+
+def boundary_count(page: Page) -> int:
+    """Boundary circles of the page, walked around the glued polygon.
+
+    The segment after segment j is the one following the twin of the
+    next arc occurrence.
+    """
+    m = 2 * page.n_arcs
+    if m == 0:
+        return 1
+    twin = twin_occurrences(page)
+    return len(successor_cycles({j: twin[(j + 1) % m] for j in range(m)}))
+
+
+def euler_characteristic_from_cut(page: Page) -> int:
+    """Recompute the page's Euler characteristic from the identifications.
+
+    The polygon contributes one face; arc sides glue in pairs and corners
+    glue along arc endpoints.  The result must equal 2 - 2g - b.
+    """
+    n = page.n_arcs
+    if n == 0:
+        return 1
+    # Corner before occurrence j is the same page point as the corner
+    # after its twin occurrence; the matching pairs up all 4n corners.
+    parent = list(range(4 * n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    # Encode corner-before-occ-j as 2j and corner-after-occ-j as 2j + 1.
+    for j, t in enumerate(twin_occurrences(page)):
+        parent[find(2 * j)] = find(2 * t + 1)
+    vertices = len({find(x) for x in range(4 * n)})
+    edges = n + 2 * n  # glued arc sides + boundary segments
+    faces = 1
+    return vertices - edges + faces
 
 
 def _events(path):
@@ -67,14 +118,14 @@ def _crossing_count(page: Page, paths, orders):
     position = {}
     counter = 0
     for pos in range(page.n_sides):
-        side = page.cut_polygon[pos]
-        if side.kind == "arc":
+        if page.is_arc_side(pos):
             occ = pos // 2
-            arc = side.arc
+            arc = page.occurrence_word[occ]
+            first = page.first_occurrence[arc - 1] == occ
             strand_order = orders.get(arc, ())
-            seq = strand_order if side.copy == "L" else tuple(reversed(strand_order))
+            seq = strand_order if first else tuple(reversed(strand_order))
             for (p, k) in seq:
-                role = "F" if side.copy == "L" else "S"
+                role = "F" if first else "S"
                 position[(p, k, role)] = counter
                 counter += 1
         else:
@@ -182,6 +233,7 @@ def oracle_att_order(arr):
     attaches first.  Boundary sides are in slot-key order.
     """
     page, events = arr.page, arr.events
+    twin = twin_occurrences(page)
     cap = 2 * sum(len(evs) + 2 for evs in events) + 16
 
     def far_sides(handle):
@@ -203,7 +255,7 @@ def oracle_att_order(arr):
                 return -1 if (s1 - near) % page.n_sides > (s2 - near) % page.n_sides else 1
             if key1 is not None:
                 return -1 if key1 > key2 else 1
-            near = 2 * page.twin_occurrence[s1 // 2]
+            near = 2 * twin[s1 // 2]
         raise RuntimeError("could not separate parallel strands")
 
     by_side = {pos: [] for pos in range(page.n_sides)}
@@ -212,7 +264,7 @@ def oracle_att_order(arr):
             for role in (("in", "out") if ev[0] == "x" else ("end",)):
                 by_side[_att_side(page, ev, role)].append((p, k, role))
     for pos, atts in by_side.items():
-        if page.cut_polygon[pos].kind == "boundary":
+        if not page.is_arc_side(pos):
             atts.sort(key=lambda h: (events[h[0]][h[1]][1].rank, h[0], events[h[0]][h[1]][2]))
         else:
             atts.sort(key=functools.cmp_to_key(lambda a, b, pos=pos: compare(pos, a, b)))

@@ -77,7 +77,7 @@ def test_worked_example_verdict():
     "produces"))
 def test_worked_example_census_shape():
     dia = lantern_diagram()
-    plain = [reg for reg in dia.regions if not reg.pointed]
+    plain = [reg for r, reg in enumerate(dia.regions) if r != dia.z0_region]
     nondisk = sum(1 for reg in plain if not reg.is_disk)
     oversized = sum(1 for reg in plain
                     if reg.is_disk and not (reg.is_bigon or reg.is_square))

@@ -2,9 +2,13 @@ import random
 
 import pytest
 
+from obfloer.floer import generators
 from obfloer.heegaard import assemble_diagram, build_diagram
 from obfloer.mapping import TwistWord, dehn_twist
+from obfloer.nicify import elementary_moves, finger_move, lazy_frontier, make_nice
 from obfloer.surface import ArcImage, make_page, parse_curve, pushoff
+
+from test_acceptance import random_book as property_book
 
 annulus = make_page(0, 2)
 torus = make_page(1, 1)
@@ -13,8 +17,9 @@ four_holed = make_page(0, 4)
 
 
 def region_shapes(diagram):
-    return sorted((r.euler, r.corner_count, len(r.cycles), r.pointed)
-                  for r in diagram.regions)
+    return sorted((r.euler, r.corner_count, len(r.cycles),
+                   k == diagram.z0_region)
+                  for k, r in enumerate(diagram.regions))
 
 
 def test_annulus_identity_book():
@@ -107,6 +112,31 @@ def test_contact_tuple_sits_on_the_top_sheet():
         assert dia.v_tag[v] == ("contact", i)
 
 
+def test_contact_crossings_are_the_first_vertices():
+    rng = random.Random(1717)
+    for _ in range(40):
+        dia = property_book(rng)
+        wiggled = dia
+        for _ in range(3):
+            moves = list(elementary_moves(wiggled))
+            if moves:
+                wiggled = finger_move(wiggled, rng.choice(moves))
+        for d in (dia, lazy_frontier(dia), make_nice(dia), wiggled,
+                  make_nice(wiggled)):
+            assert d.contact_tuple() == tuple(range(d.n))
+            assert generators(d)[0] == d.contact_tuple()
+
+
+def test_validate_rejects_an_edited_contact_tag():
+    boundary, _ = _lantern_words(four_holed)
+    dia = build_diagram(four_holed, boundary)
+    dia.validate()
+    edited = dia.clone()
+    edited.v_tag[0] = ("token", 1, 0)
+    with pytest.raises(RuntimeError, match="missing contact point"):
+        edited.validate()
+
+
 def test_random_books_build_consistent_diagrams():
     pages = [annulus, pants, four_holed, torus, make_page(1, 2)]
     for seed in (31, 131, 231, 331):
@@ -137,8 +167,8 @@ def test_random_books_build_consistent_diagrams():
                 assert on_alpha == len(dia.alpha_walk[i - 1])
                 on_beta = sum(1 for lab in dia.edge_label if lab == ("b", i))
                 assert on_beta == len(dia.beta_walk[i - 1])
-            # exactly one region holds the basepoint
-            assert sum(1 for r in dia.regions if r.pointed) == 1
+            # the basepoint sits in a region of the diagram
+            assert 0 <= dia.z0_region < len(dia.regions)
 
 
 def test_rebuild_is_deterministic():

@@ -21,13 +21,14 @@ four_holed = make_page(0, 4)
 def assert_disk_regions(diagram):
     """Every unpointed region is a disk with one boundary cycle."""
     for r, reg in enumerate(diagram.regions):
-        if not reg.pointed:
+        if r != diagram.z0_region:
             assert reg.euler == 1 and len(reg.cycles) == 1, r
 
 
 def region_shapes(diagram):
-    return sorted((r.euler, r.corner_count, len(r.cycles), r.pointed)
-                  for r in diagram.regions)
+    return sorted((r.euler, r.corner_count, len(r.cycles),
+                   k == diagram.z0_region)
+                  for k, r in enumerate(diagram.regions))
 
 
 def lantern_book():
@@ -167,8 +168,6 @@ def test_flattening_rejects_a_non_disk_region():
     ring = next(r for r, reg in enumerate(wrapped.regions)
                 if len(reg.cycles) == 2)
     bigon = next(r for r, reg in enumerate(wrapped.regions) if reg.is_bigon)
-    wrapped.regions[ring].pointed = False
-    wrapped.regions[bigon].pointed = True
     wrapped.z0_region = bigon
     wrapped.validate()
     assert wrapped.bad_regions() == [ring]
