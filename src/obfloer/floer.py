@@ -247,8 +247,9 @@ def _bigons(diagram: HeegaardDiagram, tile, nxt, prv) -> list:
                                diagram.v_alpha)
     n_he = 2 * diagram.n_edges
     straight, forward = [0] * n_he, [False] * n_he
-    for walks in (diagram.alpha_walk, diagram.beta_walk):
-        for walk in walks:
+    alpha, beta = diagram.walks()
+    for circles in (alpha, beta):
+        for walk in circles:
             for t, h in enumerate(walk):
                 straight[h] = walk[(t + 1) % len(walk)]
                 straight[h ^ 1] = walk[t - 1] ^ 1
@@ -282,7 +283,7 @@ def _bigons(diagram: HeegaardDiagram, tile, nxt, prv) -> list:
         return inside if n_bigon == 1 else None
 
     out = []
-    for j, walk in enumerate(diagram.beta_walk, start=1):
+    for j, walk in enumerate(beta, start=1):
         for h in walk + [x ^ 1 for x in walk]:
             if tile[region[h]] == 0:
                 continue
@@ -340,28 +341,6 @@ def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
     out = _rectangles(diagram, tile, pos) + _bigons(diagram, tile, nxt, prv)
     out.sort(key=lambda c: c.regions)
     return out
-
-
-def _move(diagram, x, dom, back=False):
-    """Generator dom moves x to, or None when dom does not fit x.
-
-    Forward, x must hold every source corner and the result holds the
-    targets instead; back=True swaps the roles, giving the source whose
-    forward move is x.  Either way the moved generator avoids the
-    passthrough vertices and keeps its α circles distinct.
-    """
-    y = list(x)
-    for j, src, tgt in dom.swap:
-        if back:
-            src, tgt = tgt, src
-        if y[j - 1] != src:
-            return None
-        y[j - 1] = tgt
-    if not set(y).isdisjoint(dom.passthrough):
-        return None
-    if len({diagram.v_alpha[v] for v in y}) != len(y):
-        return None
-    return tuple(y)
 
 
 def boundary_matrix(diagram: HeegaardDiagram) -> BoundaryMatrix:
@@ -564,23 +543,35 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
 def decide_lazy(diagram: HeegaardDiagram, trace=None) -> Verdict:
     """Cheap decision: flatten only next to the page, look for disks into c.
 
-    When no generator's boundary can hit the distinguished generator it
-    is not a boundary and the answer is NONVANISHING outright, with rank
-    -1; otherwise the diagram is flattened fully and the complete
-    complex decides.  A frontier diagram that is already flat goes
-    straight to the complete complex, so that its census runs once.
-    trace gets one line per flattening move, and the verdict carries
-    the diagram it was decided on and, from the complete complex, the
-    matrix.
+    The disks into c are read off the census as boundary_matrix reads
+    them: every target is c's vertex j - 1 on its circle j, and the
+    passthrough misses the source tuple, whose α circles must be
+    distinct; a repeat is an internal error.  When no generator's
+    boundary can hit the distinguished generator it is not a boundary
+    and the answer is NONVANISHING outright, with rank -1; otherwise
+    the diagram is flattened fully and the complete complex decides.  A
+    frontier diagram that is already flat goes straight to the complete
+    complex, so that its census runs once.  trace gets one line per
+    flattening move, and the verdict carries the diagram it was decided
+    on and, from the complete complex, the matrix.
     """
     lz = lazy_frontier(diagram, trace=trace)
     if lz.bad_regions():
         c = lz.contact_tuple()
         sources = set()
         for dom in domain_census(lz):
-            x = _move(lz, c, dom, back=True)
-            if x is not None:
-                sources ^= {x}
+            if any(tgt != j - 1 for j, _, tgt in dom.swap):
+                continue
+            x = list(c)
+            for j, src, _ in dom.swap:
+                x[j - 1] = src
+            if not set(x).isdisjoint(dom.passthrough):
+                continue
+            if len({lz.v_alpha[v] for v in x}) != len(x):
+                raise RuntimeError(
+                    f"internal error: a disk moves {tuple(x)}, which is no "
+                    f"generator, to {c}")
+            sources ^= {tuple(x)}
         if not sources:
             return Verdict(outcome=NONVANISHING, certificate=(),
                            generator_count=len(generators(lz)), rank=-1,

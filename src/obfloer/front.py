@@ -337,15 +337,15 @@ def _render_text(d: HeegaardDiagram) -> str:
 _PALETTE = ("#b13", "#16b", "#180", "#a50", "#519", "#066")
 
 
-def _layout(d: HeegaardDiagram):
-    """Chart and position of every vertex, from the circle walks.
+def _layout(d: HeegaardDiagram, alpha):
+    """Chart and position of every vertex, from the α circles' walks.
 
     Vertices go in the chart their page tag names; flattening vertices
     inherit the chart of the nearest tagged neighbor along their arc.
     """
     sheet = {}
     place = {}
-    for i, walk in enumerate(d.alpha_walk):
+    for i, walk in enumerate(alpha):
         verts = [d.he_origin[h] for h in walk]
         sheets = []
         for v in verts:
@@ -367,7 +367,8 @@ def _layout(d: HeegaardDiagram):
 
 def _render_svg(d: HeegaardDiagram) -> str:
     """Schematic drawing: the two half-page charts, strands, basepoint."""
-    sheet, place = _layout(d)
+    alpha, beta = d.walks()
+    sheet, place = _layout(d, alpha)
     col_w, row_h, pad, gap = 90, 34, 50, 60
     rows = [1, 1]
     for v, (c, r) in place.items():
@@ -414,7 +415,7 @@ def _render_svg(d: HeegaardDiagram) -> str:
                 svg.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" '
                            'stroke="#ddd" stroke-width="9"/>')
     # pushoff strands
-    for j, walk in enumerate(d.beta_walk):
+    for j, walk in enumerate(beta):
         color = _PALETTE[j % len(_PALETTE)]
         verts = [d.he_origin[h] for h in walk]
         m = len(verts)

@@ -69,26 +69,25 @@ class HeegaardDiagram:
 
     Half-edges come in twin pairs (2*e, 2*e + 1) for edge e; the twin
     of h is h ^ 1.  Every edge carries a label ("a", i) or ("b", j)
-    naming its attaching circle.  alpha_walk[i-1] and beta_walk[j-1]
-    trace each circle as a cyclic list of forward half-edges.  Regions
-    own their boundary cycles, walked with the region on the left;
-    he_region maps a half-edge to the region on its left.  z0_region
-    indexes the basepoint region, and vertices 0 .. n - 1 are the
-    top-sheet crossings of the distinguished generator.
+    naming its attaching circle, and v_alpha[v] and v_beta[v] name the
+    two circles through vertex v.  Regions own their boundary cycles,
+    walked with the region on the left; he_region maps a half-edge to
+    the region on its left.  The circles are not stored: walks() traces
+    them from the boundary cycles.  z0_region indexes the basepoint
+    region, and vertices 0 .. n - 1 are the top-sheet crossings of the
+    distinguished generator.
 
     Instances are produced by build_diagram and later mutated in place
     by the flattening moves; consistency can be rechecked at any point
     with validate().
     """
 
-    def __init__(self, n, v_alpha, v_beta, v_tag, alpha_walk, beta_walk,
-                 edge_label, he_origin, regions, he_region, z0_region):
+    def __init__(self, n, v_alpha, v_beta, v_tag, edge_label, he_origin,
+                 regions, he_region, z0_region):
         self.n = n
         self.v_alpha = v_alpha
         self.v_beta = v_beta
         self.v_tag = v_tag
-        self.alpha_walk = alpha_walk
-        self.beta_walk = beta_walk
         self.edge_label = edge_label
         self.he_origin = he_origin
         self.regions = regions
@@ -120,8 +119,6 @@ class HeegaardDiagram:
             n=self.n,
             v_alpha=list(self.v_alpha), v_beta=list(self.v_beta),
             v_tag=list(self.v_tag),
-            alpha_walk=[list(w) for w in self.alpha_walk],
-            beta_walk=[list(w) for w in self.beta_walk],
             edge_label=list(self.edge_label),
             he_origin=list(self.he_origin),
             regions=[Region(cycles=[list(c) for c in r.cycles], euler=r.euler)
@@ -150,6 +147,36 @@ class HeegaardDiagram:
             if r == self.z0_region or region.is_bigon or region.is_square:
                 continue
             out.append(r)
+        return out
+
+    def walks(self) -> tuple[list, list]:
+        """The α and the β circles, each a cyclic list of half-edges.
+
+        Circle i of a family is traced from contact vertex i - 1 straight
+        on through every vertex: after h it takes nxt[nxt[h] ^ 1], where
+        nxt is the boundary-cycle successor, since two left turns at a
+        four-valent vertex lead straight across it.  It runs the way its
+        lowest-numbered edge points.
+        """
+        nxt = [0] * (2 * self.n_edges)
+        for region in self.regions:
+            for cycle in region.cycles:
+                for t, h in enumerate(cycle):
+                    nxt[cycle[t - 1]] = h
+        leave = {}
+        for h, v in enumerate(self.he_origin):
+            if v < self.n:
+                leave[self.label(h)[0], v] = h
+        out = ([], [])
+        for fam, circles in zip("ab", out):
+            for v in range(self.n):
+                h, walk = leave[fam, v], []
+                while not walk or h != walk[0]:
+                    walk.append(h)
+                    h = nxt[nxt[h] ^ 1]
+                if min(walk) % 2:
+                    walk = [g ^ 1 for g in reversed(walk)]
+                circles.append(walk)
         return out
 
     # -- consistency ---------------------------------------------------
@@ -190,21 +217,20 @@ class HeegaardDiagram:
         if self.v_tag[:self.n] != [("contact", i)
                                    for i in range(1, self.n + 1)]:
             raise RuntimeError("internal error: missing contact point")
-        by_label = {}
-        for e, label in enumerate(self.edge_label):
-            by_label.setdefault(label, []).append(e)
-        for fam, walks in (("a", self.alpha_walk), ("b", self.beta_walk)):
-            if len(walks) != self.n:
-                raise RuntimeError("internal error: wrong number of circles")
-            for idx, walk in enumerate(walks):
-                label = (fam, idx + 1)
-                if sorted(h // 2 for h in walk) != by_label.get(label, []):
-                    raise RuntimeError(
-                        "internal error: circle walk misses its edges")
-                for t, h in enumerate(walk):
-                    nxt_h = walk[(t + 1) % len(walk)]
-                    if self.he_origin[nxt_h] != self.head(h):
-                        raise RuntimeError("internal error: circle walk broken")
+        traced = [None] * self.n_edges
+        for fam, circles in zip("ab", self.walks()):
+            for i, walk in enumerate(circles, start=1):
+                for h in walk:
+                    traced[h // 2] = (fam, i)
+        if traced != self.edge_label:
+            raise RuntimeError("internal error: circle walk misses its edges")
+        on = {"a": self.v_alpha, "b": self.v_beta}
+        for e, (fam, i) in enumerate(self.edge_label):
+            if (on[fam][self.he_origin[2 * e]] != i
+                    or on[fam][self.he_origin[2 * e + 1]] != i):
+                raise RuntimeError(
+                    "internal error: a vertex's circles disagree with its "
+                    "edges")
 
 
 class _Chart:
@@ -367,7 +393,7 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
     he_origin = []
     instance_home = {}
 
-    def emit_edges(label, elems, walk_sink):
+    def emit_edges(label, elems):
         """Split a cyclic piece/vertex sequence into edges at the vertices."""
         first_v = next(t for t, e in enumerate(elems) if e[0] == "v")
         elems = elems[first_v:] + elems[:first_v]
@@ -382,13 +408,11 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
             edge_label.append(label)
             edge_length.append(len(chain))
             he_origin.extend((elems[t][1], head))
-            walk_sink.append(2 * e)
             for s, (_p, inst, _flipped) in enumerate(chain):
                 instance_home[inst] = (2 * e, s)
             for s, (_p, _inst, flipped) in enumerate(reversed(chain)):
                 instance_home[flipped] = (2 * e + 1, s)
 
-    alpha_walk = []
     for i in range(1, n + 1):
         elems = []
         seq_top = strands[(_TOP, i)]
@@ -401,11 +425,8 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
             elems.append(alpha_piece(_BOTTOM, i, t))
             if t > 0:
                 elems.append(("v", vertex_of[(_BOTTOM,) + seq_bot[t - 1]]))
-        walk = []
-        emit_edges(("a", i), elems, walk)
-        alpha_walk.append(walk)
+        emit_edges(("a", i), elems)
 
-    beta_walk = []
     for j in range(n):
         elems = []
         for c in range(len(top.arr.chords[j])):
@@ -416,9 +437,7 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
             elems.append(chord_piece(_BOTTOM, j, c, -1))
             if c > 0:
                 elems.append(("v", vertex_of[(_BOTTOM, j, c)]))
-        walk = []
-        emit_edges(("b", j + 1), elems, walk)
-        beta_walk.append(walk)
+        emit_edges(("b", j + 1), elems)
 
     # region walks: the sheets' face walks, the bottom one reversed
     # because the doubling flips it over
@@ -526,7 +545,6 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
     he_region = [he_region_map[h] for h in range(2 * len(edge_label))]
     diagram = HeegaardDiagram(
         n=n, v_alpha=v_alpha, v_beta=v_beta, v_tag=v_tag,
-        alpha_walk=alpha_walk, beta_walk=beta_walk,
         edge_label=edge_label, he_origin=he_origin, regions=regions,
         he_region=he_region, z0_region=z0_region)
     diagram.validate()

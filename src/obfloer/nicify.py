@@ -142,22 +142,6 @@ def _poke(d: HeegaardDiagram, h_beta: int, h_alpha: int) -> tuple:
     d.he_region[2 * e2] = bigon
     d.he_region[2 * f2 + 1] = bigon
 
-    # splice the two subdivided circles back into their walks
-    walk = d.beta_walk[j - 1]
-    if h_beta in walk:
-        p = walk.index(h_beta)
-        walk[p:p + 1] = [h_beta, 2 * e2, 2 * e3]
-    else:
-        p = walk.index(d.twin(h_beta))
-        walk[p:p + 1] = [2 * e3 + 1, 2 * e2 + 1, d.twin(h_beta)]
-    walk = d.alpha_walk[i - 1]
-    if h_alpha in walk:
-        p = walk.index(h_alpha)
-        walk[p:p + 1] = [h_alpha, 2 * f2, 2 * f3]
-    else:
-        p = walk.index(d.twin(h_alpha))
-        walk[p:p + 1] = [2 * f3 + 1, 2 * f2 + 1, d.twin(h_alpha)]
-
     return 2 * e2, r_N
 
 
@@ -213,17 +197,18 @@ def elementary_moves(diagram: HeegaardDiagram):
                     terminal=diagram.he_region[diagram.twin(ha)])
 
 
-def _chain_from(d: HeegaardDiagram, start: int, exit_h: int, budget: int):
+def _chain_from(d: HeegaardDiagram, start: int, exit_h: int):
     """Follow a finger straight through squares from a first crossing.
 
     Returns (crossings, rest_region, rest_rank) or None when the chain
-    runs into a region it already cut or exceeds the budget.
+    runs into a region it already cut.  Each step cuts a new square, so
+    the chain ends.
     """
     crossings = [exit_h]
     visited = {start}
     enter = d.twin(exit_h)
     cur = d.he_region[enter]
-    while len(crossings) <= budget:
+    while True:
         reg = d.regions[cur]
         if cur == d.z0_region or reg.is_bigon:
             return crossings, cur, 0
@@ -237,7 +222,6 @@ def _chain_from(d: HeegaardDiagram, start: int, exit_h: int, budget: int):
         enter = d.twin(exit_h)
         cur = d.he_region[enter]
         crossings.append(exit_h)
-    return None
 
 
 def _plan_finger(d: HeegaardDiagram, target: int) -> FingerMoveSpec:
@@ -245,7 +229,6 @@ def _plan_finger(d: HeegaardDiagram, target: int) -> FingerMoveSpec:
     reg = d.regions[target]
     cyc = reg.cycles[0]
     L = len(cyc)
-    budget = 4 + 2 * len(d.regions)
     best = None
     for pos, hh in enumerate(cyc):
         if d.label(hh)[0] != "b":
@@ -263,7 +246,7 @@ def _plan_finger(d: HeegaardDiagram, target: int) -> FingerMoveSpec:
             exit_h = cyc[(pos + p) % L]
             if d.he_region[d.twin(exit_h)] == target:
                 continue
-            chain = _chain_from(d, target, exit_h, budget)
+            chain = _chain_from(d, target, exit_h)
             if chain is None:
                 continue
             crossings, rest, r_rank = chain

@@ -9,8 +9,10 @@ around the polygon, so minimal crossing numbers come from exhaustive
 search over the per-arc orders.  oracle_att_order instead recomputes
 the canonical arrangement's side orders by comparing strands in pairs.
 oracle_columns assembles the boundary operator without the source
-index, trying every census disk on every generator.  The page oracles
-rebuild the gluing of the cut polygon from the occurrence tables.
+index, trying every census disk on every generator through disk_move.
+The page oracles rebuild the gluing of the cut polygon from the
+occurrence tables.  read_dump rebuilds a diagram from its canonical
+text dump.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from obfloer.floer import _move, domain_census, generators
+from obfloer.floer import domain_census, generators
+from obfloer.heegaard import HeegaardDiagram, Region
 from obfloer.surface import (ArcImage, Curve, Page, invert_word, reduce_cyclic,
                              successor_cycles)
 
@@ -339,10 +342,32 @@ def oracle_torus_h1_order(letters) -> int:
     return abs(2 - (m[0][0] + m[1][1]))
 
 
+def disk_move(diagram, x, dom, back=False):
+    """Generator dom moves x to, or None when dom does not fit x.
+
+    Forward, x must hold every source corner and the result holds the
+    targets instead; back=True swaps the roles, giving the source whose
+    forward move is x.  Either way the moved generator avoids the
+    passthrough vertices and keeps its α circles distinct.
+    """
+    y = list(x)
+    for j, src, tgt in dom.swap:
+        if back:
+            src, tgt = tgt, src
+        if y[j - 1] != src:
+            return None
+        y[j - 1] = tgt
+    if not set(y).isdisjoint(dom.passthrough):
+        return None
+    if len({diagram.v_alpha[v] for v in y}) != len(y):
+        return None
+    return tuple(y)
+
+
 def oracle_columns(diagram) -> tuple:
     """Boundary columns of a flattened diagram, by the all-pairs rule.
 
-    Every census disk is tried on every generator through _move; column
+    Every census disk is tried on every generator through disk_move; column
     x lists, sorted, the indices of the generators reached an odd number
     of times, in the order generators() lists them.
     """
@@ -353,8 +378,46 @@ def oracle_columns(diagram) -> tuple:
     for x in gens:
         hits = set()
         for dom in census:
-            y = _move(diagram, x, dom)
+            y = disk_move(diagram, x, dom)
             if y is not None:
                 hits ^= {index[y]}
         columns.append(tuple(sorted(hits)))
     return tuple(columns)
+
+
+def read_dump(text: str) -> HeegaardDiagram:
+    """The diagram whose canonical dump (front._render_text) is text.
+
+    The census line and the sides and pointed fields are derived, so
+    they are skipped; he_region is read off the region cycles.
+    """
+    lines = text.splitlines()
+    head = dict(tok.split("=") for tok in lines[0].split()[1:])
+    v_alpha, v_beta, v_tag, edge_label, he_origin = [], [], [], [], []
+    regions = []
+    for line in lines[2:]:
+        line, _, cycles = line.partition(" cycles=")
+        kind, _, *tokens = line.split()
+        f = dict(tok.split("=") for tok in tokens)
+        if kind == "vertex":
+            v_alpha.append(int(f["arc"]))
+            v_beta.append(int(f["pushoff"]))
+            tag = f["tag"].split(":")
+            v_tag.append((tag[0], *map(int, tag[1:])))
+        elif kind == "edge":
+            edge_label.append((f["label"][0], int(f["label"][1:])))
+            he_origin.extend((int(f["from"]), int(f["to"])))
+        else:
+            regions.append(Region(
+                cycles=[[int(h) for h in cyc.split()]
+                        for cyc in cycles.split("|")],
+                euler=int(f["euler"])))
+    he_region = [0] * len(he_origin)
+    for r, region in enumerate(regions):
+        for cyc in region.cycles:
+            for h in cyc:
+                he_region[h] = r
+    return HeegaardDiagram(
+        n=int(head["arcs"]), v_alpha=v_alpha, v_beta=v_beta, v_tag=v_tag,
+        edge_label=edge_label, he_origin=he_origin, regions=regions,
+        he_region=he_region, z0_region=int(head["z0"]))

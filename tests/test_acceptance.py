@@ -18,9 +18,9 @@ import time
 import pytest
 
 from obfloer import floer
-from obfloer.floer import (_move, boundary_matrix, contact_class,
-                           decide_lazy, decide_vanishing, domain_census,
-                           generators, homology_rank)
+from obfloer.floer import (boundary_matrix, contact_class, decide_lazy,
+                           decide_vanishing, domain_census, generators,
+                           homology_rank)
 from obfloer.front import parse_input, run_check
 from obfloer.heegaard import build_diagram
 from obfloer.mapping import TwistWord, same_action_on_basis
@@ -30,6 +30,7 @@ from obfloer.surface import make_page, parse_curve
 
 from floer_oracle import (as_boundary, oracle_bounds, oracle_complex,
                           oracle_decide, oracle_homology_rank)
+from oracles import disk_move
 from test_nicify import assert_disk_regions
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -93,7 +94,7 @@ def test_worked_example_boundary_shape():
     for x in generators(post):
         targets = {}
         for dom in census:
-            y = _move(post, x, dom)
+            y = disk_move(post, x, dom)
             if y is not None:
                 targets.setdefault(y, []).append(dom)
         odd = {y for y, doms in targets.items() if len(doms) % 2 == 1}

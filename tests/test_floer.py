@@ -7,10 +7,9 @@ import random
 import pytest
 
 from obfloer import floer
-from obfloer.floer import (BoundaryMatrix, DomainCandidate, _move,
-                           boundary_matrix, contact_class, decide_lazy,
-                           decide_vanishing, domain_census, generators,
-                           homology_rank)
+from obfloer.floer import (BoundaryMatrix, DomainCandidate, boundary_matrix,
+                           contact_class, decide_lazy, decide_vanishing,
+                           domain_census, generators, homology_rank)
 from obfloer.front import parse_input, run_check
 from obfloer.heegaard import build_diagram
 from obfloer.mapping import TwistWord
@@ -21,7 +20,7 @@ from census_oracle import oracle_census
 from floer_oracle import (as_boundary, oracle_bounds, oracle_complex,
                           oracle_decide, oracle_generators,
                           oracle_homology_rank)
-from oracles import oracle_columns, oracle_torus_h1_order
+from oracles import disk_move, oracle_columns, oracle_torus_h1_order
 from test_acceptance import random_book as property_book
 from test_front import BENCH_LADDER, CORPUS, LADDER, LANTERN, torus_word
 
@@ -149,7 +148,7 @@ def test_lantern_boundary_hits_contact_class():
     hits = []
     for x in generators(nice):
         pairs = [(dom, y) for dom in census
-                 if (y := _move(nice, x, dom)) is not None]
+                 if (y := disk_move(nice, x, dom)) is not None]
         targets = set()
         for _dom, y in pairs:
             targets ^= {y}
@@ -177,9 +176,9 @@ def test_backward_move_inverts_forward_move():
         gens = generators(nice)
         for dom in domain_census(nice):
             fwd = {(x, y) for x in gens
-                   if (y := _move(nice, x, dom)) is not None}
+                   if (y := disk_move(nice, x, dom)) is not None}
             bwd = {(x, y) for y in gens
-                   if (x := _move(nice, y, dom, back=True)) is not None}
+                   if (x := disk_move(nice, y, dom, back=True)) is not None}
             assert fwd == bwd, dom
             pairs += len(fwd)
     assert pairs > 0
@@ -387,6 +386,24 @@ def test_a_move_out_of_the_generators_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(floer, "domain_census", lambda diagram: [bad])
     with pytest.raises(RuntimeError, match="internal error.*no generator"):
         boundary_matrix(nice)
+
+
+def test_a_lazy_disk_out_of_the_generators_is_an_internal_error(monkeypatch):
+    # decide_lazy reads the disks into c by the assembly's rule: a bigon
+    # into c whose source repeats the α circle of c's second coordinate
+    # must stop it, never be dropped as a non-fit
+    book = parse_input(torus_word("+a +b", 4))
+    dia = build_diagram(book.page, book.word)
+    lz = lazy_frontier(dia)
+    assert lz.bad_regions()
+    c = lz.contact_tuple()
+    source = next(v for v in range(lz.n_vertices)
+                  if lz.v_beta[v] == 1 and lz.v_alpha[v] == lz.v_alpha[c[1]])
+    bad = DomainCandidate(regions=(), kind="bigon",
+                          swap=((1, source, c[0]),), passthrough=())
+    monkeypatch.setattr(floer, "domain_census", lambda diagram: [bad])
+    with pytest.raises(RuntimeError, match="internal error.*no generator"):
+        decide_lazy(dia)
 
 
 def test_decide_vanishing_rejects_foreign_cycle():

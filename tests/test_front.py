@@ -13,9 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obfloer import floer
-from obfloer.front import _render_text, export_diagram, main, parse_input, run_check
+from obfloer.floer import domain_census
+from obfloer.front import (_render_svg, _render_text, export_diagram, main,
+                           parse_input, run_check)
 from obfloer.heegaard import build_diagram
-from obfloer.nicify import make_nice
+from obfloer.nicify import lazy_frontier, make_nice
+
+from oracles import read_dump
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -502,3 +506,60 @@ def test_front_half_diagrams_are_pinned():
         got[name] = tuple(hashlib.sha256(_render_text(d).encode()).hexdigest()
                           for d in (built, make_nice(built)))
     assert got == FRONT_HALF_SHA256
+
+
+# sha256 of _render_svg of the built and the flattened corpus diagram
+SVG_SHA256 = {
+    "annulus_id.obk": (
+        "fb64d7b78938d9c76c20307f84f9622f99e871269f39b735c1a36bae3a95eeb1",
+        "fb64d7b78938d9c76c20307f84f9622f99e871269f39b735c1a36bae3a95eeb1"),
+    "annulus_id_negstab.obk": (
+        "d3f583efc2b9b62b46d1e1c47ee5eb581b3e94077cdfa9535a664c50f31f42c9",
+        "d3f583efc2b9b62b46d1e1c47ee5eb581b3e94077cdfa9535a664c50f31f42c9"),
+    "annulus_id_stab.obk": (
+        "b4ea45630084d36d4394d69d491d9106eb55806249b606663243c60889ad19b7",
+        "b4ea45630084d36d4394d69d491d9106eb55806249b606663243c60889ad19b7"),
+    "lantern.obk": (
+        "60fb522e63768003c3bc85b5f80cd8df39f0032c7f7298a8805e5a1075e8e49d",
+        "cb5f7f49a320e43fcf9b219ea41659810d57d0b0b7db8f087789996d36471bc8"),
+    "lantern_stab.obk": (
+        "cfd6df167b55cd7c27a35604ff30e396f1fc2f11bc3b22cc7f7725e56e172861",
+        "7c2c7c9926c2d2057b82ec0d41df48f7ce2f7d97964fe31af96085f7cd91d8f0"),
+    "neg_hopf.obk": (
+        "8501ae67af49dc9764200a5c11b141b201ec80d59c7317685af15a47f46e8aa7",
+        "8501ae67af49dc9764200a5c11b141b201ec80d59c7317685af15a47f46e8aa7"),
+    "neg_hopf_stab.obk": (
+        "c3d86a36664b042d71d83113a78e3e81ea2954f9e65abf2653276c26ea520765",
+        "c3d86a36664b042d71d83113a78e3e81ea2954f9e65abf2653276c26ea520765"),
+    "pos_hopf.obk": (
+        "48cc9986d9fb175c521df85f2a5bb01f4f91be002eb2964365a14b211ef8a767",
+        "48cc9986d9fb175c521df85f2a5bb01f4f91be002eb2964365a14b211ef8a767"),
+    "pos_hopf_stab.obk": (
+        "5dfaff1f2229c41ae43795d791f8714fe9e13c46ab740bc25d791d5d7c24459d",
+        "5dfaff1f2229c41ae43795d791f8714fe9e13c46ab740bc25d791d5d7c24459d"),
+}
+
+
+def test_svg_exports_are_pinned():
+    got = {}
+    for path in sorted(glob.glob(corpus_path("*.obk"))):
+        book = parse_input(open(path).read())
+        built = build_diagram(book.page, book.word)
+        got[os.path.basename(path)] = tuple(
+            hashlib.sha256(_render_svg(d).encode()).hexdigest()
+            for d in (built, make_nice(built)))
+    assert got == SVG_SHA256
+
+
+def test_dump_is_a_complete_record():
+    texts = [open(p).read() for p in sorted(glob.glob(corpus_path("*.obk")))]
+    for text in texts + list(BENCH_LADDER.values()):
+        book = parse_input(text)
+        built = build_diagram(book.page, book.word)
+        for d in (built, make_nice(built), lazy_frontier(built)):
+            dump = _render_text(d)
+            back = read_dump(dump)
+            back.validate()
+            assert _render_text(back) == dump
+            assert back.walks() == d.walks()
+            assert domain_census(back) == domain_census(d)

@@ -1,14 +1,19 @@
+import glob
+import hashlib
+import os
 import random
 
 import pytest
 
 from obfloer.floer import generators
+from obfloer.front import parse_input
 from obfloer.heegaard import assemble_diagram, build_diagram
 from obfloer.mapping import TwistWord, dehn_twist
 from obfloer.nicify import elementary_moves, finger_move, lazy_frontier, make_nice
 from obfloer.surface import ArcImage, make_page, parse_curve, pushoff
 
 from test_acceptance import random_book as property_book
+from test_front import BENCH_LADDER, CORPUS, LANTERN
 
 annulus = make_page(0, 2)
 torus = make_page(1, 1)
@@ -162,11 +167,12 @@ def test_random_books_build_consistent_diagrams():
             corners = sum(r.corner_count for r in dia.regions)
             assert corners == 4 * dia.n_vertices
             # each circle closes up through as many edges as crossings
+            alpha, beta = dia.walks()
             for i in range(1, dia.n + 1):
                 on_alpha = sum(1 for lab in dia.edge_label if lab == ("a", i))
-                assert on_alpha == len(dia.alpha_walk[i - 1])
+                assert on_alpha == len(alpha[i - 1])
                 on_beta = sum(1 for lab in dia.edge_label if lab == ("b", i))
-                assert on_beta == len(dia.beta_walk[i - 1])
+                assert on_beta == len(beta[i - 1])
             # the basepoint sits in a region of the diagram
             assert 0 <= dia.z0_region < len(dia.regions)
 
@@ -200,3 +206,117 @@ def test_assemble_rejects_crossing_images():
     looped = ArcImage(p1.start_slot, p1.end_slot, ((2, -1),), normalized=True)
     with pytest.raises(ValueError, match="must be embedded"):
         assemble_diagram(pants, (looped, pushoff(pants, 2)))
+
+
+def lantern_file_diagram():
+    book = parse_input(open(os.path.join(CORPUS, "lantern.obk")).read())
+    return build_diagram(book.page, book.word)
+
+
+def test_validate_rejects_a_vertex_off_its_circles():
+    for field in ("v_alpha", "v_beta"):
+        dia = lantern_file_diagram()
+        circles = getattr(dia, field)
+        v = dia.n_vertices - 1
+        circles[v] = circles[v] % dia.n + 1
+        with pytest.raises(RuntimeError,
+                           match="circles disagree with its edges"):
+            dia.validate()
+
+
+def test_validate_rejects_an_edge_on_another_circle():
+    for fam in "ab":
+        dia = lantern_file_diagram()
+        dia.edge_label[dia.edge_label.index((fam, 1))] = (fam, 2)
+        with pytest.raises(RuntimeError, match="circle walk misses its edges"):
+            dia.validate()
+
+
+# sha256 of repr(d.walks()) of the built, make_nice and lazy_frontier
+# diagrams: where each circle starts and which way it runs feeds the
+# bigon trace and the SVG layout
+WALKS_SHA256 = {
+    "annulus_id.obk": (
+        "79a0addd6f6ac523a4b1695aed7837f3758f814a86142d2b20cfffc7c857da29",
+        "79a0addd6f6ac523a4b1695aed7837f3758f814a86142d2b20cfffc7c857da29",
+        "79a0addd6f6ac523a4b1695aed7837f3758f814a86142d2b20cfffc7c857da29"),
+    "annulus_id_negstab.obk": (
+        "62b2d7b8928aad88ea19761c219e0d8f6bc8e144f81bcdbeeaa9cd4713a48b47",
+        "62b2d7b8928aad88ea19761c219e0d8f6bc8e144f81bcdbeeaa9cd4713a48b47",
+        "62b2d7b8928aad88ea19761c219e0d8f6bc8e144f81bcdbeeaa9cd4713a48b47"),
+    "annulus_id_stab.obk": (
+        "bfc0fe02688c4e9ad37b0eacef514d0c94be4fec654ccf99d2fa5ecc2ae47da9",
+        "bfc0fe02688c4e9ad37b0eacef514d0c94be4fec654ccf99d2fa5ecc2ae47da9",
+        "bfc0fe02688c4e9ad37b0eacef514d0c94be4fec654ccf99d2fa5ecc2ae47da9"),
+    "lantern.obk": (
+        "da48cf2b24cd7dd84c5400ad8ff8546dec9401a3b8ca232981a4c6c2c31e8665",
+        "d5b9a074688d5c78bbac65727613a2ac45efecfa88f7ee613fea5e987a89b5f5",
+        "d5b9a074688d5c78bbac65727613a2ac45efecfa88f7ee613fea5e987a89b5f5"),
+    "lantern_stab.obk": (
+        "f23bb3a537b0e7f3faa67ef6e04202065fa87eebe498520d923c974b4303d911",
+        "11537244e8e3a5209b02dffe55405b67b745e6e4a544430341f8f7bef3f63954",
+        "11537244e8e3a5209b02dffe55405b67b745e6e4a544430341f8f7bef3f63954"),
+    "neg_hopf.obk": (
+        "536ae38f45a96e2b48adf0a163b57d932aa8e851675baee77b1f58bf6f470087",
+        "536ae38f45a96e2b48adf0a163b57d932aa8e851675baee77b1f58bf6f470087",
+        "536ae38f45a96e2b48adf0a163b57d932aa8e851675baee77b1f58bf6f470087"),
+    "neg_hopf_stab.obk": (
+        "8e20eadd125b905110b99ff371ecc7c0682f8bf2ba8a4a03b7a648db4bb83b69",
+        "8e20eadd125b905110b99ff371ecc7c0682f8bf2ba8a4a03b7a648db4bb83b69",
+        "8e20eadd125b905110b99ff371ecc7c0682f8bf2ba8a4a03b7a648db4bb83b69"),
+    "pos_hopf.obk": (
+        "525ad0d6c2b350b996c88fadce0c34d28f9fd0c5788fe2b9a240097df5f8ce78",
+        "525ad0d6c2b350b996c88fadce0c34d28f9fd0c5788fe2b9a240097df5f8ce78",
+        "525ad0d6c2b350b996c88fadce0c34d28f9fd0c5788fe2b9a240097df5f8ce78"),
+    "pos_hopf_stab.obk": (
+        "1b7f33eeb81cd529cbfe62adddb65f70d28139e2dc3c807b08a7f6344d5aa487",
+        "1b7f33eeb81cd529cbfe62adddb65f70d28139e2dc3c807b08a7f6344d5aa487",
+        "1b7f33eeb81cd529cbfe62adddb65f70d28139e2dc3c807b08a7f6344d5aa487"),
+    "torus_ab2.obk": (
+        "7204748166a0e52758c6982fe26861460623ff96c7c903cc47f89556a63a7787",
+        "a7ed9f21d29225352fe829ab29283aa3a5318527bc7fd876d539f08b2893c5eb",
+        "a7ed9f21d29225352fe829ab29283aa3a5318527bc7fd876d539f08b2893c5eb"),
+    "torus_ab3.obk": (
+        "9cca0d26dec8d6473f0004cbcb06e360cbe730e98cc32346b2c1090e8bcc971e",
+        "e47e8b5f3918ddf1ecc823ad4e46e0fa289e6c1a9a868c0eb6e49ef7644ce7af",
+        "9cca0d26dec8d6473f0004cbcb06e360cbe730e98cc32346b2c1090e8bcc971e"),
+    "torus_ab4.obk": (
+        "f9345e897649c1fc00b86855031594b08e42bbfe234c0d009ed2fec1e9fe725f",
+        "00f22de9cffb024e9697bf20109ee06cc5fe3af400cd28e1e717e9eecbed044d",
+        "f9345e897649c1fc00b86855031594b08e42bbfe234c0d009ed2fec1e9fe725f"),
+    "torus_abinv1.obk": (
+        "86229e850a2d0024171b78424a0786e6bd9da1c9efd51a5d8c010353acc9c7d7",
+        "86229e850a2d0024171b78424a0786e6bd9da1c9efd51a5d8c010353acc9c7d7",
+        "86229e850a2d0024171b78424a0786e6bd9da1c9efd51a5d8c010353acc9c7d7"),
+    "torus_abinv2.obk": (
+        "16b6ab96d2332a0881810c0ec23f7d44093eff4d4fc52287403cbe634996e24c",
+        "16b6ab96d2332a0881810c0ec23f7d44093eff4d4fc52287403cbe634996e24c",
+        "16b6ab96d2332a0881810c0ec23f7d44093eff4d4fc52287403cbe634996e24c"),
+    "torus_abinv3.obk": (
+        "c5663ac5da6cbf66ac3c688aa75be1f425172e439dab2ff207d5c7dda22c14c3",
+        "c5663ac5da6cbf66ac3c688aa75be1f425172e439dab2ff207d5c7dda22c14c3",
+        "c5663ac5da6cbf66ac3c688aa75be1f425172e439dab2ff207d5c7dda22c14c3"),
+    "lantern_word1.obk": (
+        "c2cca1558ad726d1a4cba6fede2d70f1555950ec7404b54c03c01f92f4e7ef97",
+        "75bb11680367308a32cfa1e613f8b0d1b93173bf452a5938d6cc318a09accceb",
+        "c2cca1558ad726d1a4cba6fede2d70f1555950ec7404b54c03c01f92f4e7ef97"),
+    "lantern_word2.obk": (
+        "f7475c6baed96fef29142e19f09eb3ff33964d1accc66bc5da465bd6a96be09e",
+        "17ba599cbedffd0a4cb4fde5f2a4b7085b4ccc38c6dc11ee17c50c3a743968e7",
+        "f7475c6baed96fef29142e19f09eb3ff33964d1accc66bc5da465bd6a96be09e"),
+}
+
+
+def test_circle_walks_are_pinned():
+    books = {os.path.basename(p): open(p).read()
+             for p in sorted(glob.glob(os.path.join(CORPUS, "*.obk")))}
+    books.update(BENCH_LADDER)
+    books["lantern_word2.obk"] = LANTERN + "twists: +d4 -f1 +f2 +d4 -f1 +f2\n"
+    got = {}
+    for name, text in books.items():
+        book = parse_input(text)
+        built = build_diagram(book.page, book.word)
+        got[name] = tuple(hashlib.sha256(repr(d.walks()).encode()).hexdigest()
+                          for d in (built, make_nice(built),
+                                    lazy_frontier(built)))
+    assert got == WALKS_SHA256
