@@ -540,39 +540,47 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
                    generator_count=m.n, rank=rank, matrix=m)
 
 
+def _sources_into_c(diagram: HeegaardDiagram) -> set:
+    """The generators that an odd number of census disks move to c.
+
+    The disks are read off the census as boundary_matrix reads them:
+    every target is c's vertex j - 1 on its circle j, and the
+    passthrough misses the source tuple, whose α circles must be
+    distinct; a repeat is an internal error.
+    """
+    c = diagram.contact_tuple()
+    sources = set()
+    for dom in domain_census(diagram):
+        if any(tgt != j - 1 for j, _, tgt in dom.swap):
+            continue
+        x = list(c)
+        for j, src, _ in dom.swap:
+            x[j - 1] = src
+        if not set(x).isdisjoint(dom.passthrough):
+            continue
+        if len({diagram.v_alpha[v] for v in x}) != len(x):
+            raise RuntimeError(
+                f"internal error: a disk moves {tuple(x)}, which is no "
+                f"generator, to {c}")
+        sources ^= {tuple(x)}
+    return sources
+
+
 def decide_lazy(diagram: HeegaardDiagram, trace=None) -> Verdict:
     """Cheap decision: flatten only next to the page, look for disks into c.
 
-    The disks into c are read off the census as boundary_matrix reads
-    them: every target is c's vertex j - 1 on its circle j, and the
-    passthrough misses the source tuple, whose α circles must be
-    distinct; a repeat is an internal error.  When no generator's
-    boundary can hit the distinguished generator it is not a boundary
-    and the answer is NONVANISHING outright, with rank -1; otherwise
-    the diagram is flattened fully and the complete complex decides.  A
-    frontier diagram that is already flat goes straight to the complete
-    complex, so that its census runs once.  trace gets one line per
-    flattening move, and the verdict carries the diagram it was decided
-    on and, from the complete complex, the matrix.
+    When no generator's boundary can hit the distinguished generator
+    (_sources_into_c) it is not a boundary and the answer is
+    NONVANISHING outright, with rank -1; otherwise the diagram is
+    flattened fully and the complete complex decides.  A frontier
+    diagram that is already flat goes straight to the complete complex,
+    so that its census runs once.  trace gets one line per flattening
+    move, and the verdict carries the diagram it was decided on and,
+    from the complete complex, the matrix.
     """
     lz = lazy_frontier(diagram, trace=trace)
     if lz.bad_regions():
-        c = lz.contact_tuple()
-        sources = set()
-        for dom in domain_census(lz):
-            if any(tgt != j - 1 for j, _, tgt in dom.swap):
-                continue
-            x = list(c)
-            for j, src, _ in dom.swap:
-                x[j - 1] = src
-            if not set(x).isdisjoint(dom.passthrough):
-                continue
-            if len({lz.v_alpha[v] for v in x}) != len(x):
-                raise RuntimeError(
-                    f"internal error: a disk moves {tuple(x)}, which is no "
-                    f"generator, to {c}")
-            sources ^= {tuple(x)}
-        if not sources:
+        if not _sources_into_c(lz):
             return Verdict(outcome=NONVANISHING, certificate=(),
                            generator_count=len(generators(lz)), rank=-1,
                            diagram=lz)

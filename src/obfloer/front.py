@@ -225,15 +225,6 @@ def _check_book(book: OpenBookFile, name: str, *, lazy: bool, rank: bool,
                 trace=None) -> Report:
     """Run the pipeline on a parsed book and measure it."""
     t0 = time.perf_counter()
-    if book.page.n_arcs == 0 and not (export_pre or export_post):
-        # a disk page has nothing to intersect: one empty generator,
-        # no differential, and the class generates the rank-1 homology;
-        # it has no diagram to export, which build_diagram reports
-        return Report(input=name, verdict=floer.NONVANISHING, exit_code=0,
-                      lazy_mode=lazy, generators=1, rank=1 if rank else None,
-                      crossings_pre=0, crossings_post=0, regions_pre=0,
-                      regions_post=0, moves=0,
-                      wall_time=time.perf_counter() - t0)
     dia = build_diagram(book.page, book.word)
     if export_pre:
         export_diagram(dia, fmt, export_pre)
@@ -283,13 +274,12 @@ def run_check(path: str, *, lazy: bool = False, rank: bool = False,
         if fmt not in ("text", "svg"):
             raise ValueError(f"format must be 'text' or 'svg', not '{fmt}'")
         name = path.rsplit("/", 1)[-1]
-        trace_lines = []
+        # trace lines stream as the flattening makes them
+        emit = (lambda line: print(line, file=out, flush=True)) if trace \
+            else None
         report = _check_book(book, name, lazy=lazy, rank=rank,
                              export_pre=export_pre, export_post=export_post,
-                             fmt=fmt, trace=trace_lines.append)
-        if trace:
-            for line in trace_lines:
-                print(line, file=out)
+                             fmt=fmt, trace=emit)
         for line in report.human_lines():
             print(line, file=out)
         if "report" in opts:

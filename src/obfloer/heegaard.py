@@ -316,12 +316,18 @@ def build_diagram(page: Page, monodromy: TwistWord) -> HeegaardDiagram:
 def assemble_diagram(page: Page, images) -> HeegaardDiagram:
     """Diagram of the book whose monodromy sends pushoff j to images[j-1]."""
     n = page.n_arcs
-    if n == 0:
-        raise ValueError(
-            "the disk page has no arcs to double into a diagram")
     images = list(images)
     if len(images) != n:
         raise ValueError(f"need {n} monodromy images, got {len(images)}")
+    if n == 0:
+        # the disk page doubles to a sphere with no curves: one region,
+        # the basepoint one, and the empty generator
+        sphere = HeegaardDiagram(
+            n=0, v_alpha=[], v_beta=[], v_tag=[], edge_label=[],
+            he_origin=[], regions=[Region(cycles=[], euler=2)],
+            he_region=[], z0_region=0)
+        sphere.validate()
+        return sphere
     pushoffs = [pushoff(page, i) for i in range(1, n + 1)]
     for j, image in enumerate(images):
         if not isinstance(image, ArcImage):

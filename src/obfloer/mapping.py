@@ -64,12 +64,6 @@ class TwistWord:
                 raise ValueError(f"twist sign must be +1 or -1, got {sign!r}")
         object.__setattr__(self, "letters", letters)
 
-    def inverse(self) -> "TwistWord":
-        return TwistWord(tuple((c, -s) for c, s in reversed(self.letters)))
-
-    def __mul__(self, other: "TwistWord") -> "TwistWord":
-        return TwistWord(self.letters + other.letters)
-
 
 def _loop(curve_word, start, dir_sign, include_start):
     """One full copy of the twist curve, phased at a crossing.

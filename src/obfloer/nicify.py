@@ -233,12 +233,10 @@ def _plan_finger(d: HeegaardDiagram, target: int) -> FingerMoveSpec:
     for pos, hh in enumerate(cyc):
         if d.label(hh)[0] != "b":
             continue
-        # cost of the two sides the strip adds behind the pushed edge
+        # cost of the two sides the strip adds behind the pushed edge;
+        # that region is never the target (docs/conventions.md)
         absorber = d.he_region[d.twin(hh)]
-        areg = d.regions[absorber]
-        if absorber == target:
-            a_rank = 6
-        elif absorber == d.z0_region or areg.is_bigon:
+        if absorber == d.z0_region or d.regions[absorber].is_bigon:
             a_rank = 0
         else:
             a_rank = 2

@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 
 __all__ = [
     "Page",
-    "Slot",
     "Curve",
     "ArcImage",
     "Arrangement",
@@ -224,14 +223,6 @@ def make_page(genus: int, boundary_components: int) -> Page:
 
 
 @dataclass(frozen=True)
-class Slot:
-    """A marked point on a boundary segment; rank orders points within it."""
-
-    segment: int
-    rank: int
-
-
-@dataclass(frozen=True)
 class Curve:
     """A closed curve as a cyclic reduced word of arc crossings."""
 
@@ -243,12 +234,13 @@ class Curve:
 class ArcImage:
     """A properly embedded arc rel endpoints, as a linear crossing word.
 
-    Basis arc i itself has no such word; a path's crossing number with
-    it is the path's count of i-tokens (docs/conventions.md).
+    start_slot and end_slot are the boundary segments its endpoints sit
+    on.  Basis arc i itself has no such word; a path's crossing number
+    with it is the path's count of i-tokens (docs/conventions.md).
     """
 
-    start_slot: Slot
-    end_slot: Slot
+    start_slot: int
+    end_slot: int
     crossings: tuple[Token, ...]
     normalized: bool = False
 
@@ -307,15 +299,15 @@ def pushoff(page: Page, arc: int) -> ArcImage:
 
     Both endpoints advance along the boundary orientation past one arc
     endpoint, so the pushoff crosses its arc exactly once.  The crossing
-    enters on the second-copy side, and the endpoints occupy rank 0 on
-    the boundary segments following the two copies.
+    enters on the second-copy side, and the endpoints sit on the
+    boundary segments following the two copies.
     """
     page.check_arc_index(arc)
     p = page.first_occurrence[arc - 1]
     q = page.second_occurrence[arc - 1]
     return ArcImage(
-        start_slot=Slot(segment=q, rank=0),
-        end_slot=Slot(segment=p, rank=0),
+        start_slot=q,
+        end_slot=p,
         crossings=((arc, -1),),
         normalized=True,
     )
@@ -389,8 +381,7 @@ class Arrangement:
         p, k, role = handle
         ev = self.events[p][k]
         if role == _END:
-            slot = ev[1]
-            return self.page.segment_side_pos(slot.segment)
+            return self.page.segment_side_pos(ev[1])
         arc, sign = ev[1], ev[2]
         entry = sign > 0
         if role == _OUT:
@@ -399,9 +390,9 @@ class Arrangement:
         return self.page.arc_side_pos(occ)
 
     def _slot_key(self, handle) -> tuple:
+        """Endpoints on one segment go by path, then start before end."""
         p, k, _role = handle
-        ev = self.events[p][k]
-        return (ev[1].rank, p, ev[2])
+        return (p, self.events[p][k][2])
 
     # -- ranking germs -----------------------------------------------------------
 

@@ -136,8 +136,8 @@ def _crossing_count(page: Page, paths, orders):
             ends = []
             for p, evs in enumerate(all_events):
                 for k, ev in enumerate(evs):
-                    if ev[0] == "e" and ev[1].segment == seg:
-                        ends.append(((ev[1].rank, p, ev[2]), (p, k, "E")))
+                    if ev[0] == "e" and ev[1] == seg:
+                        ends.append(((p, ev[2]), (p, k, "E")))
             for _key, att in sorted(ends):
                 position[att] = counter
                 counter += 1
@@ -219,7 +219,7 @@ def oracle_self_crossings(page: Page, x) -> int:
 def _att_side(page: Page, ev, role):
     """Polygon side of an attachment: role "in", "out" or "end"."""
     if role == "end":
-        return page.segment_side_pos(ev[1].segment)
+        return page.segment_side_pos(ev[1])
     entry = (ev[2] > 0) != (role == "out")
     return page.arc_side_pos(page.occurrence_of(ev[1], entry_sign=1 if entry else -1))
 
@@ -232,7 +232,7 @@ def oracle_att_order(arr):
     by chord, for as long as both reach the same sides: at the first
     chord whose far sides differ, the strand aiming further
     counterclockwise from the common near side attaches first; when
-    both reach boundary slots, the larger slot key (rank, path, end)
+    both reach boundary slots, the larger slot key (path, end)
     attaches first.  Boundary sides are in slot-key order.
     """
     page, events = arr.page, arr.events
@@ -246,7 +246,7 @@ def oracle_att_order(arr):
             k = (k + d) % len(events[p])
             ev = events[p][k]
             if ev[0] == "e":
-                yield _att_side(page, ev, "end"), (ev[1].rank, p, ev[2])
+                yield _att_side(page, ev, "end"), (p, ev[2])
                 return
             yield _att_side(page, ev, "in" if d > 0 else "out"), None
 
@@ -268,7 +268,7 @@ def oracle_att_order(arr):
                 by_side[_att_side(page, ev, role)].append((p, k, role))
     for pos, atts in by_side.items():
         if not page.is_arc_side(pos):
-            atts.sort(key=lambda h: (events[h[0]][h[1]][1].rank, h[0], events[h[0]][h[1]][2]))
+            atts.sort(key=lambda h: (h[0], events[h[0]][h[1]][2]))
         else:
             atts.sort(key=functools.cmp_to_key(lambda a, b, pos=pos: compare(pos, a, b)))
     return by_side
@@ -342,18 +342,15 @@ def oracle_torus_h1_order(letters) -> int:
     return abs(2 - (m[0][0] + m[1][1]))
 
 
-def disk_move(diagram, x, dom, back=False):
+def disk_move(diagram, x, dom):
     """Generator dom moves x to, or None when dom does not fit x.
 
-    Forward, x must hold every source corner and the result holds the
-    targets instead; back=True swaps the roles, giving the source whose
-    forward move is x.  Either way the moved generator avoids the
-    passthrough vertices and keeps its α circles distinct.
+    x must hold every source corner, and the result holds the targets
+    instead.  The moved generator avoids the passthrough vertices and
+    keeps its α circles distinct.
     """
     y = list(x)
     for j, src, tgt in dom.swap:
-        if back:
-            src, tgt = tgt, src
         if y[j - 1] != src:
             return None
         y[j - 1] = tgt
@@ -408,9 +405,10 @@ def read_dump(text: str) -> HeegaardDiagram:
             edge_label.append((f["label"][0], int(f["label"][1:])))
             he_origin.extend((int(f["from"]), int(f["to"])))
         else:
+            # the disk page's sphere has a region without a boundary
             regions.append(Region(
                 cycles=[[int(h) for h in cyc.split()]
-                        for cyc in cycles.split("|")],
+                        for cyc in cycles.split("|")] if cycles else [],
                 euler=int(f["euler"])))
     he_region = [0] * len(he_origin)
     for r, region in enumerate(regions):

@@ -22,7 +22,7 @@ from floer_oracle import (as_boundary, oracle_bounds, oracle_complex,
                           oracle_homology_rank)
 from oracles import disk_move, oracle_columns, oracle_torus_h1_order
 from test_acceptance import random_book as property_book
-from test_front import BENCH_LADDER, CORPUS, LADDER, LANTERN, torus_word
+from test_front import BENCH_LADDER, CORPUS, LANTERN, torus_word
 
 annulus = make_page(0, 2)
 four_holed = make_page(0, 4)
@@ -166,22 +166,35 @@ def test_lantern_boundary_hits_contact_class():
     assert kinds[other] == "bigon"
 
 
-def test_backward_move_inverts_forward_move():
-    paths = sorted(glob.glob(os.path.join(CORPUS, "*.obk")))
-    texts = [open(p).read() for p in paths] + list(LADDER.values())
-    pairs = 0
-    for text in texts:
-        book = parse_input(text)
-        nice = make_nice(build_diagram(book.page, book.word))
-        gens = generators(nice)
-        for dom in domain_census(nice):
-            fwd = {(x, y) for x in gens
-                   if (y := disk_move(nice, x, dom)) is not None}
-            bwd = {(x, y) for y in gens
-                   if (x := disk_move(nice, y, dom, back=True)) is not None}
-            assert fwd == bwd, dom
-            pairs += len(fwd)
-    assert pairs > 0
+def test_lazy_disks_into_c_match_the_all_pairs_rule():
+    # decide_lazy's scan names the generators an odd number of census
+    # disks move to c; disk_move, tried on every generator, must agree
+    texts = [open(p).read()
+             for p in sorted(glob.glob(os.path.join(CORPUS, "*.obk")))]
+    texts += list(BENCH_LADDER.values())
+    texts += [torus_word("+a +b", k) for k in (4, 5, 6)]
+    texts += [torus_word("+a -b", k) for k in (3, 4)]
+    diagrams = [build_diagram(book.page, book.word)
+                for book in map(parse_input, texts)]
+    for seed in range(2026, 2036):
+        rng = random.Random(seed)
+        diagrams += [property_book(rng) for _ in range(100)]
+    partial = into_c = 0
+    for dia in diagrams:
+        lz = lazy_frontier(dia)
+        if not lz.bad_regions():
+            continue
+        c = lz.contact_tuple()
+        census = domain_census(lz)
+        expected = set()
+        for x in generators(lz):
+            for dom in census:
+                if disk_move(lz, x, dom) == c:
+                    expected ^= {x}
+        assert floer._sources_into_c(lz) == expected
+        partial += 1
+        into_c += bool(expected)
+    assert partial >= 20 and into_c >= 15
 
 
 def test_census_matches_region_union_oracle():

@@ -267,25 +267,41 @@ def test_run_check_error_paths(tmp_path):
     assert sink.getvalue().startswith("error: line 2, column 9:")
 
 
-def test_disk_page_short_circuits(tmp_path):
-    path = tmp_path / "disk.obk"
-    path.write_text("page g=0 b=1\ntwists:\n")
-    code, report = run_check(str(path), rank=True, out=io.StringIO())
-    assert code == 0
-    assert report.verdict == "NONVANISHING"
-    assert report.generators == 1
-    assert report.rank == 1
-    assert report.crossings_pre == 0
+DISK = "page g=0 b=1\ntwists:\n"
 
 
-def test_disk_page_export_is_an_error(tmp_path, capsys):
+def test_disk_page_runs_the_pipeline(tmp_path):
     path = tmp_path / "disk.obk"
-    path.write_text("page g=0 b=1\ntwists:\n")
-    pre = tmp_path / "pre.txt"
-    assert main(["check", str(path), "--export-pre", str(pre)]) == 2
-    assert capsys.readouterr().out == (
-        "error: the disk page has no arcs to double into a diagram\n")
-    assert not pre.exists()
+    path.write_text(DISK)
+    for lazy in (False, True):
+        for rank in (False, True):
+            code, report = run_check(str(path), lazy=lazy, rank=rank,
+                                     out=io.StringIO())
+            assert code == 0
+            assert report.verdict == "NONVANISHING"
+            assert report.generators == 1
+            assert report.rank == (1 if rank else None)
+            assert (report.crossings_pre, report.crossings_post,
+                    report.regions_pre, report.regions_post,
+                    report.moves) == (0, 0, 1, 1, 0)
+
+
+def test_disk_page_exports_the_sphere(tmp_path, capsys):
+    path = tmp_path / "disk.obk"
+    path.write_text(DISK)
+    pre, post = tmp_path / "pre.txt", tmp_path / "post.svg"
+    assert main(["check", str(path), "--export-pre", str(pre)]) == 0
+    assert main(["check", str(path), "--export-post", str(post),
+                 "--format", "svg"]) == 0
+    assert "regions: 1 -> 1" in capsys.readouterr().out
+    assert pre.read_text() == (
+        "diagram arcs=0 vertices=0 edges=0 regions=1 z0=0\n"
+        "census flat=0 oversized=0 nondisk=0 pointed_sides=0\n"
+        "region 0 euler=2 sides=0 pointed=yes cycles=\n")
+    sphere = read_dump(pre.read_text())
+    sphere.validate()
+    assert _render_text(sphere) == pre.read_text()
+    assert post.read_text().startswith("<svg")
 
 
 def test_options_from_file_merge(tmp_path):
@@ -364,6 +380,23 @@ def test_trace_prints_finger_lines():
     lines = sink.getvalue().splitlines()
     assert lines[0].startswith("finger region=")
     assert lines[1].startswith("finger region=")
+
+
+def test_trace_streams_before_a_failure(monkeypatch):
+    # finger lines reach the output as they are made, so a check that
+    # dies after flattening still shows them
+    def broken(diagram):
+        raise RuntimeError("internal error: assembly failed")
+
+    monkeypatch.setattr(floer, "boundary_matrix", broken)
+    sink = io.StringIO()
+    code, report = run_check(corpus_path("lantern.obk"), trace=True,
+                             out=sink)
+    assert (code, report) == (2, None)
+    lines = sink.getvalue().splitlines()
+    assert lines[-1] == "error: internal error: assembly failed"
+    assert len(lines) > 1
+    assert all(line.startswith("finger region=") for line in lines[:-1])
 
 
 def test_text_export_is_byte_stable(tmp_path):

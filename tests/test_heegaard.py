@@ -188,8 +188,6 @@ def test_rebuild_is_deterministic():
 def test_build_rejects_bad_input():
     with pytest.raises(TypeError, match="TwistWord"):
         build_diagram(annulus, [(None, 1)])
-    with pytest.raises(ValueError, match="no arcs"):
-        build_diagram(make_page(0, 1), TwistWord(()))
     with pytest.raises(ValueError, match="need 2 monodromy images"):
         assemble_diagram(pants, (pushoff(pants, 1),))
     with pytest.raises(ValueError, match="pushoff endpoints"):

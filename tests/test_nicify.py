@@ -19,10 +19,17 @@ four_holed = make_page(0, 4)
 
 
 def assert_disk_regions(diagram):
-    """Every unpointed region is a disk with one boundary cycle."""
+    """Every unpointed region is a disk with one boundary cycle, and a β
+    edge with one region on both sides has the basepoint one there
+    (docs/conventions.md, "Every region but the basepoint one is a
+    disk")."""
     for r, reg in enumerate(diagram.regions):
         if r != diagram.z0_region:
             assert reg.euler == 1 and len(reg.cycles) == 1, r
+    for e, (fam, _) in enumerate(diagram.edge_label):
+        r = diagram.he_region[2 * e]
+        if fam == "b" and diagram.he_region[2 * e + 1] == r:
+            assert r == diagram.z0_region, e
 
 
 def region_shapes(diagram):

@@ -7,7 +7,6 @@ from obfloer.surface import (
     ArcImage,
     Arrangement,
     Curve,
-    Slot,
     geometric_intersection,
     make_page,
     normalize,
@@ -95,11 +94,11 @@ def test_normalize_idempotent():
 
 def test_normalize_arc_image_is_linear():
     page = make_page(0, 2)
-    image = ArcImage(Slot(1, 0), Slot(0, 0), ((1, 1), (1, -1), (1, -1)))
+    image = ArcImage(1, 0, ((1, 1), (1, -1), (1, -1)))
     out = normalize(page, image)
     # linear reduction only; no cyclic trimming across the endpoints
     assert out.crossings == ((1, -1),)
-    assert out.start_slot == Slot(1, 0)
+    assert out.start_slot == 1
 
 
 def test_normalize_rejects_bad_arc():
