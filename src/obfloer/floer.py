@@ -7,14 +7,19 @@ distinct tiles (the bigon and square regions away from the basepoint):
 a rectangle is a grid of squares, walked once from its source corner,
 and a bigon is one bigon tile with squares around it, found by tracing
 its boundary (docs/conventions.md, "Domains on a flat diagram").
+walk_domains hands each disk to a callback once, with its tiles and its
+passthrough vertices as int masks.  The boundary matrix files the disks
+in an index keyed by their source vertices, and the lazy scan keeps
+those into the distinguished generator, both straight off the walk;
+domain_census is a sorted list view of it, for tests and oracles.
 
-The boundary matrix looks up each generator's disks in an index keyed
-by their source vertices.  The distinguished generator is the tuple of
-page crossings.  It is always a cycle; the open book's contact class
-vanishes exactly when it is a boundary.  Only the columns that can
-reach it matter: its closure, grown from its row through the columns
-meeting it (docs/conventions.md, "Deciding on c's closure"), and one
-GF(2) elimination over int bitmask columns of that block settles it.
+The boundary matrix looks up each generator's disks in that index.
+The distinguished generator is the tuple of page crossings.  It is
+always a cycle; the open book's contact class vanishes exactly when it
+is a boundary.  Only the columns that can reach it matter: its
+closure, grown from its row through the columns meeting it
+(docs/conventions.md, "Deciding on c's closure"), and one GF(2)
+elimination over int bitmask columns of that block settles it.
 Both answers come with certificates that are re-checked by plain
 multiplication against the whole matrix: a chain bounding the
 distinguished generator, or a functional that kills every boundary yet
@@ -130,7 +135,7 @@ def _cycle_tables(diagram: HeegaardDiagram):
     return tile, nxt, prv, pos
 
 
-def _rectangles(diagram: HeegaardDiagram, tile, pos) -> list:
+def _rectangles(diagram: HeegaardDiagram, tile, pos, emit) -> None:
     """Every rectangle, walked once as a grid from its lower source corner.
 
     A cell is (square, e): the square's cycle has its u-exit at e and
@@ -150,9 +155,15 @@ def _rectangles(diagram: HeegaardDiagram, tile, pos) -> list:
     one above the lower corner's circle, and a start on the last β
     circle is skipped: only a rectangle whose lower corner has the
     lower circle is emitted.
+
+    The masks grow with the walk.  At height k a width's regions are the
+    previous width's at k with the new column's rows 0..k, and its
+    grid vertices on lines 0..k + 1 are the previous width's with the
+    new edge's; the passthrough is those vertices less the four corners.
     """
     origin, region, v_beta = (diagram.he_origin, diagram.he_region,
                               diagram.v_beta)
+    bit = [1 << v for v in range(diagram.n_vertices)]
     cyc = {r: diagram.regions[r].cycles[0]
            for r, size in enumerate(tile) if size == 4}
 
@@ -162,38 +173,44 @@ def _rectangles(diagram: HeegaardDiagram, tile, pos) -> list:
         sides holds one (lower, upper) pair of corner offsets per edge
         of the column to record: the edge's vertex on line 0 is the
         bottom cell's lower corner, and on line k + 1 row k's upper one.
-        Returns the region of each row, the vertices of each edge by
-        line and the lowered cap.
+        Returns the mask of the regions of rows 0..k at each k, the mask
+        of the recorded vertices on lines 0..l at each l, the vertices
+        of each edge by line and the lowered cap.
         """
         regs, edges = [], [[origin[cyc[r][(e + lo) % 4]]] for lo, _ in sides]
+        reg_mask = vert_mask = 0
         for line in edges:
+            vert_mask |= bit[line[0]]
             seen = line_of.get(line[0])
             if seen is not None:
                 cap = min(cap, seen - 1)
             line_of[line[0]] = 0
+        verts = [vert_mask]
         k = 0
         while k < cap:
             c4 = cyc[r]
-            regs.append(r)
+            reg_mask |= 1 << r
+            regs.append(reg_mask)
             k += 1
             for line, (_, hi) in zip(edges, sides):
                 v = origin[c4[(e + hi) % 4]]
                 line.append(v)
+                vert_mask |= bit[v]
                 seen = line_of.get(v)
                 if seen is None:
                     line_of[v] = k
                 else:
                     cap = min(cap, max(seen, k) - 1)
                     line_of[v] = min(seen, k)
+            verts.append(vert_mask)
             if k < cap:
                 h = c4[(e + 1) % 4] ^ 1
                 r = region[h]
                 if tile[r] != 4:
                     cap = k
                 e = (pos[h] + 1) % 4
-        return regs, edges, cap
+        return regs, verts, edges, cap
 
-    out = []
     for r0 in sorted(cyc):
         for e0 in range(4):
             h = cyc[r0][(e0 + 3) % 4]
@@ -202,38 +219,34 @@ def _rectangles(diagram: HeegaardDiagram, tile, pos) -> list:
             if diagram.label(h)[0] != "b" or j == diagram.n:
                 continue
             line_of = {}
-            regs, lines, cap = climb(r0, e0, len(cyc), line_of,
-                                     ((3, 2), (0, 1)))
-            columns, cell = [regs], (r0, e0)
+            regs, verts, (left, right), cap = climb(
+                r0, e0, len(cyc), line_of, ((3, 2), (0, 1)))
+            cell = (r0, e0)
             while True:
-                while cap > 0 and v_beta[lines[0][cap]] <= j:
+                while cap > 0 and v_beta[left[cap]] <= j:
                     cap -= 1
                 if cap <= 0:
                     break
-                body = [line[0] for line in lines[1:-1]]
-                regs = []
+                lower = bit[low] | bit[right[0]]
                 for k in range(cap):
-                    regs.extend(col[k] for col in columns)
-                    top = [line[k + 1] for line in lines]
-                    if v_beta[top[0]] > j:
-                        out.append(DomainCandidate(
-                            regions=tuple(sorted(regs)), kind="rectangle",
-                            swap=((j, low, lines[-1][0]),
-                                  (v_beta[top[-1]], top[-1], top[0])),
-                            passthrough=tuple(sorted(body + top[1:-1]))))
-                    body += top
+                    top_left, top_right = left[k + 1], right[k + 1]
+                    if v_beta[top_left] > j:
+                        corners = lower | bit[top_left] | bit[top_right]
+                        emit(((j, low, right[0]),
+                              (v_beta[top_right], top_right, top_left)),
+                             regs[k], verts[k + 1] ^ corners)
                 r, e = cell
                 h = cyc[r][e] ^ 1
                 if tile[region[h]] != 4:
                     break
                 cell = (region[h], (pos[h] + 2) % 4)
-                regs, (line,), cap = climb(*cell, cap, line_of, ((0, 1),))
-                columns.append(regs)
-                lines.append(line)
-    return out
+                column, line, (right,), cap = climb(*cell, cap, line_of,
+                                                   ((0, 1),))
+                regs = [a | b for a, b in zip(regs, column)]
+                verts = [a | b for a, b in zip(verts, line)]
 
 
-def _bigons(diagram: HeegaardDiagram, tile, nxt, prv) -> list:
+def _bigons(diagram: HeegaardDiagram, tile, nxt, prv, emit) -> None:
     """Every bigon, found by tracing its boundary from its source corner.
 
     From a β half-edge h leaving P, walk β straight on; at each Q on P's
@@ -241,7 +254,8 @@ def _bigons(diagram: HeegaardDiagram, tile, nxt, prv) -> list:
     when it runs the same way along α as the half-edge before h in its
     region.  The regions left of the loop, flooded without crossing it,
     form the domain; a flood that meets a wall or the far side of the
-    loop, or a second bigon tile, is no empty embedded bigon.
+    loop, or a second bigon tile, is no empty embedded bigon.  Its masks
+    are its tiles and their vertices less P and Q.
     """
     origin, region, v_alpha = (diagram.he_origin, diagram.he_region,
                                diagram.v_alpha)
@@ -282,7 +296,6 @@ def _bigons(diagram: HeegaardDiagram, tile, nxt, prv) -> list:
                     todo.append(s)
         return inside if n_bigon == 1 else None
 
-    out = []
     for j, walk in enumerate(beta, start=1):
         for h in walk + [x ^ 1 for x in walk]:
             if tile[region[h]] == 0:
@@ -307,38 +320,60 @@ def _bigons(diagram: HeegaardDiagram, tile, nxt, prv) -> list:
                         turn.append(straight[turn[-1]])
                     regs = flood(side + turn)
                     if regs is not None:
-                        verts = {origin[x] for r in regs
-                                 for x in diagram.regions[r].cycles[0]}
-                        out.append(DomainCandidate(
-                            regions=tuple(sorted(regs)), kind="bigon",
-                            swap=((j, p, q),),
-                            passthrough=tuple(sorted(verts - {p, q}))))
+                        tiles = verts = 0
+                        for s in regs:
+                            tiles |= 1 << s
+                            for x in diagram.regions[s].cycles[0]:
+                                verts |= 1 << origin[x]
+                        emit(((j, p, q),), tiles,
+                             verts & ~(1 << p | 1 << q))
                 g = straight[g]
-    return out
 
 
-def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
-    """Every empty embedded bigon and rectangle the differential counts.
+def walk_domains(diagram: HeegaardDiagram, emit) -> None:
+    """Walk every empty embedded bigon and rectangle the differential counts.
+
+    Each disk is walked once and handed to emit(swap, regions,
+    passthrough), rectangles first: swap as in DomainCandidate, regions
+    an int with bit r set for each of its tiles, and passthrough an int
+    with bit v set for each of its vertices that is no corner.
 
     Domains are unions of tiles, the bigon and square regions away from
     the basepoint.  Every other region is a wall: no differential covers
-    it, so on a partially flattened diagram the census sees exactly the
+    it, so on a partially flattened diagram the walk sees exactly the
     domains that avoid the regions not yet flattened.  A rectangle has
     only square tiles and is walked once as a grid from its source
     corner on the lower β circle, one new column per width, with its
     height capped by the vertices already met and by the first column's
     top circles; a bigon is found by tracing its boundary from its
     source corner (docs/conventions.md, "Domains on a flat diagram").
-    A disk is kept only when each β circle its corners touch carries
+    A disk is emitted only when each β circle its corners touch carries
     one source and one target corner, since no other disk fits a
     generator.  Each source shares its α circle with a target, so
-    a move by a disk keeps a generator's α circles distinct, and
-    boundary_matrix needs only the source vertices, as index keys, and
-    the passthrough vertices, as a mask.  The list is sorted by region
-    tuple.
+    a move by a disk keeps a generator's α circles distinct, and a
+    disk fits exactly the generators that hold its sources and miss
+    its passthrough.
     """
     tile, nxt, prv, pos = _cycle_tables(diagram)
-    out = _rectangles(diagram, tile, pos) + _bigons(diagram, tile, nxt, prv)
+    _rectangles(diagram, tile, pos, emit)
+    _bigons(diagram, tile, nxt, prv, emit)
+
+
+def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
+    """The disks of walk_domains as a list, sorted by region tuple.
+
+    A sorted view for tests, oracles and tracing: boundary_matrix and
+    decide_lazy read the walk directly, and build no list.
+    """
+    out = []
+
+    def keep(swap, regions, passthrough):
+        out.append(DomainCandidate(
+            regions=tuple(_rows(regions)),
+            kind="bigon" if len(swap) == 1 else "rectangle", swap=swap,
+            passthrough=tuple(_rows(passthrough))))
+
+    walk_domains(diagram, keep)
     out.sort(key=lambda c: c.regions)
     return out
 
@@ -346,18 +381,18 @@ def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
 def boundary_matrix(diagram: HeegaardDiagram) -> BoundaryMatrix:
     """Assemble the full boundary operator of a flattened diagram.
 
-    A vertex names its β circle, so census disks are indexed by their
-    source corners alone: one vertex for a bigon, the pair in circle
-    order for a rectangle.  A generator x looks up each of its
+    A vertex names its β circle, so the disks of walk_domains are
+    indexed, as the walk emits them, by their source corners alone: one
+    vertex for a bigon, the pair in circle order for a rectangle; no
+    census list is built.  A generator x looks up each of its
     coordinates and each pair of them, so it meets exactly the disks
     whose source corners it holds, each once.  A disk fits x when its
-    passthrough mask, an int with bit v set for each passthrough vertex,
-    misses the mask of x's vertices.  The move keeps the α circles,
-    since each source shares its α circle with a target, so the moved
-    tuple is looked up in the generator index, and a miss is an
-    internal error.  Column x lists, sorted, the generators reached an
-    odd number of times; ∂² = 0 is checked before the matrix is
-    returned.
+    passthrough mask misses the mask of x's vertices.  The move keeps
+    the α circles, since each source shares its α circle with a target,
+    so the moved tuple is looked up in the generator index, and a miss
+    is an internal error.  Column x lists, sorted, the generators
+    reached an odd number of times; ∂² = 0 is checked before the matrix
+    is returned.
     """
     if diagram.bad_regions():
         raise ValueError(
@@ -367,13 +402,12 @@ def boundary_matrix(diagram: HeegaardDiagram) -> BoundaryMatrix:
     index = {x: i for i, x in enumerate(gens)}
     bit = [1 << v for v in range(diagram.n_vertices)]
     by_source = {}
-    for dom in domain_census(diagram):
-        sources = tuple(src for _, src, _ in dom.swap)
-        mask = 0
-        for v in dom.passthrough:
-            mask |= bit[v]
-        by_source.setdefault(sources[0] if len(sources) == 1 else sources,
-                             []).append((mask, dom.swap))
+
+    def file(swap, regions, passthrough):
+        key = swap[0][1] if len(swap) == 1 else (swap[0][1], swap[1][1])
+        by_source.setdefault(key, []).append((passthrough, swap))
+
+    walk_domains(diagram, file)
     columns = []
     for x in gens:
         held = 0
@@ -541,28 +575,31 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
 
 
 def _sources_into_c(diagram: HeegaardDiagram) -> set:
-    """The generators that an odd number of census disks move to c.
+    """The generators that an odd number of disks move to c.
 
-    The disks are read off the census as boundary_matrix reads them:
+    The disks are read off walk_domains as boundary_matrix reads them:
     every target is c's vertex j - 1 on its circle j, and the
-    passthrough misses the source tuple, whose α circles must be
+    passthrough mask misses the source tuple, whose α circles must be
     distinct; a repeat is an internal error.
     """
     c = diagram.contact_tuple()
     sources = set()
-    for dom in domain_census(diagram):
-        if any(tgt != j - 1 for j, _, tgt in dom.swap):
-            continue
+
+    def tally(swap, regions, passthrough):
+        if any(tgt != j - 1 for j, _, tgt in swap):
+            return
         x = list(c)
-        for j, src, _ in dom.swap:
+        for j, src, _ in swap:
             x[j - 1] = src
-        if not set(x).isdisjoint(dom.passthrough):
-            continue
+        if any(passthrough >> v & 1 for v in x):
+            return
         if len({diagram.v_alpha[v] for v in x}) != len(x):
             raise RuntimeError(
                 f"internal error: a disk moves {tuple(x)}, which is no "
                 f"generator, to {c}")
-        sources ^= {tuple(x)}
+        sources.symmetric_difference_update({tuple(x)})
+
+    walk_domains(diagram, tally)
     return sources
 
 
@@ -574,9 +611,9 @@ def decide_lazy(diagram: HeegaardDiagram, trace=None) -> Verdict:
     NONVANISHING outright, with rank -1; otherwise the diagram is
     flattened fully and the complete complex decides.  A frontier
     diagram that is already flat goes straight to the complete complex,
-    so that its census runs once.  trace gets one line per flattening
-    move, and the verdict carries the diagram it was decided on and,
-    from the complete complex, the matrix.
+    so that its disks are walked once.  trace gets one line per
+    flattening move, and the verdict carries the diagram it was decided
+    on and, from the complete complex, the matrix.
     """
     lz = lazy_frontier(diagram, trace=trace)
     if lz.bad_regions():
@@ -597,4 +634,4 @@ def homology_rank(m: BoundaryMatrix) -> int:
 __all__ = ["BoundaryMatrix", "DomainCandidate", "NONVANISHING", "VANISHING",
            "Verdict", "boundary_matrix", "contact_class", "decide_lazy",
            "decide_vanishing", "domain_census",
-           "generators", "homology_rank"]
+           "generators", "homology_rank", "walk_domains"]

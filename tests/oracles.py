@@ -22,8 +22,7 @@ import itertools
 
 from obfloer.floer import domain_census, generators
 from obfloer.heegaard import HeegaardDiagram, Region
-from obfloer.surface import (ArcImage, Curve, Page, invert_word, reduce_cyclic,
-                             successor_cycles)
+from obfloer.surface import Curve, Page, reduce_cyclic, successor_cycles
 
 
 def twin_occurrences(page: Page) -> list[int]:

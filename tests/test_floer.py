@@ -7,9 +7,9 @@ import random
 import pytest
 
 from obfloer import floer
-from obfloer.floer import (BoundaryMatrix, DomainCandidate, boundary_matrix,
-                           contact_class, decide_lazy, decide_vanishing,
-                           domain_census, generators, homology_rank)
+from obfloer.floer import (BoundaryMatrix, boundary_matrix, contact_class,
+                           decide_lazy, decide_vanishing, domain_census,
+                           generators, homology_rank)
 from obfloer.front import parse_input, run_check
 from obfloer.heegaard import build_diagram
 from obfloer.mapping import TwistWord
@@ -241,6 +241,56 @@ def test_large_censuses_are_pinned():
     assert got == LARGE_CENSUS_SHA256
 
 
+# sha256 of repr(boundary_matrix(make_nice(...)).columns) for complexes
+# past the all-pairs oracle; book, generators, nonzeros
+LARGE_COLUMNS_SHA256 = {
+    ("lantern_word2", 25704, 86249):
+        "a63ea5fcca9840fae7d0c233dd238cee1b9d7e82dc4f86c53409519192061e12",
+    ("torus_abinv4", 879, 1658):
+        "4e7ee5a5f1f05371ddb9ad4402d61734238022320749585c4666c82878b8331e",
+}
+
+
+def test_large_columns_are_pinned():
+    books = {"lantern_word2": LANTERN + "twists: +d4 -f1 +f2 +d4 -f1 +f2\n",
+             "torus_abinv4": torus_word("+a -b", 4)}
+    got = {}
+    for name, _, _ in LARGE_COLUMNS_SHA256:
+        book = parse_input(books[name])
+        m = boundary_matrix(make_nice(build_diagram(book.page, book.word)))
+        got[name, m.n, sum(map(len, m.columns))] = hashlib.sha256(
+            repr(m.columns).encode()).hexdigest()
+    assert got == LARGE_COLUMNS_SHA256
+
+
+def test_decision_path_builds_no_census_list(tmp_path, monkeypatch):
+    # assembly and the lazy scan read walk_domains directly: with the
+    # sorted census view broken, every mode reports as before
+    books = {"lantern_word1": BENCH_LADDER["lantern_word1.obk"],
+             "torus_ab4": torus_word("+a +b", 4),
+             "torus_abinv3": torus_word("+a -b", 3)}
+    modes = [dict(lazy=lazy, rank=rank)
+             for lazy in (False, True) for rank in (False, True)]
+
+    def reports():
+        out = []
+        for name, text in books.items():
+            path = tmp_path / f"{name}.obk"
+            path.write_text(text)
+            for mode in modes:
+                code, rep = run_check(str(path), **mode, out=io.StringIO())
+                out.append((code, rep.machine_lines()))
+        return out
+
+    expected = reports()
+
+    def no_census(diagram):
+        raise AssertionError("the decision path built the census list")
+
+    monkeypatch.setattr(floer, "domain_census", no_census)
+    assert reports() == expected
+
+
 @pytest.mark.parametrize("letters, k, outcome", [
     ("+a -b", 1, floer.VANISHING), ("+a -b", 2, floer.VANISHING),
     ("+a -b", 3, floer.VANISHING), ("+a -b", 4, floer.VANISHING),
@@ -394,9 +444,8 @@ def test_a_move_out_of_the_generators_is_an_internal_error(monkeypatch):
     target = next(v for v in range(nice.n_vertices)
                   if nice.v_beta[v] == 1
                   and nice.v_alpha[v] == nice.v_alpha[x[1]])
-    bad = DomainCandidate(regions=(), kind="bigon",
-                          swap=((1, x[0], target),), passthrough=())
-    monkeypatch.setattr(floer, "domain_census", lambda diagram: [bad])
+    monkeypatch.setattr(floer, "walk_domains", lambda diagram, emit: emit(
+        ((1, x[0], target),), 0, 0))
     with pytest.raises(RuntimeError, match="internal error.*no generator"):
         boundary_matrix(nice)
 
@@ -412,11 +461,31 @@ def test_a_lazy_disk_out_of_the_generators_is_an_internal_error(monkeypatch):
     c = lz.contact_tuple()
     source = next(v for v in range(lz.n_vertices)
                   if lz.v_beta[v] == 1 and lz.v_alpha[v] == lz.v_alpha[c[1]])
-    bad = DomainCandidate(regions=(), kind="bigon",
-                          swap=((1, source, c[0]),), passthrough=())
-    monkeypatch.setattr(floer, "domain_census", lambda diagram: [bad])
+    monkeypatch.setattr(floer, "walk_domains", lambda diagram, emit: emit(
+        ((1, source, c[0]),), 0, 0))
     with pytest.raises(RuntimeError, match="internal error.*no generator"):
         decide_lazy(dia)
+
+
+def test_a_lazy_disk_through_its_source_tuple_is_skipped(monkeypatch):
+    # two bigons move one source tuple x to c; the one whose passthrough
+    # holds a vertex of x fits no generator and is skipped, so x is hit
+    # once, not cancelled by the pair
+    book = parse_input(torus_word("+a +b", 4))
+    lz = lazy_frontier(build_diagram(book.page, book.word))
+    c = lz.contact_tuple()
+    source = next(v for v in range(lz.n_vertices) if v != c[0]
+                  and lz.v_beta[v] == 1 and lz.v_alpha[v] == lz.v_alpha[c[0]])
+    x = (source, *c[1:])
+    elsewhere = next(v for v in range(lz.n_vertices)
+                     if v not in x and v not in c)
+
+    def two_disks(diagram, emit):
+        emit(((1, source, c[0]),), 0, 1 << c[1])
+        emit(((1, source, c[0]),), 0, 1 << elsewhere)
+
+    monkeypatch.setattr(floer, "walk_domains", two_disks)
+    assert floer._sources_into_c(lz) == {x}
 
 
 def test_decide_vanishing_rejects_foreign_cycle():

@@ -353,19 +353,19 @@ def test_lazy_rank_trace_comes_from_one_flattening(tmp_path):
 def test_lazy_rank_fallback_runs_each_census_once(tmp_path, monkeypatch,
                                                   name, censuses):
     # the lazy test falls back on both; (a b^-1)^3's frontier diagram is
-    # already flat, so one census serves the decision and the rank, and
-    # lantern x1 adds one on its partly flat frontier diagram
+    # already flat, so one walk of its disks serves the decision and the
+    # rank, and lantern x1 adds one on its partly flat frontier diagram
     path = tmp_path / name
     path.write_text(BENCH_LADDER[name])
     _, full = run_check(str(path), rank=True, out=io.StringIO())
     seen = []
-    census = floer.domain_census
+    walk = floer.walk_domains
 
-    def counted(diagram):
+    def counted(diagram, emit):
         seen.append(diagram)
-        return census(diagram)
+        walk(diagram, emit)
 
-    monkeypatch.setattr(floer, "domain_census", counted)
+    monkeypatch.setattr(floer, "walk_domains", counted)
     _, lazy = run_check(str(path), lazy=True, rank=True, out=io.StringIO())
     assert len(seen) == censuses
     assert len({id(d) for d in seen}) == censuses
