@@ -289,6 +289,21 @@ def run_check(path: str, *, lazy: bool = False, rank: bool = False,
     except (OSError, ValueError, RuntimeError) as err:
         print(f"error: {err}", file=out)
         return 2, None
+    except MemoryError as err:
+        print(f"error: out of memory in {_innermost_stage(err)}", file=out)
+        return 2, None
+
+
+def _innermost_stage(err: BaseException) -> str:
+    """module.function of the innermost package frame err unwound."""
+    stage, tb = "front.run_check", err.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        if module.startswith(__package__ + "."):
+            stage = (module[len(__package__) + 1:] + "."
+                     + tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    return stage
 
 
 def _tag_text(tag) -> str:

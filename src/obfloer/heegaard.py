@@ -17,6 +17,11 @@ the polygon faces are immediate; faces are then merged across the
 stretches of page boundary between the sheets, since no attaching
 circle runs along the binding.  Euler characteristics are tracked
 through the merge, which is how non-disk regions are recognized.
+Every walk instance, a piece of polygon boundary or a chord walked
+one way, is an int: the top sheet's first, the bottom sheet's after
+them, each in the order described on _Chart.  Regions and their
+boundary cycles are found by scanning these ids upward, so a region
+comes before another when the least instance of its first cycle does.
 
 The basepoint region is the one touching the binding immediately
 counterclockwise of the first pushoff's starting endpoint on the top
@@ -28,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .mapping import TwistWord, apply_word
-from .surface import ArcImage, Arrangement, Page, pushoff, successor_cycles
+from .surface import ArcImage, Arrangement, Page, pushoff
 
 _TOP, _BOTTOM = 0, 1
 _END = "end"
@@ -240,69 +245,67 @@ class _Chart:
     face count; one whose strands cross beside an arc, by
     assemble_diagram's strand-order check.
 
-    A walk instance is (item, d): a polygon-boundary piece ("i", node)
-    running from node to node + 1, or chord c of path p, ("c", p, c),
-    walked along (d = 1) or against (d = -1) its path.  next_item maps
-    each instance to the one after it with the face on the left, and
-    face_of numbers the faces.
+    The polygon boundary has m nodes, each side's corner followed by its
+    attachments; corner[pos] and node_of[handle] give them.  Walk
+    instances are ints.  Boundary piece v, between nodes v and v + 1,
+    is v; the top sheet walks it from v to v + 1, and the bottom sheet,
+    which the doubling flips over, back from v + 1 to v.  Chord k of
+    the family, counted in (path, chord) order and walked along (d = 1)
+    or against (d = -1) its path, is m + 2k + (d == 1); path p's chords
+    start at chord_base[p].  nxt[i] is the instance after i with the
+    face on the left, as the doubled surface sees it, and face[i]
+    numbers its face, in the order of the faces' least instances.
     """
 
     def __init__(self, page: Page, paths, sheet: int):
-        self.page = page
-        self.sheet = sheet
-        self.arr = Arrangement(page, paths)
-        self._build_nodes()
-        self._walk_faces()
-
-    def _build_nodes(self) -> None:
-        self.node_index = {}
-        self.node_keys = []
-        for pos in range(self.page.n_sides):
-            for key in [("corner", pos)] + [
-                    ("att", handle) for handle in self.arr.att_order[pos]]:
-                self.node_index[key] = len(self.node_keys)
-                self.node_keys.append(key)
-        self.chord_end = {}
-        for p, chords in enumerate(self.arr.chords):
-            for c, (h_from, h_to) in enumerate(chords):
-                for handle, direction in ((h_from, 1), (h_to, -1)):
-                    node = self.node_index[("att", handle)]
-                    if node in self.chord_end:
-                        raise RuntimeError(
-                            "internal error: two chord ends in one node")
-                    self.chord_end[node] = (p, c, direction)
-
-    def _walk_faces(self) -> None:
-        """Faces of the chord-subdivided polygon, interior on the left."""
-        m = len(self.node_keys)
-        nxt = {}
-        for v in range(m):
-            head = (v + 1) % m
-            if head in self.chord_end:
-                p, c, direction = self.chord_end[head]
-                nxt[(("i", v), 1)] = (("c", p, c), direction)
+        self.arr = arr = Arrangement(page, paths)
+        self.corner, self.node_of, m = [], {}, 0
+        for pos in range(page.n_sides):
+            self.corner.append(m)
+            for handle in arr.att_order[pos]:
+                m += 1
+                self.node_of[handle] = m
+            m += 1
+        chords, self.chord_base = [], []
+        for p_chords in arr.chords:
+            self.chord_base.append(m + 2 * len(chords))
+            chords += p_chords
+        # end[node]: 2k + 1 at chord k's start, 2k at its end, else -1
+        end = [-1] * m
+        for k, (h_from, h_to) in enumerate(chords):
+            for handle, e in ((h_from, 2 * k + 1), (h_to, 2 * k)):
+                node = self.node_of[handle]
+                if end[node] >= 0:
+                    raise RuntimeError(
+                        "internal error: two chord ends in one node")
+                end[node] = e
+        # the piece into node u is followed by the chord leaving u, or
+        # else by the piece out of u; the chord arriving at u, by the
+        # piece out of u
+        nxt = self.nxt = [0] * (m + 2 * len(chords))
+        for u in range(m):
+            a, b = (u - 1) % m, u
+            if sheet == _BOTTOM:
+                a, b = b, a
+            e = end[u]
+            if e < 0:
+                nxt[a] = b
             else:
-                nxt[(("i", v), 1)] = (("i", head), 1)
-        for node, (p, c, direction) in self.chord_end.items():
-            # the chord instance arriving at this node turns onto the boundary
-            nxt[(("c", p, c), -direction)] = (("i", node), 1)
-        self.next_item = nxt
-        faces = successor_cycles(nxt, _instance_key)
-        self.face_of = {inst: f for f, face in enumerate(faces)
-                        for inst in face}
-        self.n_faces = len(faces)
+                nxt[a] = m + e
+                nxt[m + (e ^ 1)] = b
+        face = self.face = [-1] * len(nxt)
+        self.n_faces = 0
+        for start in range(len(nxt)):
+            if face[start] < 0:
+                i = start
+                while face[i] < 0:
+                    face[i] = self.n_faces
+                    i = nxt[i]
+                self.n_faces += 1
         # crossing chords make the ribbon surface non-planar, which costs
         # faces
-        if len(faces) != 1 + sum(len(chords) for chords in self.arr.chords):
+        if self.n_faces != 1 + len(chords):
             raise ValueError(_CROSSING_IMAGES)
-
-    def corner_node(self, pos: int) -> int:
-        return self.node_index[("corner", pos)]
-
-
-def _instance_key(inst):
-    item, d = inst
-    return (len(item), item, d)
 
 
 def build_diagram(page: Page, monodromy: TwistWord) -> HeegaardDiagram:
@@ -347,15 +350,15 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
     # sheet goes first, so pushoff j's contact crossing is vertex j - 1
     v_alpha, v_beta, v_tag = [], [], []
     vertex_of = {}
-    for chart in charts:
+    for sheet, chart in enumerate(charts):
         for p, events in enumerate(chart.arr.events):
             for k, ev in enumerate(events):
                 if ev[0] != "x":
                     continue
-                vertex_of[(chart.sheet, p, k)] = len(v_alpha)
+                vertex_of[(sheet, p, k)] = len(v_alpha)
                 v_alpha.append(ev[1])
                 v_beta.append(p + 1)
-                v_tag.append(("contact", p + 1) if chart.sheet == _TOP
+                v_tag.append(("contact", p + 1) if sheet == _TOP
                              else ("token", p + 1, k - 1))
     for j in range(n):
         hits = [ev for ev in top.arr.events[j] if ev[0] == "x"]
@@ -369,7 +372,7 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
          page.arc_side_pos(page.second_occurrence[i - 1]))
         for i in range(1, n + 1)]
     strands = {}
-    for chart in charts:
+    for sheet, chart in enumerate(charts):
         for i in range(1, n + 1):
             pos_l, pos_r = arc_sides[i]
             seq_l = [h[:2] for h in chart.arr.att_order[pos_l]]
@@ -377,47 +380,51 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
             if seq_l != seq_r[::-1]:
                 # strands cross beside the arc
                 raise ValueError(_CROSSING_IMAGES)
-            strands[(chart.sheet, i)] = seq_l
+            strands[(sheet, i)] = seq_l
 
-    # A curve piece is ("p", instance, flipped): the walk instance going
-    # along the curve, and the one with the other side on the left.
+    # walk instances of the surface: the top sheet's, then the bottom
+    # sheet's numbered on after them
+    base = (0, len(top.nxt))
+    nxt = top.nxt + [i + base[1] for i in bottom.nxt]
+    face = top.face + [f + top.n_faces for f in bottom.face]
+
+    # A curve piece is (instance, flipped): the walk instance going along
+    # the curve, and the one with the other side on the left.
     def alpha_piece(sheet, i, t):
         """The arc piece at parameter slot t."""
         pos_l, pos_r = arc_sides[i]
         m = len(strands[(sheet, i)])
-        d = 1 if sheet == _TOP else -1
-        left = (sheet, ("i", charts[sheet].corner_node(pos_l) + t), d)
-        right = (sheet, ("i", charts[sheet].corner_node(pos_r) + (m - t)), d)
-        return ("p", left, right)
-
-    def chord_piece(sheet, j, c, d):
-        return ("p", (sheet, ("c", j, c), d), (sheet, ("c", j, c), -d))
+        corner = charts[sheet].corner
+        return (base[sheet] + corner[pos_l] + t,
+                base[sheet] + corner[pos_r] + m - t)
 
     # final edges: chains of directed pieces between consecutive crossings
     edge_label = []
     edge_length = []
     he_origin = []
-    instance_home = {}
+    # the half-edge whose chain holds each instance, and its place there
+    home_he = [-1] * len(nxt)
+    home_at = [-1] * len(nxt)
 
     def emit_edges(label, elems):
         """Split a cyclic piece/vertex sequence into edges at the vertices."""
-        first_v = next(t for t, e in enumerate(elems) if e[0] == "v")
-        elems = elems[first_v:] + elems[:first_v]
-        breaks = [t for t, e in enumerate(elems) if e[0] == "v"]
+        breaks = [t for t, e in enumerate(elems) if type(e) is int]
+        elems = elems[breaks[0]:] + elems[:breaks[0]]
+        breaks = [t - breaks[0] for t in breaks]
         for which, t in enumerate(breaks):
             end = breaks[which + 1] if which + 1 < len(breaks) else len(elems)
             chain = elems[t + 1:end]
             if not chain:
                 raise RuntimeError("internal error: edge without pieces")
-            head = elems[breaks[(which + 1) % len(breaks)]][1]
-            e = len(edge_label)
+            head = elems[breaks[(which + 1) % len(breaks)]]
+            h = 2 * len(edge_label)
             edge_label.append(label)
             edge_length.append(len(chain))
-            he_origin.extend((elems[t][1], head))
-            for s, (_p, inst, _flipped) in enumerate(chain):
-                instance_home[inst] = (2 * e, s)
-            for s, (_p, _inst, flipped) in enumerate(reversed(chain)):
-                instance_home[flipped] = (2 * e + 1, s)
+            he_origin.extend((elems[t], head))
+            for s, (inst, _flipped) in enumerate(chain):
+                home_he[inst], home_at[inst] = h, s
+            for s, (_inst, flipped) in enumerate(reversed(chain)):
+                home_he[flipped], home_at[flipped] = h + 1, s
 
     for i in range(1, n + 1):
         elems = []
@@ -426,41 +433,30 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
         for t in range(len(seq_top) + 1):
             elems.append(alpha_piece(_TOP, i, t))
             if t < len(seq_top):
-                elems.append(("v", vertex_of[(_TOP,) + seq_top[t]]))
+                elems.append(vertex_of[(_TOP,) + seq_top[t]])
         for t in range(len(seq_bot), -1, -1):
             elems.append(alpha_piece(_BOTTOM, i, t))
             if t > 0:
-                elems.append(("v", vertex_of[(_BOTTOM,) + seq_bot[t - 1]]))
+                elems.append(vertex_of[(_BOTTOM,) + seq_bot[t - 1]])
         emit_edges(("a", i), elems)
 
+    # circle b_j runs along pushoff j's chords and back along image j's
     for j in range(n):
         elems = []
+        x = top.chord_base[j]
         for c in range(len(top.arr.chords[j])):
-            elems.append(chord_piece(_TOP, j, c, 1))
+            elems.append((x + 2 * c + 1, x + 2 * c))
             if c + 1 < len(top.arr.events[j]) - 1:
-                elems.append(("v", vertex_of[(_TOP, j, c + 1)]))
+                elems.append(vertex_of[(_TOP, j, c + 1)])
+        x = base[_BOTTOM] + bottom.chord_base[j]
         for c in range(len(bottom.arr.chords[j]) - 1, -1, -1):
-            elems.append(chord_piece(_BOTTOM, j, c, -1))
+            elems.append((x + 2 * c, x + 2 * c + 1))
             if c > 0:
-                elems.append(("v", vertex_of[(_BOTTOM, j, c)]))
+                elems.append(vertex_of[(_BOTTOM, j, c)])
         emit_edges(("b", j + 1), elems)
 
-    # region walks: the sheets' face walks, the bottom one reversed
-    # because the doubling flips it over
-    nxt = {}
-    for chart in charts:
-        for inst, to in chart.next_item.items():
-            if chart.sheet == _TOP:
-                nxt[(_TOP,) + inst] = (_TOP,) + to
-            else:
-                nxt[(_BOTTOM, to[0], -to[1])] = (_BOTTOM, inst[0], -inst[1])
-
-    parent = {}
-    euler = {}
-    for chart in charts:
-        for f in range(chart.n_faces):
-            parent[(chart.sheet, f)] = (chart.sheet, f)
-            euler[(chart.sheet, f)] = 1
+    parent = list(range(top.n_faces + bottom.n_faces))
+    euler = [1] * len(parent)
 
     def find(x):
         while parent[x] != x:
@@ -468,15 +464,9 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
             x = parent[x]
         return x
 
-    def face_of(instance):
-        sheet, item, d = instance
-        if sheet == _BOTTOM:
-            d = -d
-        return find((sheet, charts[sheet].face_of[(item, d)]))
-
     # each binding piece of the top sheet is glued to its bottom partner,
     # and the faces on either side merge into one region
-    glue = {}
+    glue = [-1] * len(nxt)
     for pos in range(page.n_sides):
         if page.is_arc_side(pos):
             continue
@@ -487,68 +477,71 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
         if tkeys != bkeys:
             raise RuntimeError("internal error: sheets disagree on the binding")
         for t in range(len(tkeys) + 1):
-            a = (_TOP, ("i", top.corner_node(pos) + t), 1)
-            b = (_BOTTOM, ("i", bottom.corner_node(pos) + t), -1)
-            ra, rb = face_of(a), face_of(b)
+            a = top.corner[pos] + t
+            b = base[_BOTTOM] + bottom.corner[pos] + t
+            ra, rb = find(face[a]), find(face[b])
             if ra == rb:
                 euler[ra] -= 1
             else:
                 parent[rb] = ra
                 euler[ra] += euler[rb] - 1
-            glue[a] = b
-            glue[b] = a
+            glue[a], glue[b] = b, a
 
     # a walk reaching a binding piece crosses to the other sheet and goes
     # on after the partner; binding pieces never follow one another
-    succ = {}
-    for x, y in nxt.items():
-        if x in glue:
-            continue
-        if y in glue:
-            y = nxt[glue[y]]
-            if y in glue:
+    succ = list(nxt)
+    for x, y in enumerate(nxt):
+        if glue[y] >= 0 and glue[x] < 0:
+            succ[x] = y = nxt[glue[y]]
+            if glue[y] >= 0:
                 raise RuntimeError("internal error: bare binding circle")
-        succ[x] = y
 
-    # group the stitched cycles into regions, compressed to half-edges
-    cycles = successor_cycles(
-        succ, lambda inst: (inst[0],) + _instance_key(inst[1:]))
-    region_index = {}
+    # group the stitched cycles into regions, each in the order of its
+    # least instance and compressed to half-edges
+    root = [find(f) for f in range(len(parent))]
+    region_at = [-1] * len(parent)
     regions = []
-    he_region_map = {}
-    for cycle in cycles:
-        root = face_of(cycle[0])
-        for inst in cycle:
-            if face_of(inst) != root:
-                raise RuntimeError("internal error: cycle spans two regions")
-        if root not in region_index:
-            region_index[root] = len(regions)
-            regions.append(Region(cycles=[], euler=euler[root]))
-        r = region_index[root]
-        starts = [t for t, inst in enumerate(cycle)
-                  if instance_home[inst][1] == 0]
-        if not starts:
-            raise RuntimeError("internal error: boundary cycle never turns")
-        cycle = cycle[starts[0]:] + cycle[:starts[0]]
-        compressed = []
-        t = 0
-        while t < len(cycle):
-            h, at = instance_home[cycle[t]]
-            if at != 0:
+    he_region = [-1] * len(he_origin)
+    seen = [g >= 0 for g in glue]
+    for start in range(len(nxt)):
+        if seen[start]:
+            continue
+        rt = root[face[start]]
+        if region_at[rt] < 0:
+            region_at[rt] = len(regions)
+            regions.append(Region(cycles=[], euler=euler[rt]))
+        r = region_at[rt]
+        # the cycle starts at the first edge start at or after `start`
+        i = start
+        while home_at[i]:
+            i = succ[i]
+            if i == start:
+                raise RuntimeError(
+                    "internal error: boundary cycle never turns")
+        first, cycle = i, []
+        while True:
+            h = home_he[i]
+            if home_at[i]:
                 raise RuntimeError("internal error: chain starts mid-edge")
             for s in range(edge_length[h // 2]):
-                if instance_home[cycle[t + s]] != (h, s):
+                if home_he[i] != h or home_at[i] != s:
                     raise RuntimeError("internal error: chain broken in walk")
-            compressed.append(h)
-            he_region_map[h] = r
-            t += edge_length[h // 2]
-        regions[r].cycles.append(compressed)
+                if root[face[i]] != rt:
+                    raise RuntimeError(
+                        "internal error: cycle spans two regions")
+                seen[i] = True
+                i = succ[i]
+            cycle.append(h)
+            he_region[h] = r
+            if i == first:
+                break
+        regions[r].cycles.append(cycle)
+    if -1 in he_region:
+        raise RuntimeError("internal error: half-edge on no boundary cycle")
 
     # the basepoint sits just counterclockwise of the first pushoff's start
-    u1 = top.node_index[("att", (0, 0, _END))]
-    z0_region = region_index[face_of((_TOP, ("i", u1), 1))]
+    z0_region = region_at[root[face[top.node_of[(0, 0, _END)]]]]
 
-    he_region = [he_region_map[h] for h in range(2 * len(edge_label))]
     diagram = HeegaardDiagram(
         n=n, v_alpha=v_alpha, v_beta=v_beta, v_tag=v_tag,
         edge_label=edge_label, he_origin=he_origin, regions=regions,

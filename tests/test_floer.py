@@ -306,6 +306,25 @@ def test_torus_rank_is_h1_order(letters, k, outcome):
     assert decide_vanishing(m, contact_class(nice)).outcome == outcome
 
 
+@pytest.mark.parametrize("k, rank", [(6, 4), (7, 3)])
+def test_torus_ranks_past_the_l_spaces(k, rank):
+    # (ab)^6 is the boundary twist by the chain relation, so the action on
+    # H_1 of the page is the identity and b_1 = 2: not a rational homology
+    # sphere, and the rank 4 pinned here is this solver's own count.
+    # (ab)^7 is that twist after ab, the right-handed trefoil's
+    # monodromy, so it is -1 surgery on the trefoil: the Brieskorn sphere
+    # Sigma(2,3,7) up to orientation, whose HF-hat has rank 3
+    # (Ozsvath-Szabo, "Absolutely graded Floer homologies...", arXiv
+    # math/0110170).  Positive words are Stein fillable, so both classes
+    # survive.
+    book = parse_input(torus_word("+a +b", k))
+    nice = make_nice(build_diagram(book.page, book.word))
+    m = boundary_matrix(nice)
+    assert homology_rank(m) == rank
+    assert decide_vanishing(m, contact_class(nice)).outcome == \
+        floer.NONVANISHING
+
+
 def test_lantern_word_twice_decides_in_both_modes(tmp_path):
     # 180 flat regions, 9,638 domains: far past the region-union oracle
     path = tmp_path / "lantern_word2.obk"

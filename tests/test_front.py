@@ -267,6 +267,17 @@ def test_run_check_error_paths(tmp_path):
     assert sink.getvalue().startswith("error: line 2, column 9:")
 
 
+def test_out_of_memory_exits_2_and_names_the_stage(monkeypatch, capsys):
+    # exit 1 would read as "the class vanishes"
+    def exhausted(diagram, emit):
+        raise MemoryError
+    monkeypatch.setattr(floer, "walk_domains", exhausted)
+    assert main(["check", corpus_path("pos_hopf.obk")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "error: out of memory in floer.boundary_matrix\n"
+    assert "Traceback" not in err
+
+
 DISK = "page g=0 b=1\ntwists:\n"
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from obfloer.floer import generators
-from obfloer.front import parse_input
+from obfloer.front import _render_text, parse_input
 from obfloer.heegaard import assemble_diagram, build_diagram
 from obfloer.mapping import TwistWord, dehn_twist
 from obfloer.nicify import elementary_moves, finger_move, lazy_frontier, make_nice
@@ -318,3 +318,27 @@ def test_circle_walks_are_pinned():
                           for d in (built, make_nice(built),
                                     lazy_frontier(built)))
     assert got == WALKS_SHA256
+
+
+# sha256 over _render_text of the built and the make_nice diagram of 100
+# property-suite draws per seed, the draws the region-union oracle test
+# flattens
+PROPERTY_DRAWS_SHA256 = {
+    2026: "99f1965a17781636796f31c35f6d28e4999624bee2ea1e595cb23b344a956096",
+    2126: "986b11968106a267b52a70b5fe90cb9254bd1a84ffe657160b6c44b0057714ed",
+    2226: "2d0ead8ada83dbfe02165b54c38815c6b89024ceac35d783b4c0f1b6ba1cada2",
+    2326: "ad8ad56fca745330260d9fb74bbc9b8bbdc75798476b8aaa60aaecb78945858e",
+}
+
+
+def test_property_draw_diagrams_are_pinned():
+    got = {}
+    for seed in PROPERTY_DRAWS_SHA256:
+        rng = random.Random(seed)
+        digest = hashlib.sha256()
+        for _ in range(100):
+            built = property_book(rng)
+            for d in (built, make_nice(built)):
+                digest.update(_render_text(d).encode())
+        got[seed] = digest.hexdigest()
+    assert got == PROPERTY_DRAWS_SHA256
