@@ -241,9 +241,8 @@ class HeegaardDiagram:
 class _Chart:
     """One sheet: the cut polygon subdivided by a crossing-free family.
 
-    A family whose chords cross inside the polygon is rejected by the
-    face count; one whose strands cross beside an arc, by
-    assemble_diagram's strand-order check.
+    A family whose chords or strands cross is rejected up front, by the
+    arrangement's crossing_free().
 
     The polygon boundary has m nodes, each side's corner followed by its
     attachments; corner[pos] and node_of[handle] give them.  Walk
@@ -259,6 +258,8 @@ class _Chart:
 
     def __init__(self, page: Page, paths, sheet: int):
         self.arr = arr = Arrangement(page, paths)
+        if not arr.crossing_free():
+            raise ValueError(_CROSSING_IMAGES)
         self.corner, self.node_of, m = [], {}, 0
         for pos in range(page.n_sides):
             self.corner.append(m)
@@ -302,10 +303,6 @@ class _Chart:
                     face[i] = self.n_faces
                     i = nxt[i]
                 self.n_faces += 1
-        # crossing chords make the ribbon surface non-planar, which costs
-        # faces
-        if self.n_faces != 1 + len(chords):
-            raise ValueError(_CROSSING_IMAGES)
 
 
 def build_diagram(page: Page, monodromy: TwistWord) -> HeegaardDiagram:
@@ -365,22 +362,15 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
         if len(hits) != 1 or hits[0][1] != j + 1:
             raise RuntimeError("internal error: pushoff strays off its arc")
 
-    # strand sequences through each arc, in arc-parameter order, read
-    # from its first-copy side and its second-copy side
+    # each arc's two copy sides, and the strands through it in parameter
+    # order as its first copy lists them (the second lists them reversed)
     arc_sides = [None] + [
         (page.arc_side_pos(page.first_occurrence[i - 1]),
          page.arc_side_pos(page.second_occurrence[i - 1]))
         for i in range(1, n + 1)]
-    strands = {}
-    for sheet, chart in enumerate(charts):
-        for i in range(1, n + 1):
-            pos_l, pos_r = arc_sides[i]
-            seq_l = [h[:2] for h in chart.arr.att_order[pos_l]]
-            seq_r = [h[:2] for h in chart.arr.att_order[pos_r]]
-            if seq_l != seq_r[::-1]:
-                # strands cross beside the arc
-                raise ValueError(_CROSSING_IMAGES)
-            strands[(sheet, i)] = seq_l
+    strands = {(sheet, i): [h[:2] for h in chart.arr.att_order[pos]]
+               for sheet, chart in enumerate(charts)
+               for i, (pos, _) in enumerate(arc_sides[1:], start=1)}
 
     # walk instances of the surface: the top sheet's, then the bottom
     # sheet's numbered on after them

@@ -19,14 +19,18 @@ forms and both are spliced:
    passage through that strip when both words traverse the arc the same
    way, or just after it when they traverse it opposite ways.
 
+One pass along the target splices both: at each token, the strip
+copies in the order the target meets them, the token, then the chord
+copies in the order along the chord it starts.  Every image is checked
+to be embedded with the arrangement's linear crossing_free().
+
 The handedness conventions are pinned by the annulus and four-holed
 sphere fixtures in the test suite rather than trusted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 from .surface import (
     ArcImage,
@@ -65,16 +69,13 @@ class TwistWord:
         object.__setattr__(self, "letters", letters)
 
 
-def _loop(curve_word, start, dir_sign, include_start):
+def _loop(curve_word, start, dir_sign):
     """One full copy of the twist curve, phased at a crossing.
 
-    The copy begins with the token at index start (or just after it) and
-    wraps around; a negative direction inserts the reversed copy.
+    The copy begins with the token at index start and wraps around; a
+    negative direction inserts the reversed copy.
     """
-    if include_start:
-        forward = curve_word[start:] + curve_word[:start]
-    else:
-        forward = curve_word[start + 1:] + curve_word[:start + 1]
+    forward = curve_word[start:] + curve_word[:start]
     return forward if dir_sign > 0 else invert_word(forward)
 
 
@@ -99,14 +100,13 @@ def dehn_twist(page: Page, c: Curve, sign: int, target):
     word_c = c.crossings
     events_t = arr.events[1]
 
-    # polygon crossings, attributed to the target chord they sit on
-    interior: dict[int, list] = {j: [] for j in range(len(arr.chords[1]))}
-    for j, chord_t in enumerate(arr.chords[1]):
-        pos_p = arr.position[chord_t[0]]
-        pos_q = arr.position[chord_t[1]]
-        for l, chord_c in enumerate(arr.chords[0]):
-            pos_r = arr.position[chord_c[0]]
-            pos_s = arr.position[chord_c[1]]
+    # polygon crossings, attributed to the target chord they sit on, which
+    # starts at the target's event of the same index
+    interior: dict[int, list] = {}
+    ends_c = [(arr.position[a], arr.position[b]) for a, b in arr.chords[0]]
+    for j, (h_p, h_q) in enumerate(arr.chords[1]):
+        pos_p, pos_q = arr.position[h_p], arr.position[h_q]
+        for l, (pos_r, pos_s) in enumerate(ends_c):
             r_inside = arr._between(pos_r, pos_p, pos_q)
             s_inside = arr._between(pos_s, pos_p, pos_q)
             if r_inside == s_inside:
@@ -114,10 +114,8 @@ def dehn_twist(page: Page, c: Curve, sign: int, target):
             sigma = 1 if r_inside else -1
             inside = pos_r if r_inside else pos_s
             offset = (inside - pos_p) % arr.n_positions
-            loop = _loop(word_c, l, _CHORD_CHIRALITY * sign * sigma,
-                         include_start=False)
-            interior[j].append((offset, loop))
-        interior[j].sort(key=lambda pair: pair[0])
+            loop = _loop(word_c, l + 1, _CHORD_CHIRALITY * sign * sigma)
+            interior.setdefault(j, []).append((offset, loop))
 
     # strip crossings, attributed to the target token they sit at
     flips: dict[int, list] = {}
@@ -127,53 +125,37 @@ def dehn_twist(page: Page, c: Curve, sign: int, target):
         tf_c, ts_c = arr.strand_params(0, k_c)
         tf_t, ts_t = arr.strand_params(1, k_t)
         sigma = eps_t * eps_c * (1 if ts_t > ts_c else -1)
-        loop = _loop(word_c, k_c, _STRIP_CHIRALITY * sign * sigma,
-                     include_start=eps_c == eps_t)
-        # Where along the target's passage the strands cross.  Strands run
-        # straight between their two attachment ranks, so the crossing sits
-        # at the parameter where the rank difference changes sign; several
-        # crossings at one token are spliced in the order the target meets
-        # them, which runs against the parameter when the target enters on
-        # the second copy.
-        d_f = tf_c - tf_t
-        d_s = ts_c - ts_t
-        depth = Fraction(d_f, d_f - d_s)
-        flips.setdefault(k_t, []).append((depth if eps_t > 0 else -depth, loop))
-    for stack in flips.values():
-        stack.sort(key=lambda pair: pair[0])
+        loop = _loop(word_c, k_c + (eps_c != eps_t),
+                     _STRIP_CHIRALITY * sign * sigma)
+        # Several crossings at one token are spliced in the order the
+        # target meets them.  The c strands it crosses there never cross
+        # each other, so they all sit on one side of it, and the nearest
+        # on the copy where the target enters is met first; the nearest
+        # on the other copy is the farthest on this one.
+        flips.setdefault(k_t, []).append((eps_t * abs(tf_c - tf_t), loop))
     # The realization crosses more than minimally only along runs that
     # must cross anyway, so no splice at all means disjoint.
-    if not flips and not any(interior.values()):
+    if not flips and not interior:
         return target
+    for stack in [*interior.values(), *flips.values()]:
+        stack.sort(key=lambda pair: pair[0])
 
-    def splice(j):
-        return [tok for _off, loop in interior[j] for tok in loop]
-
-    def flip_splice(k):
-        return [tok for _d, loop in flips.get(k, ()) for tok in loop]
-
-    if isinstance(target, Curve):
-        out = []
-        m = len(events_t)
-        for j in range(m):
-            out.append(target.crossings[j])
-            out.extend(splice(j))
-            out.extend(flip_splice((j + 1) % m))
-        image = normalize(page, Curve(tuple(out)))
-    else:
-        out = list(splice(0))
-        for k in range(1, len(events_t) - 1):
-            out.extend(flip_splice(k))
-            out.append((events_t[k][1], events_t[k][2]))
-            out.extend(splice(k))
-        image = normalize(
-            page, ArcImage(target.start_slot, target.end_slot, tuple(out)))
+    # a curve's word comes out rotated, which normalize undoes
+    out = []
+    for k, ev in enumerate(events_t):
+        for _depth, loop in flips.get(k, ()):
+            out.extend(loop)
+        if ev[0] == "x":
+            out.append(ev[1:])
+        for _off, loop in interior.get(k, ()):
+            out.extend(loop)
+    image = normalize(page, replace(target, crossings=tuple(out),
+                                    normalized=False))
 
     if isinstance(image, Curve) and not image.crossings:
         raise RuntimeError("internal error: twist trivialized an essential curve")
-    if isinstance(image, Curve) or image.crossings:
-        if Arrangement(page, [image]).crossing_number(0, 0) != 0:
-            raise RuntimeError("internal error: twist produced a self-crossing image")
+    if not Arrangement(page, [image]).crossing_free():
+        raise RuntimeError("internal error: twist produced a self-crossing image")
     return image
 
 

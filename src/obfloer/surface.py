@@ -87,14 +87,14 @@ def unoriented_canonical(word: tuple[Token, ...]) -> tuple[Token, ...]:
     return min(canonical_rotation(word), canonical_rotation(invert_word(word)))
 
 
-def successor_cycles(succ: dict, key=None) -> list[list]:
+def successor_cycles(succ: dict) -> list[list]:
     """The cycles of a successor map, each started from its least key.
 
     Cycles come in the order of those least keys.
     """
     cycles = []
     walked = set()
-    for start in sorted(succ, key=key):
+    for start in sorted(succ):
         if start in walked:
             continue
         cycle = [start]
@@ -337,8 +337,9 @@ class Arrangement:
     ranking of every strand's itinerary (docs/conventions.md); pairs of
     strands through one arc whose side orders disagree are recorded as
     strip crossings.  The realization is taut except along runs (see
-    crossing_number); its minimal counts are checked against a
-    brute-force chord placement search in the test suite.
+    crossing_number), so crossing_free() reads embeddedness off it; its
+    minimal counts are checked against a brute-force chord placement
+    search in the test suite.
     """
 
     def __init__(self, page: Page, paths):
@@ -509,6 +510,30 @@ class Arrangement:
         # The first copy runs counterclockwise with the parameter, the
         # second copy against it.
         return self.position[first_handle], -self.position[second_handle]
+
+    def crossing_free(self) -> bool:
+        """Are the paths embedded and pairwise disjoint?  Linear time.
+
+        Chords are disjoint exactly when their ends, read around the
+        polygon, nest like brackets; strands pass an arc without crossing
+        exactly when its second copy lists them in the reverse order of
+        its first.  Runs that must cross do so at a strip, so this holds
+        exactly when every crossing_number is 0.
+        """
+        page, order = self.page, self.att_order
+        for p, q in zip(page.first_occurrence, page.second_occurrence):
+            if ([h[:2] for h in order[page.arc_side_pos(p)]]
+                    != [h[:2] for h in reversed(order[page.arc_side_pos(q)])]):
+                return False
+        mate, stack = {}, []
+        for a, b in itertools.chain.from_iterable(self.chords):
+            mate[a], mate[b] = b, a
+        for handle in self.position:
+            if stack and stack[-1] == mate[handle]:
+                stack.pop()
+            else:
+                stack.append(handle)
+        return not stack
 
     def flips_between(self, p: int, q: int) -> list[tuple[int, int, int]]:
         """Strip crossings between paths p and q as (arc, event_p, event_q)."""

@@ -1,10 +1,18 @@
+import glob
 import importlib
 import importlib.util
 import inspect
+import io
+import json
+import math
 import os
 import pkgutil
+import sys
 
 import obfloer
+import obfloer.front
+
+from test_front import BENCH_LADDER, CORPUS
 
 
 def test_every_exported_name_resolves():
@@ -36,3 +44,39 @@ def test_bench_tracer_hooks_exist():
         fn = getattr(importlib.import_module(f"obfloer.{layer}"), name, None)
         assert not name.startswith("_") and inspect.isfunction(fn), hook
         assert fn.__module__ == f"obfloer.{layer}", hook
+
+
+def test_traced_runs_are_well_formed(tmp_path):
+    # a traced bench run ends in a JSON result only if every metric is
+    # read and finite; run the tracer over all three check modes and a
+    # lazy check that falls back to the full complex
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "tracer.py")
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    fallback = tmp_path / "torus_abinv3.obk"
+    fallback.write_text(BENCH_LADDER["torus_abinv3.obk"])
+    runs = [(p, mode) for p in sorted(glob.glob(os.path.join(CORPUS, "*.obk")))
+            for mode in ({}, {"lazy": True}, {"rank": True})]
+    runs.append((str(fallback), {"lazy": True}))
+    tracer = tracer_mod.Tracer([sys.modules[name] for name in sorted(sys.modules)
+                                if name.startswith("obfloer.")])
+    tracer.install()
+    try:
+        for book, (p, mode) in enumerate(runs):
+            tracer.book = book
+            code, _ = obfloer.front.run_check(p, out=io.StringIO(), **mode)
+            assert code in (0, 1), (p, mode)
+    finally:
+        tracer.remove()
+    totals = tracer_mod.LayerTotals(tracer.names)
+    totals.absorb(tracer.spans, 0, len(runs), 1.0)
+    metrics = totals.metrics()
+    assert totals.absent() == []
+    wanted = (set(tracer_mod.TIME_METRICS) | set(tracer_mod.COUNT_METRICS)
+              | {"floer.lazy_fallback_share", "surface.self_ms",
+                 "trace.other_ms"})
+    assert wanted <= set(metrics)
+    assert all(math.isfinite(m["value"]) for m in metrics.values())
+    json.dumps(metrics, allow_nan=False)

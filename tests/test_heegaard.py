@@ -10,10 +10,10 @@ from obfloer.front import _render_text, parse_input
 from obfloer.heegaard import assemble_diagram, build_diagram
 from obfloer.mapping import TwistWord, dehn_twist
 from obfloer.nicify import elementary_moves, finger_move, lazy_frontier, make_nice
-from obfloer.surface import ArcImage, make_page, parse_curve, pushoff
+from obfloer.surface import ArcImage, Arrangement, make_page, parse_curve, pushoff
 
 from test_acceptance import random_book as property_book
-from test_front import BENCH_LADDER, CORPUS, LANTERN
+from test_front import BENCH_LADDER, CORPUS, LANTERN, torus_word
 
 annulus = make_page(0, 2)
 torus = make_page(1, 1)
@@ -204,6 +204,50 @@ def test_assemble_rejects_crossing_images():
     looped = ArcImage(p1.start_slot, p1.end_slot, ((2, -1),), normalized=True)
     with pytest.raises(ValueError, match="must be embedded"):
         assemble_diagram(pants, (looped, pushoff(pants, 2)))
+
+
+def test_assemble_rejects_interleaving_chords():
+    # pushoff 1 cut short to a chord that crosses no arc, and pushoff 2
+    # led across arc 1 instead: the two chords interleave inside the
+    # polygon, while every arc's copies list their strands in reverse
+    p1, p2 = pushoff(pants, 1), pushoff(pants, 2)
+    short = ArcImage(p1.start_slot, p1.end_slot, (), normalized=True)
+    astray = ArcImage(p2.start_slot, p2.end_slot, ((1, 1),), normalized=True)
+    arr = Arrangement(pants, [short, astray])
+    assert arr.flips_between(0, 1) == [] and arr.crossing_number(0, 1) == 1
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        assemble_diagram(pants, (short, astray))
+
+
+def _no_count(*_args):
+    raise AssertionError("the pipeline counted crossings")
+
+
+def test_building_counts_no_crossings(monkeypatch):
+    books = [parse_input(open(p).read())
+             for p in sorted(glob.glob(os.path.join(CORPUS, "*.obk")))]
+    books += [parse_input(text) for text in BENCH_LADDER.values()]
+    monkeypatch.setattr(Arrangement, "crossing_number", _no_count)
+    for book in books:
+        build_diagram(book.page, book.word)
+
+
+# sha256 of _render_text of the built torus (a b^-1)^k, recorded while each
+# twist still counted its image's self-crossings pairwise; they are built
+# here with that count patched out
+LONG_TWIST_SHA256 = {
+    7: "4f54c8b80e95142e179a0078d09edcef5dd69a326b1d5d701280bca95e05d398",
+    8: "0fa4cf1b1afb9cd21c66980b366e967cbf672c9ab74a43d482c0f7455e4f2c28",
+}
+
+
+def test_long_twists_are_pinned(monkeypatch):
+    books = {k: parse_input(torus_word("+a -b", k)) for k in LONG_TWIST_SHA256}
+    monkeypatch.setattr(Arrangement, "crossing_number", _no_count)
+    got = {k: hashlib.sha256(_render_text(
+        build_diagram(book.page, book.word)).encode()).hexdigest()
+        for k, book in books.items()}
+    assert got == LONG_TWIST_SHA256
 
 
 def lantern_file_diagram():

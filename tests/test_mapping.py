@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from obfloer import mapping
 from obfloer.surface import (
+    ArcImage,
     Arrangement,
     Curve,
     geometric_intersection,
@@ -185,6 +187,18 @@ def test_dehn_twist_rejects_bad_input(four_holed):
         dehn_twist(four_holed, f1, 2, pushoff(four_holed, 1))
     with pytest.raises(ValueError, match="normalized"):
         dehn_twist(four_holed, f1, 1, Curve(((1, 1), (1, -1), (2, 1))))
+
+
+def test_twist_rejects_a_self_crossing_image(monkeypatch):
+    # the looped arc of test_assemble_rejects_crossing_images: pushoff 1's
+    # endpoints joined across arc 2, which crosses itself
+    pants = make_page(0, 3)
+    c = parse_curve(pants, [(1, 1), (2, 1)])
+    p1 = pushoff(pants, 1)
+    looped = ArcImage(p1.start_slot, p1.end_slot, ((2, -1),), normalized=True)
+    monkeypatch.setattr(mapping, "normalize", lambda page, path: looped)
+    with pytest.raises(RuntimeError, match="self-crossing image"):
+        dehn_twist(pants, c, -1, p1)
 
 
 def test_random_round_trips_and_intersections():

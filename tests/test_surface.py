@@ -1,13 +1,16 @@
+import itertools
 import random
 import re
 
 import pytest
 
+from obfloer.mapping import dehn_twist
 from obfloer.surface import (
     ArcImage,
     Arrangement,
     Curve,
     geometric_intersection,
+    is_primitive,
     make_page,
     normalize,
     parallel,
@@ -384,3 +387,47 @@ def test_att_order_matches_germ_walk():
                 continue
             arr = Arrangement(page, [x, y])
             assert arr.att_order == oracle_att_order(arr)
+
+
+def test_crossing_free_agrees_with_the_crossing_counts():
+    # reduced curve words, embedded or not, and families of pushoffs each
+    # twisted by one or two letters, shared or drawn afresh
+    pages = [make_page(g, b) for g, b in
+             ((0, 2), (0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2))]
+    rng = random.Random(2023)
+
+    def word(page):
+        return tuple((rng.randint(1, page.n_arcs), rng.choice((1, -1)))
+                     for _ in range(rng.randint(1, 6)))
+
+    def letters(page):
+        return [(_random_curve(rng, page), rng.choice((1, -1)))
+                for _ in range(rng.randint(1, 2))]
+
+    verdicts = {True: 0, False: 0}
+    for trial in range(1200):
+        page = pages[trial % len(pages)]
+        paths = []
+        if trial % 2:
+            for _ in range(rng.randint(1, 3)):
+                c = normalize(page, Curve(word(page)))
+                if c.crossings and is_primitive(c.crossings):
+                    paths.append(c)
+        else:
+            twist = letters(page)
+            for arc in rng.sample(range(1, page.n_arcs + 1),
+                                  rng.randint(1, min(3, page.n_arcs))):
+                twist = twist if rng.random() < 0.5 else letters(page)
+                image = pushoff(page, arc)
+                for c, sign in twist:
+                    image = dehn_twist(page, c, sign, image)
+                paths.append(image)
+        if not paths or any(parallel(x, y)
+                            for x, y in itertools.combinations(paths, 2)):
+            continue
+        arr = Arrangement(page, paths)
+        counts = [arr.crossing_number(p, q) for p in range(len(paths))
+                  for q in range(p, len(paths))]
+        assert arr.crossing_free() == (not any(counts)), (page, paths, counts)
+        verdicts[arr.crossing_free()] += 1
+    assert min(verdicts.values()) >= 300, verdicts
