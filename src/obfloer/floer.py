@@ -5,18 +5,22 @@ every arc circle exactly once.  The differential counts empty embedded
 bigons and rectangles.  On a flattened diagram these are unions of
 distinct tiles (the bigon and square regions away from the basepoint):
 a rectangle is a grid of squares, walked once from its source corner,
-and a bigon is one bigon tile with squares around it, found by tracing
-its boundary (docs/conventions.md, "Domains on a flat diagram").
-walk_domains hands each disk to a callback once, with its tiles and its
-passthrough vertices as int masks.  The boundary matrix files the disks
-in an index keyed by their source vertices, and the lazy scan keeps
-those into the distinguished generator, both straight off the walk;
-domain_census is a sorted list view of it, for tests and oracles.
+and a bigon is its one bigon tile with rows of squares stacked around
+it, walked once from that tile (docs/conventions.md, "Domains on a flat
+diagram").  walk_domains hands each disk to a callback once, with its
+tiles and its passthrough vertices as int masks.  The boundary matrix
+files the disks in an index keyed by their source vertices, and the
+lazy scan keeps those into the distinguished generator, both straight
+off the walk; domain_census is a sorted list view of it, for tests and
+oracles.
 
-The boundary matrix looks up each generator's disks in that index.
-The distinguished generator is the tuple of page crossings.  It is
-always a cycle; the open book's contact class vanishes exactly when it
-is a boundary.  Only the columns that can reach it matter: its
+The boundary matrix looks up each generator's disks in that index.  It
+numbers generators by int codes, mixed-radix numerals of their
+vertices' ranks on their β circles, so that a disk moves a generator by
+adding a fixed int to its code (docs/conventions.md, "Generator
+codes").  The distinguished generator is the tuple of page crossings.
+It is always a cycle; the open book's contact class vanishes exactly
+when it is a boundary.  Only the columns that can reach it matter: its
 closure, grown from its row through the columns meeting it
 (docs/conventions.md, "Deciding on c's closure"), and one GF(2)
 elimination over int bitmask columns of that block settles it.
@@ -114,28 +118,27 @@ def generators(diagram: HeegaardDiagram) -> list[tuple]:
 
 
 def _cycle_tables(diagram: HeegaardDiagram):
-    """Per region its tile size, per half-edge its place in its cycle.
+    """Per region its tile size and cycle, per half-edge its cycle place.
 
     tile[r] is 2 for a bigon tile, 4 for a square tile and 0 for a wall:
     the basepoint region and every region that is not a bigon or square
-    disk.  nxt[h], prv[h] and pos[h] are the successor, the predecessor
-    and the index of h in the boundary cycle of the region on its left.
+    disk.  cycle[r] is a tile's boundary cycle and None for a wall.
+    pos[h] is the index of h in the cycle of the tile on its left, and 0
+    when the region on its left is a wall.
     """
-    n_he = 2 * diagram.n_edges
     tile = [0] * len(diagram.regions)
-    nxt, prv, pos = [0] * n_he, [0] * n_he, [0] * n_he
+    cycle = [None] * len(diagram.regions)
+    pos = [0] * (2 * diagram.n_edges)
     for r, reg in enumerate(diagram.regions):
         if r != diagram.z0_region and (reg.is_bigon or reg.is_square):
             tile[r] = reg.corner_count
-        for cyc in reg.cycles:
-            for t, h in enumerate(cyc):
-                nxt[h] = cyc[(t + 1) % len(cyc)]
-                prv[h] = cyc[t - 1]
+            cycle[r] = reg.cycles[0]
+            for t, h in enumerate(cycle[r]):
                 pos[h] = t
-    return tile, nxt, prv, pos
+    return tile, cycle, pos
 
 
-def _rectangles(diagram: HeegaardDiagram, tile, pos, emit) -> None:
+def _rectangles(diagram: HeegaardDiagram, tile, cyc, pos, emit) -> None:
     """Every rectangle, walked once as a grid from its lower source corner.
 
     A cell is (square, e): the square's cycle has its u-exit at e and
@@ -164,8 +167,6 @@ def _rectangles(diagram: HeegaardDiagram, tile, pos, emit) -> None:
     origin, region, v_beta = (diagram.he_origin, diagram.he_region,
                               diagram.v_beta)
     bit = [1 << v for v in range(diagram.n_vertices)]
-    cyc = {r: diagram.regions[r].cycles[0]
-           for r, size in enumerate(tile) if size == 4}
 
     def climb(r, e, cap, line_of, sides):
         """Walk one column up from its bottom cell (r, e) below cap.
@@ -211,7 +212,8 @@ def _rectangles(diagram: HeegaardDiagram, tile, pos, emit) -> None:
                 e = (pos[h] + 1) % 4
         return regs, verts, edges, cap
 
-    for r0 in sorted(cyc):
+    squares = [r for r, size in enumerate(tile) if size == 4]
+    for r0 in squares:
         for e0 in range(4):
             h = cyc[r0][(e0 + 3) % 4]
             low = origin[h]
@@ -220,7 +222,7 @@ def _rectangles(diagram: HeegaardDiagram, tile, pos, emit) -> None:
                 continue
             line_of = {}
             regs, verts, (left, right), cap = climb(
-                r0, e0, len(cyc), line_of, ((3, 2), (0, 1)))
+                r0, e0, len(squares), line_of, ((3, 2), (0, 1)))
             cell = (r0, e0)
             while True:
                 while cap > 0 and v_beta[left[cap]] <= j:
@@ -246,88 +248,101 @@ def _rectangles(diagram: HeegaardDiagram, tile, pos, emit) -> None:
                 verts = [a | b for a, b in zip(verts, line)]
 
 
-def _bigons(diagram: HeegaardDiagram, tile, nxt, prv, emit) -> None:
-    """Every bigon, found by tracing its boundary from its source corner.
+def _bigons(diagram: HeegaardDiagram, tile, cyc, pos, emit) -> None:
+    """Every bigon, walked once from its one bigon tile.
 
-    From a β half-edge h leaving P, walk β straight on; at each Q on P's
-    α circle turn left onto α, which closes back onto h at P exactly
-    when it runs the same way along α as the half-edge before h in its
-    region.  The regions left of the loop, flooded without crossing it,
-    form the domain; a flood that meets a wall or the far side of the
-    loop, or a second bigon tile, is no empty embedded bigon.  Its masks
-    are its tiles and their vertices less P and Q.
+    Let the tile's β half-edge run from p' to q' and its α half-edge
+    back.  A bigon holding the tile is a strip of m squares stacked on
+    the tile's β side, whose α side is then a path of 2m + 1 edges, with
+    k rows of squares stacked on that path (docs/conventions.md,
+    "Domains on a flat diagram").  Its source P and target Q are the
+    left and right ends of the top row's α path.  The rows are walked as
+    columns: one on the tile's α edge, and for each strip square one on
+    its left α edge and one on its right, so that widening the strip by
+    one square adds one column on each side and every column is walked
+    once.  A square entered across an α half-edge at position q of its
+    cycle has its lower left corner at q, lower right at q + 1, upper
+    right at q + 2 and upper left at q + 3, and q + 2 is the next row's
+    α edge.
+
+    As in _rectangles, the walk keeps the lowest line of every vertex it
+    meets, and a repeat on lines l and l' caps the height below
+    max(l, l') for this strip and every wider one; a region that is not
+    a square caps a column at its row, and a strip square that is not
+    one ends the tile.  A repeat on line 0 ends it too.  The masks grow
+    with the walk, as for rectangles; the passthrough is the vertices
+    less P and Q.
     """
-    origin, region, v_alpha = (diagram.he_origin, diagram.he_region,
-                               diagram.v_alpha)
-    n_he = 2 * diagram.n_edges
-    straight, forward = [0] * n_he, [False] * n_he
-    alpha, beta = diagram.walks()
-    for circles in (alpha, beta):
-        for walk in circles:
-            for t, h in enumerate(walk):
-                straight[h] = walk[(t + 1) % len(walk)]
-                straight[h ^ 1] = walk[t - 1] ^ 1
-                forward[h] = True
+    origin, region, v_beta = (diagram.he_origin, diagram.he_region,
+                              diagram.v_beta)
+    bit = [1 << v for v in range(diagram.n_vertices)]
 
-    def flood(loop):
-        edges = set(loop)
-        inside = {region[x] for x in loop}
-        outside = {region[x ^ 1] for x in loop}
-        if not inside.isdisjoint(outside):
-            return None
-        todo = list(inside)
-        n_bigon = 0
-        while todo:
-            r = todo.pop()
-            if tile[r] == 0:
-                return None
-            if tile[r] == 2:
-                n_bigon += 1
-                if n_bigon > 1:
-                    return None
-            for x in diagram.regions[r].cycles[0]:
-                if x in edges:
-                    continue
-                s = region[x ^ 1]
-                if s in outside:
-                    return None
-                if s not in inside:
-                    inside.add(s)
-                    todo.append(s)
-        return inside if n_bigon == 1 else None
+    def climb(e, cap, line_of, sides):
+        """Stack at most cap squares on the α half-edge e, row by row.
 
-    for j, walk in enumerate(beta, start=1):
-        for h in walk + [x ^ 1 for x in walk]:
-            if tile[region[h]] == 0:
-                continue
-            p, back = origin[h], prv[h]
-            side, inside, outside = [], set(), set()
-            g = h
-            while True:
-                r = region[g]
-                if tile[r] == 0 or r in outside or region[g ^ 1] in inside:
-                    break
-                side.append(g)
-                inside.add(r)
-                outside.add(region[g ^ 1])
-                q = origin[g ^ 1]
-                if q == p:
-                    break
-                a = nxt[g]
-                if v_alpha[q] == v_alpha[p] and forward[a] == forward[back]:
-                    turn = [a]
-                    while turn[-1] != back:
-                        turn.append(straight[turn[-1]])
-                    regs = flood(side + turn)
-                    if regs is not None:
-                        tiles = verts = 0
-                        for s in regs:
-                            tiles |= 1 << s
-                            for x in diagram.regions[s].cycles[0]:
-                                verts |= 1 << origin[x]
-                        emit(((j, p, q),), tiles,
-                             verts & ~(1 << p | 1 << q))
-                g = straight[g]
+        sides holds the upper corner offset of each side to record, 3
+        for the left and 2 for the right; on line 0 these are e's head
+        and origin.  Returns the mask of the regions of the rows below
+        each height, the mask of the recorded vertices on lines 0..k at
+        each k, the vertices of each side by line and the lowered cap.
+        """
+        lines = [[origin[e ^ 1] if hi == 3 else origin[e]] for hi in sides]
+        regs, verts = [0], []
+        reg_mask = vert_mask = 0
+        k = 0
+        while True:
+            for line in lines:
+                v = line[k]
+                vert_mask |= bit[v]
+                seen = line_of.get(v)
+                if seen is None:
+                    line_of[v] = k
+                else:
+                    cap = min(cap, max(seen, k) - 1)
+                    line_of[v] = min(seen, k)
+            verts.append(vert_mask)
+            if k >= cap:
+                return regs, verts, lines, cap
+            h = e ^ 1
+            r = region[h]
+            if tile[r] != 4:
+                return regs, verts, lines, k
+            c4, q = cyc[r], pos[h]
+            reg_mask |= 1 << r
+            regs.append(reg_mask)
+            for line, hi in zip(lines, sides):
+                line.append(origin[c4[(q + hi) % 4]])
+            e = c4[(q + 2) % 4]
+            k += 1
+
+    for t, size in enumerate(tile):
+        if size != 2:
+            continue
+        beta, alpha = cyc[t]
+        if diagram.label(beta)[0] != "b":
+            beta, alpha = alpha, beta
+        line_of = {}
+        regs, verts, (left, right), cap = climb(alpha, len(cyc),
+                                                line_of, (3, 2))
+        strip = 1 << t
+        while cap >= 0:
+            for k in range(cap + 1):
+                p, q = left[k], right[k]
+                emit(((v_beta[p], p, q),), strip | regs[k],
+                     verts[k] ^ bit[p] ^ bit[q])
+            h = beta ^ 1
+            r = region[h]
+            if tile[r] != 4:
+                break
+            c4, s = cyc[r], pos[h]
+            strip |= 1 << r
+            beta = c4[(s + 2) % 4]
+            regs_l, verts_l, (left,), cap = climb(c4[(s + 1) % 4], cap,
+                                                  line_of, (3,))
+            regs_r, verts_r, (right,), cap = climb(c4[(s + 3) % 4], cap,
+                                                   line_of, (2,))
+            regs = [a | b | c for a, b, c in zip(regs, regs_l, regs_r)]
+            verts = [a | b | c for a, b, c in zip(verts, verts_l, verts_r)]
 
 
 def walk_domains(diagram: HeegaardDiagram, emit) -> None:
@@ -345,8 +360,10 @@ def walk_domains(diagram: HeegaardDiagram, emit) -> None:
     only square tiles and is walked once as a grid from its source
     corner on the lower β circle, one new column per width, with its
     height capped by the vertices already met and by the first column's
-    top circles; a bigon is found by tracing its boundary from its
-    source corner (docs/conventions.md, "Domains on a flat diagram").
+    top circles.  A bigon has exactly one bigon tile and is walked once
+    from it: a strip of squares on the tile's β side with rows of
+    squares stacked on the strip's α side, capped the same way
+    (docs/conventions.md, "Domains on a flat diagram").
     A disk is emitted only when each β circle its corners touch carries
     one source and one target corner, since no other disk fits a
     generator.  Each source shares its α circle with a target, so
@@ -354,9 +371,9 @@ def walk_domains(diagram: HeegaardDiagram, emit) -> None:
     disk fits exactly the generators that hold its sources and miss
     its passthrough.
     """
-    tile, nxt, prv, pos = _cycle_tables(diagram)
-    _rectangles(diagram, tile, pos, emit)
-    _bigons(diagram, tile, nxt, prv, emit)
+    tables = _cycle_tables(diagram)
+    _rectangles(diagram, *tables, emit)
+    _bigons(diagram, *tables, emit)
 
 
 def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
@@ -387,62 +404,98 @@ def boundary_matrix(diagram: HeegaardDiagram) -> BoundaryMatrix:
     census list is built.  A generator x looks up each of its
     coordinates and each pair of them, so it meets exactly the disks
     whose source corners it holds, each once.  A disk fits x when its
-    passthrough mask misses the mask of x's vertices.  The move keeps
-    the α circles, since each source shares its α circle with a target,
-    so the moved tuple is looked up in the generator index, and a miss
-    is an internal error.  Column x lists, sorted, the generators
-    reached an odd number of times; ∂² = 0 is checked before the matrix
-    is returned.
+    passthrough mask misses the mask of x's vertices.
+
+    Generators are handled as int codes: a vertex weighs its rank on its
+    β circle times the circle's stride, the product of the vertex counts
+    of the circles after it, and a generator's code is the sum of its
+    vertices' weights.  These are mixed-radix numerals with the first
+    circle most significant, so codes increase in generators() order and
+    name distinct vertex choices (docs/conventions.md, "Generator
+    codes").  A disk is filed with its delta, the weights of its targets
+    less those of its sources; it moves x to the generator whose code is
+    x's plus delta, since each source shares its α circle with a target
+    and the move keeps the α circles distinct.  A code that names no
+    generator is an internal error.  Column x lists, sorted, the
+    generators reached an odd number of times; ∂² = 0 is checked before
+    the matrix is returned.
     """
     if diagram.bad_regions():
         raise ValueError(
             "the boundary operator needs a flattened diagram; "
             "run make_nice first")
     gens = generators(diagram)
-    index = {x: i for i, x in enumerate(gens)}
-    bit = [1 << v for v in range(diagram.n_vertices)]
+    v_beta = diagram.v_beta
+    count, rank = [0] * (diagram.n + 1), []
+    for j in v_beta:
+        rank.append(count[j])
+        count[j] += 1
+    stride = [1] * (diagram.n + 1)
+    for j in range(diagram.n - 1, 0, -1):
+        stride[j] = stride[j + 1] * count[j + 1]
+    weight = [r * stride[j] for r, j in zip(rank, v_beta)]
+    bit = [1 << v for v in range(len(v_beta))]
     by_source = {}
 
     def file(swap, regions, passthrough):
         key = swap[0][1] if len(swap) == 1 else (swap[0][1], swap[1][1])
-        by_source.setdefault(key, []).append((passthrough, swap))
+        delta = 0
+        for _, src, tgt in swap:
+            delta += weight[tgt] - weight[src]
+        by_source.setdefault(key, []).append((passthrough, delta))
 
     walk_domains(diagram, file)
+    codes = [sum(map(weight.__getitem__, x)) for x in gens]
+    index = dict(zip(codes, range(len(codes))))
     columns = []
-    for x in gens:
-        held = 0
-        for v in x:
-            held |= bit[v]
-        hits = set()
-        for key in (*x, *combinations(x, 2)):
-            for mask, swap in by_source.get(key, ()):
-                if held & mask:
-                    continue
-                y = list(x)
-                for j, _, tgt in swap:
-                    y[j - 1] = tgt
-                i = index.get(tuple(y))
-                if i is None:
-                    raise RuntimeError(
-                        f"internal error: a disk moves generator {x} to "
-                        f"{tuple(y)}, which is no generator")
-                hits ^= {i}
-        columns.append(tuple(sorted(hits)))
+    try:
+        for x, code in zip(gens, codes):
+            held = 0
+            for v in x:
+                held |= bit[v]
+            hits = []
+            for key in (*x, *combinations(x, 2)):
+                for mask, delta in by_source.get(key, ()):
+                    if not held & mask:
+                        hits.append(index[code + delta])
+            hits.sort()
+            if len(set(hits)) < len(hits):
+                hits = [i for i in sorted(set(hits)) if hits.count(i) % 2]
+            columns.append(tuple(hits))
+    except KeyError as miss:
+        y = [0] * diagram.n
+        for v, r in enumerate(rank):
+            j = v_beta[v]
+            if miss.args[0] // stride[j] % count[j] == r:
+                y[j - 1] = v
+        raise RuntimeError(
+            f"internal error: a disk moves generator {x} to {tuple(y)}, "
+            "which is no generator") from None
     m = BoundaryMatrix(generators=tuple(gens), columns=tuple(columns))
     _check_square_zero(m)
     return m
 
 
 def _check_square_zero(m: BoundaryMatrix) -> None:
-    for i, col in enumerate(m.columns):
-        acc = set()
+    """Raise unless every column of ∂∂ is zero over GF(2).
+
+    ∂(∂x) lists, with repeats, the columns of ∂x run together.  Sorted,
+    each generator's repeats sit side by side, so every multiplicity is
+    even exactly when the entries at even places equal those at odd
+    places.
+    """
+    columns = m.columns
+    for i, col in enumerate(columns):
+        acc = []
         for j in col:
-            acc ^= set(m.columns[j])
-        if acc:
+            acc += columns[j]
+        acc.sort()
+        if acc[::2] != acc[1::2]:
+            odd = sorted(k for k in set(acc) if acc.count(k) % 2)
             raise RuntimeError(
                 "internal error: the boundary operator fails to square "
                 f"to zero on generator {m.generators[i]}; composite hits "
-                f"{sorted(m.generators[k] for k in acc)}")
+                f"{[m.generators[k] for k in odd]}")
 
 
 def contact_class(diagram: HeegaardDiagram) -> tuple:

@@ -4,9 +4,14 @@ This is the census the package used before it walked domains: a
 breadth-first search over connected sets of tiles, classifying every
 vertex a set touches by which of its four quadrants the set covers.
 It needs nothing but the region cycles, so it checks the grid walk and
-the bigon trace from an independent direction.  Its cost grows with
+the bigon walk from an independent direction.  Its cost grows with
 the number of tile sets it visits, so it refuses to run past a state
 cap and only suits diagrams of a few dozen regions.
+
+oracle_bigons is the bigon trace the package used before it walked
+bigons from their bigon tile: it traces each boundary loop along β and
+back along α and floods the regions inside.  It runs on diagrams of any
+size, so it checks the bigon walk where the census oracle cannot.
 """
 
 from __future__ import annotations
@@ -149,4 +154,101 @@ def oracle_census(diagram, max_states: int = MAX_STATES):
                         seen.add(nxt)
                         queue.append(nxt)
     out.sort(key=lambda c: c.regions)
+    return out
+
+
+def oracle_bigons(diagram):
+    """Every bigon, found by tracing its boundary from its source corner.
+
+    From a β half-edge h leaving P, walk β straight on; at each Q on P's
+    α circle turn left onto α, which closes back onto h at P exactly
+    when it runs the same way along α as the half-edge before h in its
+    region.  The regions left of the loop, flooded without crossing it,
+    form the domain; a flood that meets a wall or the far side of the
+    loop, or a second bigon tile, is no empty embedded bigon.  Returns
+    (swap, regions, passthrough) per bigon, as floer.walk_domains emits
+    them, in trace order: the masks are its tiles and their vertices
+    less P and Q.
+    """
+    origin, region, v_alpha = (diagram.he_origin, diagram.he_region,
+                               diagram.v_alpha)
+    n_he = 2 * diagram.n_edges
+    tile = [0] * len(diagram.regions)
+    nxt, prv = [0] * n_he, [0] * n_he
+    for r, reg in enumerate(diagram.regions):
+        if r != diagram.z0_region and (reg.is_bigon or reg.is_square):
+            tile[r] = reg.corner_count
+        for cyc in reg.cycles:
+            for t, h in enumerate(cyc):
+                nxt[h] = cyc[(t + 1) % len(cyc)]
+                prv[h] = cyc[t - 1]
+    straight, forward = [0] * n_he, [False] * n_he
+    alpha, beta = diagram.walks()
+    for circles in (alpha, beta):
+        for walk in circles:
+            for t, h in enumerate(walk):
+                straight[h] = walk[(t + 1) % len(walk)]
+                straight[h ^ 1] = walk[t - 1] ^ 1
+                forward[h] = True
+
+    def flood(loop):
+        edges = set(loop)
+        inside = {region[x] for x in loop}
+        outside = {region[x ^ 1] for x in loop}
+        if not inside.isdisjoint(outside):
+            return None
+        todo = list(inside)
+        n_bigon = 0
+        while todo:
+            r = todo.pop()
+            if tile[r] == 0:
+                return None
+            if tile[r] == 2:
+                n_bigon += 1
+                if n_bigon > 1:
+                    return None
+            for x in diagram.regions[r].cycles[0]:
+                if x in edges:
+                    continue
+                s = region[x ^ 1]
+                if s in outside:
+                    return None
+                if s not in inside:
+                    inside.add(s)
+                    todo.append(s)
+        return inside if n_bigon == 1 else None
+
+    out = []
+    for j, walk in enumerate(beta, start=1):
+        for h in walk + [x ^ 1 for x in walk]:
+            if tile[region[h]] == 0:
+                continue
+            p, back = origin[h], prv[h]
+            side, inside, outside = [], set(), set()
+            g = h
+            while True:
+                r = region[g]
+                if tile[r] == 0 or r in outside or region[g ^ 1] in inside:
+                    break
+                side.append(g)
+                inside.add(r)
+                outside.add(region[g ^ 1])
+                q = origin[g ^ 1]
+                if q == p:
+                    break
+                a = nxt[g]
+                if v_alpha[q] == v_alpha[p] and forward[a] == forward[back]:
+                    turn = [a]
+                    while turn[-1] != back:
+                        turn.append(straight[turn[-1]])
+                    regs = flood(side + turn)
+                    if regs is not None:
+                        tiles = verts = 0
+                        for s in regs:
+                            tiles |= 1 << s
+                            for x in diagram.regions[s].cycles[0]:
+                                verts |= 1 << origin[x]
+                        out.append((((j, p, q),), tiles,
+                                    verts & ~(1 << p | 1 << q)))
+                g = straight[g]
     return out

@@ -7,7 +7,11 @@ import json
 import math
 import os
 import pkgutil
+import shutil
+import subprocess
 import sys
+
+import pytest
 
 import obfloer
 import obfloer.front
@@ -80,3 +84,44 @@ def test_traced_runs_are_well_formed(tmp_path):
     assert wanted <= set(metrics)
     assert all(math.isfinite(m["value"]) for m in metrics.values())
     json.dumps(metrics, allow_nan=False)
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+@pytest.fixture(scope="module")
+def bench_tree(tmp_path_factory):
+    # a copy of the bench and what it reads, so that the run's work
+    # files and bytecode stay out of the checkout
+    tree = tmp_path_factory.mktemp("bench_tree")
+    for part in ("bench", "corpus", "src", "tests"):
+        shutil.copytree(os.path.join(ROOT, part), tree / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    return tree
+
+
+def _reject_constant(name):
+    raise ValueError(f"the bench result holds {name}")
+
+
+@pytest.mark.parametrize("workload, trace", [
+    ("small_books", 1), ("census_ladder", 1), ("lazy_ladder", 1),
+    ("scale_wall", 1), ("scale_wall", 0)])
+def test_bench_runs_end_to_end(bench_tree, workload, trace):
+    # the bench is judged on its last stdout line, so every run, traced
+    # or not, must end in a well-formed, correct JSON result
+    run = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0.2", "--trace", str(trace)],
+        cwd=bench_tree, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    result = json.loads(lines[-1], parse_constant=_reject_constant)
+    assert result["correct"] is True and result["failed"] == 0
+    assert not [line for line in lines if line.startswith("absent")]
+    if trace:
+        with open(os.path.join(ROOT, "BENCHMARK.json"),
+                  encoding="utf-8") as fh:
+            layers = [m["name"] for m in json.load(fh)["per_layer"]]
+        assert len(layers) == 40
+        assert set(layers) <= set(result["metrics"])

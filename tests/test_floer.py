@@ -16,7 +16,7 @@ from obfloer.mapping import TwistWord
 from obfloer.nicify import lazy_frontier, make_nice
 from obfloer.surface import make_page, parse_curve
 
-from census_oracle import oracle_census
+from census_oracle import oracle_bigons, oracle_census
 from floer_oracle import (as_boundary, oracle_bounds, oracle_complex,
                           oracle_decide, oracle_generators,
                           oracle_homology_rank)
@@ -261,6 +261,101 @@ def test_large_columns_are_pinned():
         got[name, m.n, sum(map(len, m.columns))] = hashlib.sha256(
             repr(m.columns).encode()).hexdigest()
     assert got == LARGE_COLUMNS_SHA256
+
+
+# torus (ab)^6 after make_nice, recorded with the boundary-trace bigon
+# walk: 4,344 generators, 11,340 nonzeros, 316 bigons and 10,064
+# rectangles; sha256 of repr(domain_census(...)) and of
+# repr(boundary_matrix(...).columns)
+AB6_CENSUS_SHA256 = (
+    "8339a0b48417b7081355056e144547ab652366b5c20adaa25c1fd6cd0a3825f8")
+AB6_COLUMNS_SHA256 = (
+    "a56b819da42268a01c446663ab04c8b946fa1e70682de3c0514615079274098f")
+
+
+def test_bigon_heavy_complex_is_pinned():
+    book = parse_input(torus_word("+a +b", 6))
+    nice = make_nice(build_diagram(book.page, book.word))
+    census = domain_census(nice)
+    assert [sum(d.kind == kind for d in census)
+            for kind in ("bigon", "rectangle")] == [316, 10064]
+    assert hashlib.sha256(repr(census).encode()).hexdigest() == (
+        AB6_CENSUS_SHA256)
+    m = boundary_matrix(nice)
+    assert (m.n, sum(map(len, m.columns))) == (4344, 11340)
+    assert hashlib.sha256(repr(m.columns).encode()).hexdigest() == (
+        AB6_COLUMNS_SHA256)
+
+
+def test_bigon_walk_matches_the_boundary_trace():
+    # the walk from each bigon tile emits exactly the bigons that tracing
+    # every boundary loop and flooding it finds, masks included
+    texts = [open(p).read()
+             for p in sorted(glob.glob(os.path.join(CORPUS, "*.obk")))]
+    texts += list(BENCH_LADDER.values())
+    texts += [LANTERN + "twists: +d4 -f1 +f2 +d4 -f1 +f2\n",
+              torus_word("+a -b", 4), torus_word("+a +b", 6)]
+    diagrams = []
+    for text in texts:
+        book = parse_input(text)
+        diagrams.append(build_diagram(book.page, book.word))
+    for seed in (2026, 11):
+        rng = random.Random(seed)
+        diagrams += [property_book(rng) for _ in range(200)]
+    bigons = 0
+    for dia in diagrams:
+        for flat in (make_nice(dia), lazy_frontier(dia)):
+            walked = []
+
+            def keep(swap, regions, passthrough):
+                if len(swap) == 1:
+                    walked.append((swap, regions, passthrough))
+
+            floer.walk_domains(flat, keep)
+            assert sorted(walked) == sorted(oracle_bigons(flat))
+            bigons += len(walked)
+    assert bigons > 3000
+
+
+@pytest.mark.parametrize("skipped", [((1, 15, 3), (2, 7, 17)),
+                                     ((1, 4, 13),)])
+def test_square_zero_check_catches_a_missing_disk(monkeypatch, skipped):
+    # on torus (ab)^3, dropping this one rectangle, or this one bigon,
+    # from the walk leaves a matrix whose square is not zero
+    book = parse_input(torus_word("+a +b", 3))
+    nice = make_nice(build_diagram(book.page, book.word))
+    walk = floer.walk_domains
+    dropped = []
+
+    def without(diagram, emit):
+        def keep(swap, regions, passthrough):
+            if swap == skipped:
+                dropped.append(swap)
+            else:
+                emit(swap, regions, passthrough)
+        walk(diagram, keep)
+
+    monkeypatch.setattr(floer, "walk_domains", without)
+    with pytest.raises(RuntimeError, match="fails to square to zero"):
+        boundary_matrix(nice)
+    assert dropped == [skipped]
+
+
+@pytest.mark.parametrize("times", [4, 3])
+def test_square_zero_check_counts_composite_hits_mod_2(times):
+    # generator 0 reaches generator times + 1 through each of the
+    # generators 1..times: an even count cancels, an odd one is a fault
+    last = times + 1
+    m = BoundaryMatrix(
+        generators=tuple((k,) for k in range(last + 1)),
+        columns=(tuple(range(1, last)),) + ((last,),) * times + ((),))
+    if times % 2:
+        with pytest.raises(RuntimeError, match=(
+                rf"fails to square to zero on generator \(0,\); "
+                rf"composite hits \[\({last},\)\]")):
+            floer._check_square_zero(m)
+    else:
+        floer._check_square_zero(m)
 
 
 def test_decision_path_builds_no_census_list(tmp_path, monkeypatch):
