@@ -138,117 +138,64 @@ def _cycle_tables(diagram: HeegaardDiagram):
     return tile, cycle, pos
 
 
-def _rectangles(diagram: HeegaardDiagram, tile, cyc, pos, emit) -> None:
+def _rectangles(diagram: HeegaardDiagram, tile, cyc, pos, bit, climb,
+                emit) -> None:
     """Every rectangle, walked once as a grid from its lower source corner.
 
-    A cell is (square, e): the square's cycle has its u-exit at e and
-    its v-exit at e + 1, so that its corner e + 3 is the grid's lower
-    left.  Crossing a u-exit into a square entered at position q gives
-    u-exit q + 2, crossing a v-exit gives q + 1.  Columns are stacked by
-    v-steps from the bottom row: the square above a right neighbour is
-    the right neighbour of the square above, since every vertex is
-    four-valent.  So each width adds one column, walked once.
+    The first column climbs from a square's β half-edge b whose origin
+    is the lower source corner, recording both sides; line 0 is the
+    grid's bottom side.  Widening moves to the square across the right
+    side of the bottom square, and climbs its right side only: the
+    square above a right neighbour is the right neighbour of the square
+    above, since every vertex is four-valent, so each width adds one
+    column, walked once.  At height k a width's masks are the previous
+    width's with the new column's, and the passthrough is the grid's
+    vertices on lines 0..k less its four corners.
 
-    A grid that repeats a region or a vertex is no embedded disk, and
-    neither is any grid containing it.  A repeated square repeats its
-    four corners, so vertices suffice: the walk keeps the lowest line of
-    every vertex it has met, and a repeat caps the height of this width
-    and of every wider one.  The top side's β circle at each height is
-    read off the first column, so the height is also capped at the last
-    one above the lower corner's circle, and a start on the last β
-    circle is skipped: only a rectangle whose lower corner has the
-    lower circle is emitted.
-
-    The masks grow with the walk.  At height k a width's regions are the
-    previous width's at k with the new column's rows 0..k, and its
-    grid vertices on lines 0..k + 1 are the previous width's with the
-    new edge's; the passthrough is those vertices less the four corners.
+    A rectangle is emitted only from its corner on the lower β circle,
+    so a start on the last β circle is skipped.  The top side's β circle
+    at each height is read off the first column, so the height is also
+    capped at the last one above the lower corner's circle.
     """
     origin, region, v_beta = (diagram.he_origin, diagram.he_region,
                               diagram.v_beta)
-    bit = [1 << v for v in range(diagram.n_vertices)]
-
-    def climb(r, e, cap, line_of, sides):
-        """Walk one column up from its bottom cell (r, e) below cap.
-
-        sides holds one (lower, upper) pair of corner offsets per edge
-        of the column to record: the edge's vertex on line 0 is the
-        bottom cell's lower corner, and on line k + 1 row k's upper one.
-        Returns the mask of the regions of rows 0..k at each k, the mask
-        of the recorded vertices on lines 0..l at each l, the vertices
-        of each edge by line and the lowered cap.
-        """
-        regs, edges = [], [[origin[cyc[r][(e + lo) % 4]]] for lo, _ in sides]
-        reg_mask = vert_mask = 0
-        for line in edges:
-            vert_mask |= bit[line[0]]
-            seen = line_of.get(line[0])
-            if seen is not None:
-                cap = min(cap, seen - 1)
-            line_of[line[0]] = 0
-        verts = [vert_mask]
-        k = 0
-        while k < cap:
-            c4 = cyc[r]
-            reg_mask |= 1 << r
-            regs.append(reg_mask)
-            k += 1
-            for line, (_, hi) in zip(edges, sides):
-                v = origin[c4[(e + hi) % 4]]
-                line.append(v)
-                vert_mask |= bit[v]
-                seen = line_of.get(v)
-                if seen is None:
-                    line_of[v] = k
-                else:
-                    cap = min(cap, max(seen, k) - 1)
-                    line_of[v] = min(seen, k)
-            verts.append(vert_mask)
-            if k < cap:
-                h = c4[(e + 1) % 4] ^ 1
-                r = region[h]
-                if tile[r] != 4:
-                    cap = k
-                e = (pos[h] + 1) % 4
-        return regs, verts, edges, cap
-
-    squares = [r for r, size in enumerate(tile) if size == 4]
-    for r0 in squares:
-        for e0 in range(4):
-            h = cyc[r0][(e0 + 3) % 4]
-            low = origin[h]
+    for r0, size in enumerate(tile):
+        if size != 4:
+            continue
+        for t in (3, 0, 1, 2):
+            b = cyc[r0][t]
+            low = origin[b]
             j = v_beta[low]
-            if diagram.label(h)[0] != "b" or j == diagram.n:
+            if diagram.label(b)[0] != "b" or j == diagram.n:
                 continue
             line_of = {}
-            regs, verts, (left, right), cap = climb(
-                r0, e0, len(squares), line_of, ((3, 2), (0, 1)))
-            cell = (r0, e0)
+            regs, verts, (left, right), cap = climb(b ^ 1, len(cyc),
+                                                    line_of, (3, 2))
             while True:
                 while cap > 0 and v_beta[left[cap]] <= j:
                     cap -= 1
                 if cap <= 0:
                     break
                 lower = bit[low] | bit[right[0]]
-                for k in range(cap):
-                    top_left, top_right = left[k + 1], right[k + 1]
+                for k in range(1, cap + 1):
+                    top_left, top_right = left[k], right[k]
                     if v_beta[top_left] > j:
                         corners = lower | bit[top_left] | bit[top_right]
                         emit(((j, low, right[0]),
                               (v_beta[top_right], top_right, top_left)),
-                             regs[k], verts[k + 1] ^ corners)
-                r, e = cell
-                h = cyc[r][e] ^ 1
+                             regs[k], verts[k] ^ corners)
+                h = cyc[region[b]][(pos[b] + 1) % 4] ^ 1
                 if tile[region[h]] != 4:
                     break
-                cell = (region[h], (pos[h] + 2) % 4)
-                column, line, (right,), cap = climb(*cell, cap, line_of,
-                                                   ((0, 1),))
-                regs = [a | b for a, b in zip(regs, column)]
-                verts = [a | b for a, b in zip(verts, line)]
+                b = cyc[region[h]][(pos[h] + 1) % 4]
+                column, line, (right,), cap = climb(b ^ 1, cap, line_of,
+                                                   (2,))
+                regs = [a | c for a, c in zip(regs, column)]
+                verts = [a | c for a, c in zip(verts, line)]
 
 
-def _bigons(diagram: HeegaardDiagram, tile, cyc, pos, emit) -> None:
+def _bigons(diagram: HeegaardDiagram, tile, cyc, pos, bit, climb,
+            emit) -> None:
     """Every bigon, walked once from its one bigon tile.
 
     Let the tile's β half-edge run from p' to q' and its α half-edge
@@ -256,65 +203,16 @@ def _bigons(diagram: HeegaardDiagram, tile, cyc, pos, emit) -> None:
     the tile's β side, whose α side is then a path of 2m + 1 edges, with
     k rows of squares stacked on that path (docs/conventions.md,
     "Domains on a flat diagram").  Its source P and target Q are the
-    left and right ends of the top row's α path.  The rows are walked as
-    columns: one on the tile's α edge, and for each strip square one on
-    its left α edge and one on its right, so that widening the strip by
-    one square adds one column on each side and every column is walked
-    once.  A square entered across an α half-edge at position q of its
-    cycle has its lower left corner at q, lower right at q + 1, upper
-    right at q + 2 and upper left at q + 3, and q + 2 is the next row's
-    α edge.
-
-    As in _rectangles, the walk keeps the lowest line of every vertex it
-    meets, and a repeat on lines l and l' caps the height below
-    max(l, l') for this strip and every wider one; a region that is not
-    a square caps a column at its row, and a strip square that is not
-    one ends the tile.  A repeat on line 0 ends it too.  The masks grow
-    with the walk, as for rectangles; the passthrough is the vertices
-    less P and Q.
+    left and right ends of the top row's α path.  The rows are climbed
+    as columns: one on the tile's α edge, recording both sides, and for
+    each strip square one on its left α edge and one on its right, so
+    that widening the strip by one square adds one column on each side
+    and every column is walked once.  A strip square that is not a
+    square tile ends the tile, and so does a vertex repeated on line 0.
+    The masks are the strip's with the columns'; the passthrough is the
+    vertices less P and Q.
     """
-    origin, region, v_beta = (diagram.he_origin, diagram.he_region,
-                              diagram.v_beta)
-    bit = [1 << v for v in range(diagram.n_vertices)]
-
-    def climb(e, cap, line_of, sides):
-        """Stack at most cap squares on the α half-edge e, row by row.
-
-        sides holds the upper corner offset of each side to record, 3
-        for the left and 2 for the right; on line 0 these are e's head
-        and origin.  Returns the mask of the regions of the rows below
-        each height, the mask of the recorded vertices on lines 0..k at
-        each k, the vertices of each side by line and the lowered cap.
-        """
-        lines = [[origin[e ^ 1] if hi == 3 else origin[e]] for hi in sides]
-        regs, verts = [0], []
-        reg_mask = vert_mask = 0
-        k = 0
-        while True:
-            for line in lines:
-                v = line[k]
-                vert_mask |= bit[v]
-                seen = line_of.get(v)
-                if seen is None:
-                    line_of[v] = k
-                else:
-                    cap = min(cap, max(seen, k) - 1)
-                    line_of[v] = min(seen, k)
-            verts.append(vert_mask)
-            if k >= cap:
-                return regs, verts, lines, cap
-            h = e ^ 1
-            r = region[h]
-            if tile[r] != 4:
-                return regs, verts, lines, k
-            c4, q = cyc[r], pos[h]
-            reg_mask |= 1 << r
-            regs.append(reg_mask)
-            for line, hi in zip(lines, sides):
-                line.append(origin[c4[(q + hi) % 4]])
-            e = c4[(q + 2) % 4]
-            k += 1
-
+    region, v_beta = diagram.he_region, diagram.v_beta
     for t, size in enumerate(tile):
         if size != 2:
             continue
@@ -356,14 +254,12 @@ def walk_domains(diagram: HeegaardDiagram, emit) -> None:
     Domains are unions of tiles, the bigon and square regions away from
     the basepoint.  Every other region is a wall: no differential covers
     it, so on a partially flattened diagram the walk sees exactly the
-    domains that avoid the regions not yet flattened.  A rectangle has
-    only square tiles and is walked once as a grid from its source
-    corner on the lower β circle, one new column per width, with its
-    height capped by the vertices already met and by the first column's
-    top circles.  A bigon has exactly one bigon tile and is walked once
-    from it: a strip of squares on the tile's β side with rows of
-    squares stacked on the strip's α side, capped the same way
-    (docs/conventions.md, "Domains on a flat diagram").
+    domains that avoid the regions not yet flattened.  A rectangle is a
+    grid of squares, walked from its source corner on the lower β
+    circle, and a bigon is its one bigon tile with a strip and rows of
+    squares stacked on it, walked from that tile; both stack their
+    squares by one climb (docs/conventions.md, "Domains on a flat
+    diagram").
     A disk is emitted only when each β circle its corners touch carries
     one source and one target corner, since no other disk fits a
     generator.  Each source shares its α circle with a target, so
@@ -371,9 +267,63 @@ def walk_domains(diagram: HeegaardDiagram, emit) -> None:
     disk fits exactly the generators that hold its sources and miss
     its passthrough.
     """
-    tables = _cycle_tables(diagram)
-    _rectangles(diagram, *tables, emit)
-    _bigons(diagram, *tables, emit)
+    tile, cyc, pos = _cycle_tables(diagram)
+    origin, region = diagram.he_origin, diagram.he_region
+    bit = [1 << v for v in range(diagram.n_vertices)]
+
+    def climb(e, cap, line_of, sides):
+        """Stack at most cap squares across the half-edge e, row by row.
+
+        A square entered across the twin of a half-edge, at position q
+        of its cycle, has its lower left corner at q, lower right at
+        q + 1, upper right at q + 2 and upper left at q + 3; the next
+        row is entered across the twin of its half-edge at q + 2.  sides
+        holds the upper corner offset of each side to record, 3 for the
+        left and 2 for the right; on line 0 these are e's head and
+        origin, and on line k + 1 the corners of row k.
+
+        A stack whose vertex positions are not distinct vertices is no
+        embedded disk, and neither is any stack holding it; a repeated
+        square repeats its corners.  line_of keeps the lowest line of
+        every vertex met from one start, and a vertex met on lines l
+        and l' caps the height below max(l, l'), for this column and
+        every later one.  A region that is not a square tile caps the
+        height at its row.  Returns the mask of the regions of the rows
+        below each height, the mask of the recorded vertices on lines
+        0..k at each k, the vertices of each side by line and the
+        lowered cap.
+        """
+        lines = [[origin[e ^ 1] if hi == 3 else origin[e]] for hi in sides]
+        regs, verts = [0], []
+        reg_mask = vert_mask = 0
+        k = 0
+        while True:
+            for line in lines:
+                v = line[k]
+                vert_mask |= bit[v]
+                seen = line_of.get(v)
+                if seen is None:
+                    line_of[v] = k
+                else:
+                    cap = min(cap, max(seen, k) - 1)
+                    line_of[v] = min(seen, k)
+            verts.append(vert_mask)
+            if k >= cap:
+                return regs, verts, lines, cap
+            h = e ^ 1
+            r = region[h]
+            if tile[r] != 4:
+                return regs, verts, lines, k
+            c4, q = cyc[r], pos[h]
+            reg_mask |= 1 << r
+            regs.append(reg_mask)
+            for line, hi in zip(lines, sides):
+                line.append(origin[c4[(q + hi) % 4]])
+            e = c4[(q + 2) % 4]
+            k += 1
+
+    _rectangles(diagram, tile, cyc, pos, bit, climb, emit)
+    _bigons(diagram, tile, cyc, pos, bit, climb, emit)
 
 
 def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:

@@ -32,6 +32,19 @@ def test_every_exported_name_resolves():
         assert not missing, (name, missing)
 
 
+@pytest.mark.parametrize("name", ["floer", "heegaard", "mapping", "nicify"])
+def test_public_functions_are_exactly_the_exported_ones(name):
+    # the bench tracer wraps every public function, and calls inside a
+    # module go through its globals: a public helper called per column
+    # or per move would be wrapped and skew every traced metric
+    module = importlib.import_module(f"obfloer.{name}")
+    defined = {n for n, fn in vars(module).items()
+               if inspect.isfunction(fn) and fn.__module__ == module.__name__
+               and not n.startswith("_")}
+    exported = {n for n in module.__all__
+                if inspect.isfunction(getattr(module, n))}
+    assert defined == exported
+
 def test_bench_tracer_hooks_exist():
     # the tracer drops the metrics of a function it cannot find, so a
     # renamed function would leave the bench result short of metrics
