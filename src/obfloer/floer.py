@@ -126,13 +126,13 @@ def _cycle_tables(diagram: HeegaardDiagram):
     pos[h] is the index of h in the cycle of the tile on its left, and 0
     when the region on its left is a wall.
     """
-    tile = [0] * len(diagram.regions)
+    tile = [reg.tile for reg in diagram.regions]
+    tile[diagram.z0_region] = 0
     cycle = [None] * len(diagram.regions)
     pos = [0] * (2 * diagram.n_edges)
-    for r, reg in enumerate(diagram.regions):
-        if r != diagram.z0_region and (reg.is_bigon or reg.is_square):
-            tile[r] = reg.corner_count
-            cycle[r] = reg.cycles[0]
+    for r, size in enumerate(tile):
+        if size:
+            cycle[r] = diagram.regions[r].cycles[0]
             for t, h in enumerate(cycle[r]):
                 pos[h] = t
     return tile, cycle, pos

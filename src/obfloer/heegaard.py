@@ -61,12 +61,20 @@ class Region:
         return self.euler == 1
 
     @property
+    def tile(self) -> int:
+        """2 for a bigon disk, 4 for a square disk, 0 for any other region."""
+        if self.euler != 1:
+            return 0
+        corners = self.corner_count
+        return corners if corners in (2, 4) else 0
+
+    @property
     def is_bigon(self) -> bool:
-        return self.euler == 1 and self.corner_count == 2
+        return self.tile == 2
 
     @property
     def is_square(self) -> bool:
-        return self.euler == 1 and self.corner_count == 4
+        return self.tile == 4
 
 
 class HeegaardDiagram:
@@ -147,12 +155,8 @@ class HeegaardDiagram:
         disks; everything else has to be flattened away before the
         complex is counted.
         """
-        out = []
-        for r, region in enumerate(self.regions):
-            if r == self.z0_region or region.is_bigon or region.is_square:
-                continue
-            out.append(r)
-        return out
+        return [r for r, region in enumerate(self.regions)
+                if r != self.z0_region and not region.tile]
 
     def walks(self) -> tuple[list, list]:
         """The α and the β circles, each a cyclic list of half-edges.

@@ -21,8 +21,16 @@ forms and both are spliced:
 
 One pass along the target splices both: at each token, the strip
 copies in the order the target meets them, the token, then the chord
-copies in the order along the chord it starts.  Every image is checked
-to be embedded with the arrangement's linear crossing_free().
+copies in the order along the chord it starts.
+
+apply_word twists all images of a letter in one arrangement with its
+curve.  The splice reads positions only through cyclic betweenness and
+through distance order along one side, and any subset of an
+arrangement's paths keeps its own order, so each image comes out as
+dehn_twist makes it alone.  That arrangement's linear crossing_free()
+also checks the images the previous letter made, as embedded and
+pairwise disjoint, and one more arrangement checks the last letter's.
+dehn_twist checks its single image in an arrangement of its own.
 
 The handedness conventions are pinned by the annulus and four-holed
 sphere fixtures in the test suite rather than trusted.
@@ -49,6 +57,9 @@ from .surface import (
 # annulus core straightens the spanning arc.  See the convention notes.
 _CHORD_CHIRALITY = -1
 _STRIP_CHIRALITY = 1
+
+_SELF_CROSSING = "internal error: twist produced a self-crossing image"
+_CROSSING_IMAGES = _SELF_CROSSING + " or two crossing images"
 
 
 @dataclass(frozen=True)
@@ -96,15 +107,28 @@ def dehn_twist(page: Page, c: Curve, sign: int, target):
 
     if parallel(c, target):
         return target
-    arr = Arrangement(page, [c, target])
+    image = _splice(page, Arrangement(page, [c, target]), 1, c, sign, target)
+    if image is not target and not Arrangement(page, [image]).crossing_free():
+        raise RuntimeError(_SELF_CROSSING)
+    return image
+
+
+def _splice(page: Page, arr: Arrangement, q: int, c: Curve, sign: int,
+            target):
+    """Twist target, path q of arr, about c, path 0 of arr.
+
+    The splice reads arr only through cyclic betweenness of positions
+    and through distance order along one side, which the other paths
+    of arr do not change.
+    """
     word_c = c.crossings
-    events_t = arr.events[1]
+    events_t = arr.events[q]
 
     # polygon crossings, attributed to the target chord they sit on, which
     # starts at the target's event of the same index
     interior: dict[int, list] = {}
     ends_c = [(arr.position[a], arr.position[b]) for a, b in arr.chords[0]]
-    for j, (h_p, h_q) in enumerate(arr.chords[1]):
+    for j, (h_p, h_q) in enumerate(arr.chords[q]):
         pos_p, pos_q = arr.position[h_p], arr.position[h_q]
         for l, (pos_r, pos_s) in enumerate(ends_c):
             r_inside = arr._between(pos_r, pos_p, pos_q)
@@ -119,11 +143,11 @@ def dehn_twist(page: Page, c: Curve, sign: int, target):
 
     # strip crossings, attributed to the target token they sit at
     flips: dict[int, list] = {}
-    for arc, k_c, k_t in arr.flips_between(0, 1):
+    for arc, k_c, k_t in arr.flips_between(0, q):
         eps_c = arr.events[0][k_c][2]
         eps_t = events_t[k_t][2]
         tf_c, ts_c = arr.strand_params(0, k_c)
-        tf_t, ts_t = arr.strand_params(1, k_t)
+        tf_t, ts_t = arr.strand_params(q, k_t)
         sigma = eps_t * eps_c * (1 if ts_t > ts_c else -1)
         loop = _loop(word_c, k_c + (eps_c != eps_t),
                      _STRIP_CHIRALITY * sign * sigma)
@@ -151,19 +175,37 @@ def dehn_twist(page: Page, c: Curve, sign: int, target):
             out.extend(loop)
     image = normalize(page, replace(target, crossings=tuple(out),
                                     normalized=False))
-
     if isinstance(image, Curve) and not image.crossings:
         raise RuntimeError("internal error: twist trivialized an essential curve")
-    if not Arrangement(page, [image]).crossing_free():
-        raise RuntimeError("internal error: twist produced a self-crossing image")
     return image
 
 
 def apply_word(page: Page, word: TwistWord, targets):
-    """Images of arcs under a twist word, rightmost letter first."""
-    images = list(targets)
+    """Images of disjoint arcs under a twist word, rightmost letter first.
+
+    Each letter twists every image in one arrangement with its curve,
+    which also checks that the images it twists are embedded and
+    pairwise disjoint: the targets at the first letter, where a crossing
+    is the caller's, and the previous letter's images after it.  One
+    more arrangement checks the last letter's images.  Images parallel
+    to a letter's curve sit that letter out, as dehn_twist returns them.
+    """
+    images, twisted = list(targets), False
     for curve, sign in reversed(word.letters):
-        images = [dehn_twist(page, curve, sign, t) for t in images]
+        moving = [j for j, t in enumerate(images) if not parallel(curve, t)]
+        if not moving:
+            continue
+        arr = Arrangement(page, [curve, *(images[j] for j in moving)])
+        if not arr.crossing_free(range(1, len(moving) + 1)):
+            if not twisted:
+                raise ValueError(
+                    "twist targets must be embedded and pairwise disjoint")
+            raise RuntimeError(_CROSSING_IMAGES)
+        for q, j in enumerate(moving, 1):
+            images[j] = _splice(page, arr, q, curve, sign, images[j])
+        twisted = True
+    if twisted and not Arrangement(page, images).crossing_free():
+        raise RuntimeError(_CROSSING_IMAGES)
     return tuple(images)
 
 

@@ -511,24 +511,33 @@ class Arrangement:
         # second copy against it.
         return self.position[first_handle], -self.position[second_handle]
 
-    def crossing_free(self) -> bool:
+    def crossing_free(self, paths=None) -> bool:
         """Are the paths embedded and pairwise disjoint?  Linear time.
 
-        Chords are disjoint exactly when their ends, read around the
-        polygon, nest like brackets; strands pass an arc without crossing
-        exactly when its second copy lists them in the reverse order of
-        its first.  Runs that must cross do so at a strip, so this holds
-        exactly when every crossing_number is 0.
+        paths names the paths to test, by index, and defaults to all of
+        them.  The others are skipped: any subset of the paths is
+        attached in the order its own arrangement gives it, so the
+        answer is the one that arrangement would give.  Chords are
+        disjoint exactly when their ends, read around the polygon, nest
+        like brackets; strands pass an arc without crossing exactly when
+        its second copy lists them in the reverse order of its first.
+        Runs that must cross do so at a strip, so this holds exactly
+        when every crossing_number is 0.
         """
         page, order = self.page, self.att_order
+        keep = set(range(len(self.events)) if paths is None else paths)
         for p, q in zip(page.first_occurrence, page.second_occurrence):
-            if ([h[:2] for h in order[page.arc_side_pos(p)]]
-                    != [h[:2] for h in reversed(order[page.arc_side_pos(q)])]):
+            if ([h[:2] for h in order[page.arc_side_pos(p)] if h[0] in keep]
+                    != [h[:2] for h in reversed(order[page.arc_side_pos(q)])
+                        if h[0] in keep]):
                 return False
         mate, stack = {}, []
-        for a, b in itertools.chain.from_iterable(self.chords):
-            mate[a], mate[b] = b, a
+        for p in keep:
+            for a, b in self.chords[p]:
+                mate[a], mate[b] = b, a
         for handle in self.position:
+            if handle[0] not in keep:
+                continue
             if stack and stack[-1] == mate[handle]:
                 stack.pop()
             else:

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import test_acceptance
 from obfloer import mapping
+from obfloer.front import parse_input
 from obfloer.surface import (
     ArcImage,
     Arrangement,
@@ -17,6 +19,9 @@ from obfloer.surface import (
 from obfloer.mapping import TwistWord, apply_word, dehn_twist, same_action_on_basis
 
 from oracles import oracle_att_order, oracle_pair_crossings
+from test_front import BENCH_LADDER, LANTERN, torus_word
+
+LANTERN_WORD = "+d4 -f1 +f2"
 
 
 @pytest.fixture(scope="module")
@@ -119,9 +124,10 @@ def _lantern_curves(page):
 
 
 def test_att_order_matches_germ_walk_on_twist_words(torus, four_holed):
-    # every (c, target) pair that apply_word arranges for (ab)^5 and for
-    # the lantern word +d4 -f1 +f2 of the bench ladder, twice, and the
-    # images of each step together, as a bottom sheet arranges them
+    # for (ab)^5 and for the lantern word +d4 -f1 +f2 of the bench
+    # ladder, twice: every (c, target) pair that dehn_twist arranges,
+    # every [c, *images] that apply_word arranges, and the images of
+    # each step together, as a bottom sheet arranges them
     a, b = (parse_curve(torus, [(i, 1)]) for i in (1, 2))
     _d, d4, f12, _f23, f13 = _lantern_curves(four_holed)
     for page, letters in ((torus, ((a, 1), (b, 1)) * 5),
@@ -132,6 +138,8 @@ def test_att_order_matches_germ_walk_on_twist_words(torus, four_holed):
                 if not parallel(curve, target):
                     arr = Arrangement(page, [curve, target])
                     assert arr.att_order == oracle_att_order(arr)
+            arr = Arrangement(page, [curve, *images])
+            assert arr.att_order == oracle_att_order(arr)
             images = [dehn_twist(page, curve, sign, t) for t in images]
             arr = Arrangement(page, images)
             assert arr.att_order == oracle_att_order(arr)
@@ -199,6 +207,110 @@ def test_twist_rejects_a_self_crossing_image(monkeypatch):
     monkeypatch.setattr(mapping, "normalize", lambda page, path: looped)
     with pytest.raises(RuntimeError, match="self-crossing image"):
         dehn_twist(pants, c, -1, p1)
+
+
+def _book(text):
+    book = parse_input(text)
+    return book.page, book.word.letters
+
+
+def test_shared_arrangement_twists_as_single_twists(monkeypatch):
+    # each letter of apply_word twists all images in one arrangement;
+    # dehn_twist arranges each image alone with the curve
+    books = [_book(text) for text in BENCH_LADDER.values()]
+    books += [_book(LANTERN + "twists: " + " ".join([LANTERN_WORD] * k)
+                    + "\n") for k in (2, 3)]
+    books += [_book(torus_word("+a -b", 8))]
+    # the property suite's draws, caught before they are built
+    monkeypatch.setattr(test_acceptance, "build_diagram",
+                        lambda page, word: books.append((page, word.letters)))
+    rng = random.Random(2026)
+    for _ in range(100):
+        test_acceptance.random_book(rng)
+    twisted = 0
+    for page, letters in books:
+        basis = tuple(pushoff(page, i) for i in range(1, page.n_arcs + 1))
+        images = basis
+        for letter in reversed(letters):
+            single = tuple(dehn_twist(page, *letter, t) for t in images)
+            assert apply_word(page, TwistWord((letter,)), images) == single
+            twisted += single != images
+            images = single
+        assert apply_word(page, TwistWord(letters), basis) == images
+    assert twisted > 100
+
+
+def test_apply_word_lets_curves_parallel_to_a_letter_sit_it_out(four_holed):
+    d, _d4, f1, f2, _f3 = _lantern_curves(four_holed)
+    letters = ((f1, 1), (d[0], -1))
+    images = [d[0], f2]
+    expected = images
+    for curve, sign in reversed(letters):
+        expected = [dehn_twist(four_holed, curve, sign, t) for t in expected]
+    assert expected[0] is d[0] and expected[1] != f2
+    assert apply_word(four_holed, TwistWord(letters), images) == tuple(expected)
+
+
+def _counted_arrangements(monkeypatch):
+    built = []
+
+    class Counted(Arrangement):
+        def __init__(self, page, paths):
+            built.append(len(paths))
+            super().__init__(page, paths)
+
+    monkeypatch.setattr(mapping, "Arrangement", Counted)
+    return built
+
+
+@pytest.mark.parametrize("text, letters", [
+    (LANTERN + "twists: " + " ".join([LANTERN_WORD] * 2) + "\n", 6),
+    (torus_word("+a +b", 4), 8),
+    (torus_word("+a -b", 8), 16),
+], ids=["lantern_x2", "ab_4", "abinv_8"])
+def test_apply_word_arranges_once_per_letter(monkeypatch, text, letters):
+    # one arrangement per letter, and one to check the last images
+    page, word = _book(text)
+    basis = tuple(pushoff(page, i) for i in range(1, page.n_arcs + 1))
+    built = _counted_arrangements(monkeypatch)
+    apply_word(page, TwistWord(word), basis)
+    assert len(word) == letters
+    assert len(built) == letters + 1
+
+
+@pytest.mark.parametrize("letters", [1, 2])
+def test_apply_word_rejects_a_self_crossing_image(monkeypatch, letters):
+    # letter 1 yields the looped arc of test_twist_rejects_a_self_crossing_image;
+    # letter 2's arrangement finds it, or the last check after letter 1
+    pants = make_page(0, 3)
+    c = parse_curve(pants, [(1, 1), (2, 1)])
+    p1 = pushoff(pants, 1)
+    looped = ArcImage(p1.start_slot, p1.end_slot, ((2, -1),), normalized=True)
+    made = []
+    monkeypatch.setattr(mapping, "normalize",
+                        lambda page, path: made.append(path) or looped)
+    with pytest.raises(RuntimeError, match="self-crossing image"):
+        apply_word(pants, TwistWord(((c, -1),) * letters), [p1])
+    assert len(made) == 1
+
+
+def test_apply_word_rejects_crossing_images(monkeypatch, four_holed):
+    # two arcs, each embedded, that cross each other: as targets they are
+    # the caller's error, as a letter's images an internal one
+    _d, d4, f1, _f2, _f3 = _lantern_curves(four_holed)
+    b1 = pushoff(four_holed, 1)
+    crossing = [b1, dehn_twist(four_holed, f1, -1, b1)]
+    for path in crossing:
+        assert Arrangement(four_holed, [path]).crossing_free()
+    assert geometric_intersection(four_holed, *crossing) > 0
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        apply_word(four_holed, TwistWord(((d4, 1),)), crossing)
+
+    basis = [pushoff(four_holed, i) for i in (1, 2)]
+    monkeypatch.setattr(mapping, "_splice",
+                        lambda page, arr, q, c, sign, target: crossing[q - 1])
+    with pytest.raises(RuntimeError, match="two crossing images"):
+        apply_word(four_holed, TwistWord(((d4, 1), (d4, 1))), basis)
 
 
 def test_random_round_trips_and_intersections():
