@@ -118,27 +118,29 @@ def generators(diagram: HeegaardDiagram) -> list[tuple]:
 
 
 def _cycle_tables(diagram: HeegaardDiagram):
-    """Per region its tile size and cycle, per half-edge its cycle place.
+    """Per region its tile size and cycle, per half-edge the square across.
 
     tile[r] is 2 for a bigon tile, 4 for a square tile and 0 for a wall:
     the basepoint region and every region that is not a bigon or square
     disk.  cycle[r] is a tile's boundary cycle and None for a wall.
-    pos[h] is the index of h in the cycle of the tile on its left, and 0
-    when the region on its left is a wall.
+    step[e] is (1 << r, turn) for the square tile r on the left of e's
+    twin, with turn its cycle turned to start at that twin, and None
+    when no square tile is across e.
     """
     tile = [reg.tile for reg in diagram.regions]
     tile[diagram.z0_region] = 0
     cycle = [None] * len(diagram.regions)
-    pos = [0] * (2 * diagram.n_edges)
+    step = [None] * (2 * diagram.n_edges)
     for r, size in enumerate(tile):
         if size:
-            cycle[r] = diagram.regions[r].cycles[0]
-            for t, h in enumerate(cycle[r]):
-                pos[h] = t
-    return tile, cycle, pos
+            cycle[r] = c = diagram.regions[r].cycles[0]
+        if size == 4:
+            for q, h in enumerate(c):
+                step[h ^ 1] = (1 << r, c[q:] + c[:q])
+    return tile, cycle, step
 
 
-def _rectangles(diagram: HeegaardDiagram, tile, cyc, pos, bit, climb,
+def _rectangles(diagram: HeegaardDiagram, tile, cyc, step, bit, climb,
                 emit) -> None:
     """Every rectangle, walked once as a grid from its lower source corner.
 
@@ -157,8 +159,7 @@ def _rectangles(diagram: HeegaardDiagram, tile, cyc, pos, bit, climb,
     at each height is read off the first column, so the height is also
     capped at the last one above the lower corner's circle.
     """
-    origin, region, v_beta = (diagram.he_origin, diagram.he_region,
-                              diagram.v_beta)
+    origin, v_beta = diagram.he_origin, diagram.v_beta
     for r0, size in enumerate(tile):
         if size != 4:
             continue
@@ -184,17 +185,19 @@ def _rectangles(diagram: HeegaardDiagram, tile, cyc, pos, bit, climb,
                         emit(((j, low, right[0]),
                               (v_beta[top_right], top_right, top_left)),
                              regs[k], verts[k] ^ corners)
-                h = cyc[region[b]][(pos[b] + 1) % 4] ^ 1
-                if tile[region[h]] != 4:
+                # b's square turned to start at b, then the square
+                # across its next half-edge, turned to start at the twin
+                row = step[step[b ^ 1][1][1]]
+                if row is None:
                     break
-                b = cyc[region[h]][(pos[h] + 1) % 4]
+                b = row[1][1]
                 column, line, (right,), cap = climb(b ^ 1, cap, line_of,
                                                    (2,))
                 regs = [a | c for a, c in zip(regs, column)]
                 verts = [a | c for a, c in zip(verts, line)]
 
 
-def _bigons(diagram: HeegaardDiagram, tile, cyc, pos, bit, climb,
+def _bigons(diagram: HeegaardDiagram, tile, cyc, step, bit, climb,
             emit) -> None:
     """Every bigon, walked once from its one bigon tile.
 
@@ -212,7 +215,7 @@ def _bigons(diagram: HeegaardDiagram, tile, cyc, pos, bit, climb,
     The masks are the strip's with the columns'; the passthrough is the
     vertices less P and Q.
     """
-    region, v_beta = diagram.he_region, diagram.v_beta
+    v_beta = diagram.v_beta
     for t, size in enumerate(tile):
         if size != 2:
             continue
@@ -228,17 +231,13 @@ def _bigons(diagram: HeegaardDiagram, tile, cyc, pos, bit, climb,
                 p, q = left[k], right[k]
                 emit(((v_beta[p], p, q),), strip | regs[k],
                      verts[k] ^ bit[p] ^ bit[q])
-            h = beta ^ 1
-            r = region[h]
-            if tile[r] != 4:
+            row = step[beta]
+            if row is None:
                 break
-            c4, s = cyc[r], pos[h]
-            strip |= 1 << r
-            beta = c4[(s + 2) % 4]
-            regs_l, verts_l, (left,), cap = climb(c4[(s + 1) % 4], cap,
-                                                  line_of, (3,))
-            regs_r, verts_r, (right,), cap = climb(c4[(s + 3) % 4], cap,
-                                                   line_of, (2,))
+            strip |= row[0]
+            _, up_l, beta, up_r = row[1]
+            regs_l, verts_l, (left,), cap = climb(up_l, cap, line_of, (3,))
+            regs_r, verts_r, (right,), cap = climb(up_r, cap, line_of, (2,))
             regs = [a | b | c for a, b, c in zip(regs, regs_l, regs_r)]
             verts = [a | b | c for a, b, c in zip(verts, verts_l, verts_r)]
 
@@ -267,8 +266,8 @@ def walk_domains(diagram: HeegaardDiagram, emit) -> None:
     disk fits exactly the generators that hold its sources and miss
     its passthrough.
     """
-    tile, cyc, pos = _cycle_tables(diagram)
-    origin, region = diagram.he_origin, diagram.he_region
+    tile, cyc, step = _cycle_tables(diagram)
+    origin = diagram.he_origin
     bit = [1 << v for v in range(diagram.n_vertices)]
 
     def climb(e, cap, line_of, sides):
@@ -277,10 +276,11 @@ def walk_domains(diagram: HeegaardDiagram, emit) -> None:
         A square entered across the twin of a half-edge, at position q
         of its cycle, has its lower left corner at q, lower right at
         q + 1, upper right at q + 2 and upper left at q + 3; the next
-        row is entered across the twin of its half-edge at q + 2.  sides
-        holds the upper corner offset of each side to record, 3 for the
-        left and 2 for the right; on line 0 these are e's head and
-        origin, and on line k + 1 the corners of row k.
+        row is entered across the twin of its half-edge at q + 2; step[e]
+        holds the square turned so that q is 0.  sides holds the upper
+        corner offset of each side to record, 3 for the left and 2 for
+        the right; on line 0 these are e's head and origin, and on line
+        k + 1 the corners of row k.
 
         A stack whose vertex positions are not distinct vertices is no
         embedded disk, and neither is any stack holding it; a repeated
@@ -310,20 +310,19 @@ def walk_domains(diagram: HeegaardDiagram, emit) -> None:
             verts.append(vert_mask)
             if k >= cap:
                 return regs, verts, lines, cap
-            h = e ^ 1
-            r = region[h]
-            if tile[r] != 4:
+            row = step[e]
+            if row is None:
                 return regs, verts, lines, k
-            c4, q = cyc[r], pos[h]
-            reg_mask |= 1 << r
+            reg_mask |= row[0]
             regs.append(reg_mask)
+            turn = row[1]
             for line, hi in zip(lines, sides):
-                line.append(origin[c4[(q + hi) % 4]])
-            e = c4[(q + 2) % 4]
+                line.append(origin[turn[hi]])
+            e = turn[2]
             k += 1
 
-    _rectangles(diagram, tile, cyc, pos, bit, climb, emit)
-    _bigons(diagram, tile, cyc, pos, bit, climb, emit)
+    _rectangles(diagram, tile, cyc, step, bit, climb, emit)
+    _bigons(diagram, tile, cyc, step, bit, climb, emit)
 
 
 def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:

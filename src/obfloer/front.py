@@ -501,5 +501,9 @@ def main(argv=None) -> int:
     return code
 
 
+__all__ = ["OpenBookFile", "Report", "export_diagram", "main", "parse_input",
+           "run_check"]
+
+
 if __name__ == "__main__":
     sys.exit(main())

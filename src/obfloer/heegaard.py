@@ -62,10 +62,13 @@ class Region:
 
     @property
     def tile(self) -> int:
-        """2 for a bigon disk, 4 for a square disk, 0 for any other region."""
+        """2 for a bigon disk, 4 for a square disk, 0 for any other region.
+
+        A disk has one boundary cycle, so its corners are that cycle's.
+        """
         if self.euler != 1:
             return 0
-        corners = self.corner_count
+        corners = len(self.cycles[0])
         return corners if corners in (2, 4) else 0
 
     @property
@@ -245,8 +248,8 @@ class HeegaardDiagram:
 class _Chart:
     """One sheet: the cut polygon subdivided by a crossing-free family.
 
-    A family whose chords or strands cross is rejected up front, by the
-    arrangement's crossing_free().
+    arr arranges the family, and has passed its crossing_free() before
+    it gets here (_arranged, or the twist's last check).
 
     The polygon boundary has m nodes, each side's corner followed by its
     attachments; corner[pos] and node_of[handle] give them.  Walk
@@ -260,10 +263,8 @@ class _Chart:
     numbers its face, in the order of the faces' least instances.
     """
 
-    def __init__(self, page: Page, paths, sheet: int):
-        self.arr = arr = Arrangement(page, paths)
-        if not arr.crossing_free():
-            raise ValueError(_CROSSING_IMAGES)
+    def __init__(self, page: Page, arr: Arrangement, sheet: int):
+        self.arr = arr
         self.corner, self.node_of, m = [], {}, 0
         for pos in range(page.n_sides):
             self.corner.append(m)
@@ -314,11 +315,37 @@ def build_diagram(page: Page, monodromy: TwistWord) -> HeegaardDiagram:
     if not isinstance(monodromy, TwistWord):
         raise TypeError("monodromy must be a TwistWord")
     basis = tuple(pushoff(page, i) for i in range(1, page.n_arcs + 1))
-    return assemble_diagram(page, apply_word(page, monodromy, basis))
+    images = apply_word(page, monodromy, basis)
+    # an untwisted word leaves the pushoffs, and their one arrangement
+    # serves both sheets
+    return _double(page, images, images.arrangement,
+                   images.arrangement is None)
 
 
 def assemble_diagram(page: Page, images) -> HeegaardDiagram:
-    """Diagram of the book whose monodromy sends pushoff j to images[j-1]."""
+    """Diagram of the book whose monodromy sends pushoff j to images[j-1].
+
+    The images are arranged here, and images that cross are the
+    caller's error.
+    """
+    return _double(page, images, None, False)
+
+
+def _arranged(page: Page, paths) -> Arrangement:
+    """A sheet's arrangement, rejecting a family whose paths cross."""
+    arr = Arrangement(page, paths)
+    if not arr.crossing_free():
+        raise ValueError(_CROSSING_IMAGES)
+    return arr
+
+
+def _double(page: Page, images, bottom_arr, untwisted) -> HeegaardDiagram:
+    """Glue the pushoffs' sheet to the images' sheet.
+
+    bottom_arr is the images' arrangement, already checked, or None to
+    arrange them here; untwisted images are the pushoffs and share the
+    top sheet's arrangement.
+    """
     n = page.n_arcs
     images = list(images)
     if len(images) != n:
@@ -343,8 +370,13 @@ def assemble_diagram(page: Page, images) -> HeegaardDiagram:
             raise ValueError(
                 "monodromy images must keep the pushoff endpoints")
 
-    top = _Chart(page, pushoffs, _TOP)
-    bottom = _Chart(page, images, _BOTTOM)
+    top_arr = _arranged(page, pushoffs)
+    if untwisted:
+        bottom_arr = top_arr
+    elif bottom_arr is None:
+        bottom_arr = _arranged(page, images)
+    top = _Chart(page, top_arr, _TOP)
+    bottom = _Chart(page, bottom_arr, _BOTTOM)
     charts = (top, bottom)
 
     # vertices: one per strand through an arc, on either sheet; the top

@@ -29,8 +29,9 @@ through distance order along one side, and any subset of an
 arrangement's paths keeps its own order, so each image comes out as
 dehn_twist makes it alone.  That arrangement's linear crossing_free()
 also checks the images the previous letter made, as embedded and
-pairwise disjoint, and one more arrangement checks the last letter's.
-dehn_twist checks its single image in an arrangement of its own.
+pairwise disjoint, and one more arrangement checks the last letter's;
+the doubling reuses that one as its bottom sheet.  dehn_twist checks
+its single image in an arrangement of its own.
 
 The handedness conventions are pinned by the annulus and four-holed
 sphere fixtures in the test suite rather than trusted.
@@ -180,6 +181,17 @@ def _splice(page: Page, arr: Arrangement, q: int, c: Curve, sign: int,
     return image
 
 
+class _Images(tuple):
+    """A word's images, with the arrangement that checked them last.
+
+    That arrangement holds the images alone, in order, and has passed
+    crossing_free(); it is None when no letter moved an image, which
+    then are the targets.
+    """
+
+    arrangement: Arrangement | None
+
+
 def apply_word(page: Page, word: TwistWord, targets):
     """Images of disjoint arcs under a twist word, rightmost letter first.
 
@@ -187,8 +199,10 @@ def apply_word(page: Page, word: TwistWord, targets):
     which also checks that the images it twists are embedded and
     pairwise disjoint: the targets at the first letter, where a crossing
     is the caller's, and the previous letter's images after it.  One
-    more arrangement checks the last letter's images.  Images parallel
-    to a letter's curve sit that letter out, as dehn_twist returns them.
+    more arrangement checks the last letter's images; the returned
+    tuple keeps it as its arrangement, None when no letter moved an
+    image.  Images parallel to a letter's curve sit that letter out, as
+    dehn_twist returns them.
     """
     images, twisted = list(targets), False
     for curve, sign in reversed(word.letters):
@@ -204,9 +218,11 @@ def apply_word(page: Page, word: TwistWord, targets):
         for q, j in enumerate(moving, 1):
             images[j] = _splice(page, arr, q, curve, sign, images[j])
         twisted = True
-    if twisted and not Arrangement(page, images).crossing_free():
+    out = _Images(images)
+    out.arrangement = Arrangement(page, images) if twisted else None
+    if twisted and not out.arrangement.crossing_free():
         raise RuntimeError(_CROSSING_IMAGES)
-    return tuple(images)
+    return out
 
 
 def same_action_on_basis(page: Page, w1: TwistWord, w2: TwistWord) -> bool:

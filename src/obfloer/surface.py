@@ -37,6 +37,12 @@ __all__ = [
     "parallel",
     "successor_cycles",
     "pushoff",
+    "canonical_rotation",
+    "invert_word",
+    "is_primitive",
+    "reduce_cyclic",
+    "reduce_linear",
+    "unoriented_canonical",
 ]
 
 Token = tuple[int, int]
@@ -376,19 +382,7 @@ class Arrangement:
             self.strands.append(by_arc)
         self._build()
 
-    # -- sides of attachments ------------------------------------------------
-
-    def _att_side(self, handle) -> int:
-        p, k, role = handle
-        ev = self.events[p][k]
-        if role == _END:
-            return self.page.segment_side_pos(ev[1])
-        arc, sign = ev[1], ev[2]
-        entry = sign > 0
-        if role == _OUT:
-            entry = not entry
-        occ = self.page.occurrence_of(arc, entry_sign=+1 if entry else -1)
-        return self.page.arc_side_pos(occ)
+    # -- endpoints on a segment -----------------------------------------------
 
     def _slot_key(self, handle) -> tuple:
         """Endpoints on one segment go by path, then start before end."""
@@ -463,9 +457,21 @@ class Arrangement:
         # cross the same arcs keep their order, as entering a side and
         # switching to its twin copy both reverse it.  Endpoints on a
         # boundary side go by slot key.  Most small arrangements have no
-        # arc side with two attachments and skip the ranking.
-        side = {h: self._att_side(h) for chord in itertools.chain.from_iterable(
-            self.chords) for h in chord}
+        # arc side with two attachments and skip the ranking.  side[h]
+        # is the polygon position of handle h's side: an endpoint's
+        # segment, or the copy of its arc that the strand enters or
+        # leaves by.
+        self.side = side = {}
+        for chord in itertools.chain.from_iterable(self.chords):
+            for handle in chord:
+                p, k, role = handle
+                _kind, where, sign = self.events[p][k]
+                if role == _END:
+                    side[handle] = page.segment_side_pos(where)
+                else:
+                    entry = 1 if (sign > 0) == (role == _IN) else -1
+                    side[handle] = page.arc_side_pos(
+                        page.occurrence_of(where, entry_sign=entry))
         self.att_order: dict[int, list] = {pos: [] for pos in range(page.n_sides)}
         for handle, pos in side.items():
             self.att_order[pos].append(handle)
@@ -579,7 +585,7 @@ class Arrangement:
         return count
 
     def _share_arc_side(self, c1, c2) -> bool:
-        shared = set(map(self._att_side, c1)) & set(map(self._att_side, c2))
+        shared = {self.side[h] for h in c1} & {self.side[h] for h in c2}
         return any(map(self.page.is_arc_side, shared))
 
 

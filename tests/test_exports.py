@@ -32,7 +32,8 @@ def test_every_exported_name_resolves():
         assert not missing, (name, missing)
 
 
-@pytest.mark.parametrize("name", ["floer", "heegaard", "mapping", "nicify"])
+@pytest.mark.parametrize("name", ["floer", "front", "heegaard", "mapping",
+                                  "nicify", "surface"])
 def test_public_functions_are_exactly_the_exported_ones(name):
     # the bench tracer wraps every public function, and calls inside a
     # module go through its globals: a public helper called per column
@@ -96,6 +97,10 @@ def test_traced_runs_are_well_formed(tmp_path):
                  "trace.other_ms"})
     assert wanted <= set(metrics)
     assert all(math.isfinite(m["value"]) for m in metrics.values())
+    # the pipeline's twist and doubling pass through the traced functions
+    for name in ("mapping.apply_word_ms", "mapping.image_crossings",
+                 "heegaard.assemble_ms"):
+        assert metrics[name]["value"] > 0, name
     json.dumps(metrics, allow_nan=False)
 
 

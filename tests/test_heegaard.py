@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from obfloer import heegaard, mapping
 from obfloer.floer import generators
 from obfloer.front import _render_text, parse_input
 from obfloer.heegaard import assemble_diagram, build_diagram
@@ -217,6 +218,53 @@ def test_assemble_rejects_interleaving_chords():
     assert arr.flips_between(0, 1) == [] and arr.crossing_number(0, 1) == 1
     with pytest.raises(ValueError, match="pairwise disjoint"):
         assemble_diagram(pants, (short, astray))
+
+
+def _counted_arrangements(monkeypatch):
+    built = []
+
+    class Counted(Arrangement):
+        def __init__(self, page, paths):
+            built.append(len(paths))
+            super().__init__(page, paths)
+
+    for module in (mapping, heegaard):
+        monkeypatch.setattr(module, "Arrangement", Counted)
+    return built
+
+
+@pytest.mark.parametrize("text, letters", [
+    (torus_word("+a +b", 3), 6),
+    (torus_word("+a -b", 3), 6),
+    (LANTERN + "twists: +d4 -f1 +f2\n", 3),
+    ("page g=0 b=2\ntwists:\n", 0),
+], ids=["ab_3", "abinv_3", "lantern", "annulus_id"])
+def test_build_diagram_arranges_each_sheet_once(monkeypatch, text, letters):
+    # the top sheet, one arrangement per letter and the last letter's
+    # check, which the bottom sheet reuses; an empty word leaves the
+    # pushoffs, whose one arrangement serves both sheets
+    book = parse_input(text)
+    built = _counted_arrangements(monkeypatch)
+    build_diagram(book.page, book.word)
+    assert len(book.word.letters) == letters
+    assert len(built) == (letters + 2 if letters else 1)
+
+
+def test_build_diagram_raises_the_twists_crossing_error(monkeypatch):
+    # the last letter's images cross each other: the twist's last check
+    # rejects them as its own error, not as the caller's input
+    c = parse_curve(pants, [(1, 1), (2, 1)])
+    crossing = (dehn_twist(pants, c, -1, pushoff(pants, 1)), pushoff(pants, 2))
+    splice = mapping._splice
+
+    def last_letter_crosses(page, arr, q, curve, sign, target):
+        if sign < 0:
+            return splice(page, arr, q, curve, sign, target)
+        return crossing[q - 1]
+
+    monkeypatch.setattr(mapping, "_splice", last_letter_crosses)
+    with pytest.raises(RuntimeError, match="two crossing images"):
+        build_diagram(pants, TwistWord(((c, 1), (c, -1))))
 
 
 def _no_count(*_args):
