@@ -36,7 +36,6 @@ from .mapping import TwistWord, apply_word
 from .surface import ArcImage, Arrangement, Page, pushoff
 
 _TOP, _BOTTOM = 0, 1
-_END = "end"
 _CROSSING_IMAGES = ("arc images must be embedded and pairwise disjoint to "
                     "double into a diagram")
 
@@ -255,50 +254,36 @@ class _Chart:
     attachments; corner[pos] and node_of[handle] give them.  Walk
     instances are ints.  Boundary piece v, between nodes v and v + 1,
     is v; the top sheet walks it from v to v + 1, and the bottom sheet,
-    which the doubling flips over, back from v + 1 to v.  Chord k of
-    the family, counted in (path, chord) order and walked along (d = 1)
-    or against (d = -1) its path, is m + 2k + (d == 1); path p's chords
-    start at chord_base[p].  nxt[i] is the instance after i with the
-    face on the left, as the doubled surface sees it, and face[i]
-    numbers its face, in the order of the faces' least instances.
+    which the doubling flips over, back from v + 1 to v.  A chord walked
+    to its end h is m + h: chord c of arr, walked along its path, is
+    m + 2c + 1, and against it m + 2c.  nxt[i] is the instance after i
+    with the face on the left, as the doubled surface sees it, and
+    face[i] numbers its face, in the order of the faces' least
+    instances.
     """
 
     def __init__(self, page: Page, arr: Arrangement, sheet: int):
         self.arr = arr
-        self.corner, self.node_of, m = [], {}, 0
+        self.corner, self.node_of, m = [], [0] * len(arr.side), 0
         for pos in range(page.n_sides):
             self.corner.append(m)
-            for handle in arr.att_order[pos]:
+            for h in arr.att_order[pos]:
                 m += 1
-                self.node_of[handle] = m
+                self.node_of[h] = m
             m += 1
-        chords, self.chord_base = [], []
-        for p_chords in arr.chords:
-            self.chord_base.append(m + 2 * len(chords))
-            chords += p_chords
-        # end[node]: 2k + 1 at chord k's start, 2k at its end, else -1
-        end = [-1] * m
-        for k, (h_from, h_to) in enumerate(chords):
-            for handle, e in ((h_from, 2 * k + 1), (h_to, 2 * k)):
-                node = self.node_of[handle]
-                if end[node] >= 0:
-                    raise RuntimeError(
-                        "internal error: two chord ends in one node")
-                end[node] = e
-        # the piece into node u is followed by the chord leaving u, or
-        # else by the piece out of u; the chord arriving at u, by the
-        # piece out of u
-        nxt = self.nxt = [0] * (m + 2 * len(chords))
-        for u in range(m):
+        self.m = m
+        # the piece into node u is followed by the piece out of u, unless
+        # u holds handle h: then by the chord leaving h, m + (h ^ 1), and
+        # the chord arriving at h, m + h, by the piece out of u
+        step = 1 if sheet == _TOP else -1
+        nxt = self.nxt = [(v + step) % m for v in range(m)]
+        nxt += [0] * len(self.node_of)
+        for h, u in enumerate(self.node_of):
             a, b = (u - 1) % m, u
             if sheet == _BOTTOM:
                 a, b = b, a
-            e = end[u]
-            if e < 0:
-                nxt[a] = b
-            else:
-                nxt[a] = m + e
-                nxt[m + (e ^ 1)] = b
+            nxt[a] = m + (h ^ 1)
+            nxt[m + h] = b
         face = self.face = [-1] * len(nxt)
         self.n_faces = 0
         for start in range(len(nxt)):
@@ -380,49 +365,32 @@ def _double(page: Page, images, bottom_arr, untwisted) -> HeegaardDiagram:
     charts = (top, bottom)
 
     # vertices: one per strand through an arc, on either sheet; the top
-    # sheet goes first, so pushoff j's contact crossing is vertex j - 1
-    v_alpha, v_beta, v_tag = [], [], []
-    vertex_of = {}
+    # sheet goes first, so pushoff j's contact crossing is vertex j - 1.
+    # vertex_at[sheet][c] is the crossing that chord c of the sheet ends
+    # at, the one whose attachments are 2c + 1 and 2c + 2.
+    v_alpha, v_beta, v_tag, vertex_at = [], [], [], []
     for sheet, chart in enumerate(charts):
+        at = [-1] * chart.arr.chord_base[-1]
         for p, events in enumerate(chart.arr.events):
             for k, ev in enumerate(events):
                 if ev[0] != "x":
                     continue
-                vertex_of[(sheet, p, k)] = len(v_alpha)
+                at[chart.arr.chord_base[p] + k - 1] = len(v_alpha)
                 v_alpha.append(ev[1])
                 v_beta.append(p + 1)
                 v_tag.append(("contact", p + 1) if sheet == _TOP
                              else ("token", p + 1, k - 1))
+        vertex_at.append(at)
     for j in range(n):
         hits = [ev for ev in top.arr.events[j] if ev[0] == "x"]
         if len(hits) != 1 or hits[0][1] != j + 1:
             raise RuntimeError("internal error: pushoff strays off its arc")
-
-    # each arc's two copy sides, and the strands through it in parameter
-    # order as its first copy lists them (the second lists them reversed)
-    arc_sides = [None] + [
-        (page.arc_side_pos(page.first_occurrence[i - 1]),
-         page.arc_side_pos(page.second_occurrence[i - 1]))
-        for i in range(1, n + 1)]
-    strands = {(sheet, i): [h[:2] for h in chart.arr.att_order[pos]]
-               for sheet, chart in enumerate(charts)
-               for i, (pos, _) in enumerate(arc_sides[1:], start=1)}
 
     # walk instances of the surface: the top sheet's, then the bottom
     # sheet's numbered on after them
     base = (0, len(top.nxt))
     nxt = top.nxt + [i + base[1] for i in bottom.nxt]
     face = top.face + [f + top.n_faces for f in bottom.face]
-
-    # A curve piece is (instance, flipped): the walk instance going along
-    # the curve, and the one with the other side on the left.
-    def alpha_piece(sheet, i, t):
-        """The arc piece at parameter slot t."""
-        pos_l, pos_r = arc_sides[i]
-        m = len(strands[(sheet, i)])
-        corner = charts[sheet].corner
-        return (base[sheet] + corner[pos_l] + t,
-                base[sheet] + corner[pos_r] + m - t)
 
     # final edges: chains of directed pieces between consecutive crossings
     edge_label = []
@@ -433,7 +401,11 @@ def _double(page: Page, images, bottom_arr, untwisted) -> HeegaardDiagram:
     home_at = [-1] * len(nxt)
 
     def emit_edges(label, elems):
-        """Split a cyclic piece/vertex sequence into edges at the vertices."""
+        """Split a cyclic piece/vertex sequence into edges at the vertices.
+
+        A piece is (instance, flipped): the walk instance going along
+        the curve, and the one with the other side on the left.
+        """
         breaks = [t for t, e in enumerate(elems) if type(e) is int]
         elems = elems[breaks[0]:] + elems[:breaks[0]]
         breaks = [t - breaks[0] for t in breaks]
@@ -452,33 +424,38 @@ def _double(page: Page, images, bottom_arr, untwisted) -> HeegaardDiagram:
             for s, (_inst, flipped) in enumerate(reversed(chain)):
                 home_he[flipped], home_at[flipped] = h + 1, s
 
-    for i in range(1, n + 1):
+    # circle a_i runs along arc i's first copy on the top sheet and back
+    # on the bottom one; the first copy lists the strands through the arc
+    # in parameter order, the second copy lists them reversed
+    for i, (p, q) in enumerate(zip(page.first_occurrence,
+                                   page.second_occurrence), start=1):
+        pos_l, pos_r = page.arc_side_pos(p), page.arc_side_pos(q)
         elems = []
-        seq_top = strands[(_TOP, i)]
-        seq_bot = strands[(_BOTTOM, i)]
-        for t in range(len(seq_top) + 1):
-            elems.append(alpha_piece(_TOP, i, t))
-            if t < len(seq_top):
-                elems.append(vertex_of[(_TOP,) + seq_top[t]])
-        for t in range(len(seq_bot), -1, -1):
-            elems.append(alpha_piece(_BOTTOM, i, t))
-            if t > 0:
-                elems.append(vertex_of[(_BOTTOM,) + seq_bot[t - 1]])
+        for sheet, chart in enumerate(charts):
+            strands = chart.arr.att_order[pos_l]
+            left = base[sheet] + chart.corner[pos_l]
+            right = base[sheet] + chart.corner[pos_r] + len(strands)
+            seq = [(left, right)]
+            for t, h in enumerate(strands, start=1):
+                seq += (vertex_at[sheet][(h - 1) >> 1], (left + t, right - t))
+            elems += seq if sheet == _TOP else seq[::-1]
         emit_edges(("a", i), elems)
 
     # circle b_j runs along pushoff j's chords and back along image j's
     for j in range(n):
         elems = []
-        x = top.chord_base[j]
-        for c in range(len(top.arr.chords[j])):
+        x = top.m
+        first, stop = top.arr.chord_base[j:j + 2]
+        for c in range(first, stop):
+            if c > first:
+                elems.append(vertex_at[_TOP][c - 1])
             elems.append((x + 2 * c + 1, x + 2 * c))
-            if c + 1 < len(top.arr.events[j]) - 1:
-                elems.append(vertex_of[(_TOP, j, c + 1)])
-        x = base[_BOTTOM] + bottom.chord_base[j]
-        for c in range(len(bottom.arr.chords[j]) - 1, -1, -1):
+        x = base[_BOTTOM] + bottom.m
+        first, stop = bottom.arr.chord_base[j:j + 2]
+        for c in range(stop - 1, first - 1, -1):
             elems.append((x + 2 * c, x + 2 * c + 1))
-            if c > 0:
-                elems.append(vertex_of[(_BOTTOM, j, c)])
+            if c > first:
+                elems.append(vertex_at[_BOTTOM][c - 1])
         emit_edges(("b", j + 1), elems)
 
     parent = list(range(top.n_faces + bottom.n_faces))
@@ -491,18 +468,20 @@ def _double(page: Page, images, bottom_arr, untwisted) -> HeegaardDiagram:
         return x
 
     # each binding piece of the top sheet is glued to its bottom partner,
-    # and the faces on either side merge into one region
+    # and the faces on either side merge into one region; both sheets
+    # list a binding side's endpoints by slot key (path, end)
+    slot_key = [{h: (p, end) for p in range(n) for end, h in enumerate(
+                 (2 * arr.chord_base[p], 2 * arr.chord_base[p + 1] - 1))}
+                for arr in (top.arr, bottom.arr)]
     glue = [-1] * len(nxt)
     for pos in range(page.n_sides):
         if page.is_arc_side(pos):
             continue
-        tkeys = [(top.arr.events[p][k][1], p, top.arr.events[p][k][2])
-                 for p, k, _role in top.arr.att_order[pos]]
-        bkeys = [(bottom.arr.events[p][k][1], p, bottom.arr.events[p][k][2])
-                 for p, k, _role in bottom.arr.att_order[pos]]
-        if tkeys != bkeys:
+        ends = [[keys[h] for h in chart.arr.att_order[pos]]
+                for keys, chart in zip(slot_key, charts)]
+        if ends[_TOP] != ends[_BOTTOM]:
             raise RuntimeError("internal error: sheets disagree on the binding")
-        for t in range(len(tkeys) + 1):
+        for t in range(len(ends[_TOP]) + 1):
             a = top.corner[pos] + t
             b = base[_BOTTOM] + bottom.corner[pos] + t
             ra, rb = find(face[a]), find(face[b])
@@ -565,8 +544,9 @@ def _double(page: Page, images, bottom_arr, untwisted) -> HeegaardDiagram:
     if -1 in he_region:
         raise RuntimeError("internal error: half-edge on no boundary cycle")
 
-    # the basepoint sits just counterclockwise of the first pushoff's start
-    z0_region = region_at[root[face[top.node_of[(0, 0, _END)]]]]
+    # the basepoint sits just counterclockwise of the first pushoff's
+    # start, handle 0
+    z0_region = region_at[root[face[top.node_of[0]]]]
 
     diagram = HeegaardDiagram(
         n=n, v_alpha=v_alpha, v_beta=v_beta, v_tag=v_tag,

@@ -39,17 +39,19 @@ sphere fixtures in the test suite rather than trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .surface import (
     ArcImage,
     Arrangement,
     Curve,
     Page,
+    canonical_rotation,
     invert_word,
-    normalize,
     parallel,
     pushoff,
+    reduce_cyclic,
+    reduce_linear,
 )
 
 
@@ -108,14 +110,13 @@ def dehn_twist(page: Page, c: Curve, sign: int, target):
 
     if parallel(c, target):
         return target
-    image = _splice(page, Arrangement(page, [c, target]), 1, c, sign, target)
+    image = _splice(Arrangement(page, [c, target]), 1, c, sign, target)
     if image is not target and not Arrangement(page, [image]).crossing_free():
         raise RuntimeError(_SELF_CROSSING)
     return image
 
 
-def _splice(page: Page, arr: Arrangement, q: int, c: Curve, sign: int,
-            target):
+def _splice(arr: Arrangement, q: int, c: Curve, sign: int, target):
     """Twist target, path q of arr, about c, path 0 of arr.
 
     The splice reads arr only through cyclic betweenness of positions
@@ -124,23 +125,25 @@ def _splice(page: Page, arr: Arrangement, q: int, c: Curve, sign: int,
     """
     word_c = c.crossings
     events_t = arr.events[q]
+    pos, n, base = arr.position, arr.n_positions, arr.chord_base
 
     # polygon crossings, attributed to the target chord they sit on, which
     # starts at the target's event of the same index
     interior: dict[int, list] = {}
-    ends_c = [(arr.position[a], arr.position[b]) for a, b in arr.chords[0]]
-    for j, (h_p, h_q) in enumerate(arr.chords[q]):
-        pos_p, pos_q = arr.position[h_p], arr.position[h_q]
+    ends = pos[2 * base[0]:2 * base[1]]
+    ends_c = list(zip(ends[::2], ends[1::2]))
+    for j, chord in enumerate(range(base[q], base[q + 1])):
+        pos_p = pos[2 * chord]
+        span = (pos[2 * chord + 1] - pos_p) % n
         for l, (pos_r, pos_s) in enumerate(ends_c):
-            r_inside = arr._between(pos_r, pos_p, pos_q)
-            s_inside = arr._between(pos_s, pos_p, pos_q)
+            off_r, off_s = (pos_r - pos_p) % n, (pos_s - pos_p) % n
+            r_inside, s_inside = 0 < off_r < span, 0 < off_s < span
             if r_inside == s_inside:
                 continue
             sigma = 1 if r_inside else -1
-            inside = pos_r if r_inside else pos_s
-            offset = (inside - pos_p) % arr.n_positions
             loop = _loop(word_c, l + 1, _CHORD_CHIRALITY * sign * sigma)
-            interior.setdefault(j, []).append((offset, loop))
+            interior.setdefault(j, []).append(
+                (off_r if r_inside else off_s, loop))
 
     # strip crossings, attributed to the target token they sit at
     flips: dict[int, list] = {}
@@ -165,7 +168,7 @@ def _splice(page: Page, arr: Arrangement, q: int, c: Curve, sign: int,
     for stack in [*interior.values(), *flips.values()]:
         stack.sort(key=lambda pair: pair[0])
 
-    # a curve's word comes out rotated, which normalize undoes
+    # a curve's word comes out rotated, which _image undoes
     out = []
     for k, ev in enumerate(events_t):
         for _depth, loop in flips.get(k, ()):
@@ -174,11 +177,23 @@ def _splice(page: Page, arr: Arrangement, q: int, c: Curve, sign: int,
             out.append(ev[1:])
         for _off, loop in interior.get(k, ()):
             out.extend(loop)
-    image = normalize(page, replace(target, crossings=tuple(out),
-                                    normalized=False))
+    image = _image(target, tuple(out))
     if isinstance(image, Curve) and not image.crossings:
         raise RuntimeError("internal error: twist trivialized an essential curve")
     return image
+
+
+def _image(target, tokens):
+    """The target's image: its spliced tokens, reduced.
+
+    Every token comes from a normalized word, so reducing them is all
+    that normalize would do.
+    """
+    if isinstance(target, Curve):
+        return Curve(canonical_rotation(reduce_cyclic(tokens)),
+                     normalized=True)
+    return ArcImage(target.start_slot, target.end_slot,
+                    reduce_linear(tokens), normalized=True)
 
 
 class _Images(tuple):
@@ -216,7 +231,7 @@ def apply_word(page: Page, word: TwistWord, targets):
                     "twist targets must be embedded and pairwise disjoint")
             raise RuntimeError(_CROSSING_IMAGES)
         for q, j in enumerate(moving, 1):
-            images[j] = _splice(page, arr, q, curve, sign, images[j])
+            images[j] = _splice(arr, q, curve, sign, images[j])
         twisted = True
     out = _Images(images)
     out.arrangement = Arrangement(page, images) if twisted else None

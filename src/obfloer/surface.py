@@ -294,9 +294,11 @@ def parse_curve(page: Page, tokens) -> Curve:
     if not is_primitive(reduced):
         raise ValueError("crossing sequence traverses a shorter curve repeatedly (not embedded)")
     curve = Curve(crossings=canonical_rotation(reduced), normalized=True)
-    crossings = Arrangement(page, [curve]).crossing_number(0, 0)
-    if crossings:
-        raise ValueError(f"crossing sequence describes a curve with {crossings} self-crossings")
+    arr = Arrangement(page, [curve])
+    # the linear test decides; the pairwise count only words the error
+    if not arr.crossing_free():
+        raise ValueError("crossing sequence describes a curve with "
+                         f"{arr.crossing_number(0, 0)} self-crossings")
     return curve
 
 
@@ -326,13 +328,7 @@ def pushoff(page: Page, arc: int) -> ArcImage:
 def _dense_ranks(keys: list) -> list[int]:
     """Replace each key by its index among the distinct keys, sorted."""
     order = {key: r for r, key in enumerate(sorted(set(keys)))}
-    return [order[key] for key in keys]
-
-
-# Attachment handle roles: a crossing event has an entry attachment and an
-# exit attachment on the two copies of its arc; an endpoint event has a
-# single attachment on its boundary segment.
-_IN, _OUT, _END = "in", "out", "end"
+    return list(map(order.__getitem__, keys))
 
 
 class Arrangement:
@@ -346,14 +342,34 @@ class Arrangement:
     crossing_number), so crossing_free() reads embeddedness off it; its
     minimal counts are checked against a brute-force chord placement
     search in the test suite.
+
+    A curve's events are its tokens; an arc's are its start, its tokens
+    and its end.  Chord k of a path runs from its event k to its event
+    k + 1, cyclically on a curve.  Attachments are int handles: chords
+    are numbered in (path, chord) order, path p's from chord_base[p] on,
+    and chord c's two ends are handles 2c and 2c + 1, so the far end of
+    handle h is h ^ 1.  side[h] is the polygon position of the side h
+    attaches to, att_order[pos] lists the handles on side pos
+    counterclockwise, and position[h] is h's place in the concatenation
+    of those lists.  other[h] is the attachment of h's crossing on the
+    twin copy of its arc, or -1 at an endpoint.
     """
 
     def __init__(self, page: Page, paths):
         if page.n_arcs == 0:
             raise ValueError("the disk page carries no essential curves or arcs")
         self.page = page
+        # the sides a token's strand enters and leaves by: a positive
+        # token enters on its arc's first copy
+        through = {}
+        for arc, p, q in zip(itertools.count(1), page.first_occurrence,
+                             page.second_occurrence):
+            p, q = page.arc_side_pos(p), page.arc_side_pos(q)
+            through[arc, 1], through[arc, -1] = (p, q), (q, p)
         self.events: list[list[tuple]] = []
         self.cyclic: list[bool] = []
+        self.chord_base = [0]
+        side = []
         for path in paths:
             if isinstance(path, Curve):
                 if not path.normalized:
@@ -362,6 +378,11 @@ class Arrangement:
                     raise ValueError("cannot arrange a trivial curve")
                 self.events.append([("x", a, s) for a, s in path.crossings])
                 self.cyclic.append(True)
+                # handle 2b leaves token 0, which is entered last
+                sides = list(itertools.chain.from_iterable(
+                    map(through.__getitem__, path.crossings)))
+                side += sides[1:]
+                side.append(sides[0])
             elif isinstance(path, ArcImage):
                 if not path.normalized:
                     raise ValueError("arrangement requires normalized arcs")
@@ -370,28 +391,28 @@ class Arrangement:
                 evs.append(("e", path.end_slot, 1))
                 self.events.append(evs)
                 self.cyclic.append(False)
+                side.append(page.segment_side_pos(path.start_slot))
+                side.extend(itertools.chain.from_iterable(
+                    map(through.__getitem__, path.crossings)))
+                side.append(page.segment_side_pos(path.end_slot))
             else:
                 raise TypeError(f"cannot arrange {type(path).__name__}")
-        # strands[p][arc]: event indices of path p crossing that arc
-        self.strands: list[dict] = []
-        for evs in self.events:
-            by_arc = {}
-            for k, ev in enumerate(evs):
-                if ev[0] == "x":
-                    by_arc.setdefault(ev[1], []).append(k)
-            self.strands.append(by_arc)
+            self.chord_base.append(len(side) // 2)
+        n = len(side)
+        # chord c ends at the crossing that chord c + 1 leaves, except
+        # where a path closes up or ends
+        other = self.other = [0] * n
+        other[0::2] = range(-1, n - 1, 2)
+        other[1::2] = range(2, n + 2, 2)
+        for p, cyclic in enumerate(self.cyclic):
+            first, last = 2 * self.chord_base[p], 2 * self.chord_base[p + 1] - 1
+            other[first], other[last] = (last, first) if cyclic else (-1, -1)
+        self.side = side
         self._build()
-
-    # -- endpoints on a segment -----------------------------------------------
-
-    def _slot_key(self, handle) -> tuple:
-        """Endpoints on one segment go by path, then start before end."""
-        p, k, _role = handle
-        return (p, self.events[p][k][2])
 
     # -- ranking germs -----------------------------------------------------------
 
-    def _rank_germs(self, side: dict) -> dict:
+    def _rank_germs(self) -> list[int]:
         """Rank the away germ of every attachment by its itinerary.
 
         The germ leaving an attachment reads one letter per chord: the
@@ -405,88 +426,57 @@ class Arrangement:
         attachments of one side share a rank.  A round that splits no
         class would split none later, so strands still tied then are
         parallel.
+
+        Letters are ints: (offset,) is offset * (n + 1), and a slot key
+        adds 1 + the far end, as endpoints go by handle in slot key
+        (path, end) order.  A round's pair of ranks is one int the same
+        way.
         """
-        n_sides = self.page.n_sides
-        far = {}
-        for a, b in itertools.chain.from_iterable(self.chords):
-            far[a], far[b] = b, a
-        index = {h: i for i, h in enumerate(far)}
-        letters, hop = [], []
-        for i, (h, f) in enumerate(far.items()):
-            offset = (side[f] - side[h]) % n_sides
-            p, k, role = f
-            if role == _END:
-                letters.append((offset,) + self._slot_key(f))
-                hop.append(i)
-            else:
-                letters.append((offset,))
-                hop.append(index[(p, k, _OUT if role == _IN else _IN)])
-        sides = [side[h] for h in far]
+        side, other, n_sides = self.side, self.other, self.page.n_sides
+        n = len(side)
+        far, hop = [0] * n, [0] * n
+        far[0::2], far[1::2] = side[1::2], side[0::2]
+        hop[0::2], hop[1::2] = other[1::2], other[0::2]
+        letters = [(f - s) % n_sides * (n + 1) for f, s in zip(far, side)]
+        for h, f in enumerate(hop):
+            if f < 0:
+                letters[h] += 1 + (h ^ 1)
+                hop[h] = h
         rank, classes = _dense_ranks(letters), 0
-        while len(set(zip(sides, rank))) < len(rank):
+        while len(set(zip(side, rank))) < n:
             if max(rank) + 1 == classes:
                 raise RuntimeError("internal error: could not separate parallel strands")
             classes = max(rank) + 1
-            rank = _dense_ranks([(rank[i], rank[j]) for i, j in enumerate(hop)])
-            hop = [hop[j] for j in hop]
-        return dict(zip(far, rank))
+            rank = _dense_ranks([r * classes + s for r, s in
+                                 zip(rank, map(rank.__getitem__, hop))])
+            hop = list(map(hop.__getitem__, hop))
+        return rank
 
     # -- construction ----------------------------------------------------------
 
     def _build(self) -> None:
-        page = self.page
-        self.chords: list[list[tuple]] = []
-        for p, evs in enumerate(self.events):
-            chords = []
-            if self.cyclic[p]:
-                m = len(evs)
-                for k in range(m):
-                    chords.append(((p, k, _OUT), (p, (k + 1) % m, _IN)))
-            else:
-                tail = (p, 0, _END)
-                for k in range(1, len(evs) - 1):
-                    chords.append((tail, (p, k, _IN)))
-                    tail = (p, k, _OUT)
-                chords.append((tail, (p, len(evs) - 1, _END)))
-            self.chords.append(chords)
-
         # Of two strands leaving one arc side, the one whose itinerary is
         # larger at the first letter where they differ attaches
         # counterclockwise-earlier: non-crossing chords from one side nest,
         # the one aiming further counterclockwise outside.  Strands that
         # cross the same arcs keep their order, as entering a side and
         # switching to its twin copy both reverse it.  Endpoints on a
-        # boundary side go by slot key.  Most small arrangements have no
-        # arc side with two attachments and skip the ranking.  side[h]
-        # is the polygon position of handle h's side: an endpoint's
-        # segment, or the copy of its arc that the strand enters or
-        # leaves by.
-        self.side = side = {}
-        for chord in itertools.chain.from_iterable(self.chords):
-            for handle in chord:
-                p, k, role = handle
-                _kind, where, sign = self.events[p][k]
-                if role == _END:
-                    side[handle] = page.segment_side_pos(where)
-                else:
-                    entry = 1 if (sign > 0) == (role == _IN) else -1
-                    side[handle] = page.arc_side_pos(
-                        page.occurrence_of(where, entry_sign=entry))
-        self.att_order: dict[int, list] = {pos: [] for pos in range(page.n_sides)}
-        for handle, pos in side.items():
-            self.att_order[pos].append(handle)
+        # boundary side go by slot key, which is handle order.  Most small
+        # arrangements have no arc side with two attachments and skip the
+        # ranking.
+        page = self.page
+        order = self.att_order = [[] for _ in range(page.n_sides)]
+        for h, pos in enumerate(self.side):
+            order[pos].append(h)
         rank = None
-        for pos, atts in self.att_order.items():
-            if not page.is_arc_side(pos):
-                atts.sort(key=self._slot_key)
-            elif len(atts) > 1:
-                rank = rank or self._rank_germs(side)
-                atts.sort(key=rank.get, reverse=True)
-
-        self.position: dict[tuple, int] = {
-            handle: i for i, handle in
-            enumerate(itertools.chain.from_iterable(self.att_order.values()))}
-        self.n_positions = len(self.position)
+        for pos, atts in enumerate(order):
+            if len(atts) > 1 and page.is_arc_side(pos):
+                rank = rank or self._rank_germs()
+                atts.sort(key=rank.__getitem__, reverse=True)
+        position = self.position = [0] * len(self.side)
+        for i, h in enumerate(itertools.chain.from_iterable(order)):
+            position[h] = i
+        self.n_positions = len(position)
 
     # -- queries ----------------------------------------------------------------
 
@@ -495,12 +485,11 @@ class Arrangement:
         n = self.n_positions
         return 0 < (x - a) % n < (b - a) % n
 
-    def _chords_cross(self, c1, c2) -> bool:
-        a = self.position[c1[0]]
-        b = self.position[c1[1]]
-        c = self.position[c2[0]]
-        d = self.position[c2[1]]
-        return self._between(c, a, b) != self._between(d, a, b)
+    def _chords_cross(self, c1: int, c2: int) -> bool:
+        pos = self.position
+        a, b = pos[2 * c1], pos[2 * c1 + 1]
+        return (self._between(pos[2 * c2], a, b)
+                != self._between(pos[2 * c2 + 1], a, b))
 
     def strand_params(self, p: int, k: int) -> tuple[int, int]:
         """Arc-parameter orders of a crossing as read from the two copies.
@@ -510,12 +499,13 @@ class Arrangement:
         differ as ranks along the arc do.  A pair of strands whose two
         readings disagree must cross next to the arc.
         """
-        sign = self.events[p][k][2]
-        first_handle = (p, k, _IN if sign > 0 else _OUT)
-        second_handle = (p, k, _OUT if sign > 0 else _IN)
+        leave = 2 * (self.chord_base[p] + k)
+        enter = leave - 1 if k else 2 * self.chord_base[p + 1] - 1
+        if self.events[p][k][2] < 0:
+            enter, leave = leave, enter
         # The first copy runs counterclockwise with the parameter, the
         # second copy against it.
-        return self.position[first_handle], -self.position[second_handle]
+        return self.position[enter], -self.position[leave]
 
     def crossing_free(self, paths=None) -> bool:
         """Are the paths embedded and pairwise disjoint?  Linear time.
@@ -530,37 +520,51 @@ class Arrangement:
         Runs that must cross do so at a strip, so this holds exactly
         when every crossing_number is 0.
         """
-        page, order = self.page, self.att_order
-        keep = set(range(len(self.events)) if paths is None else paths)
+        page, order, other = self.page, self.att_order, self.other
+        kept = None
+        if paths is not None:
+            kept = bytearray(len(self.side))
+            for p in paths:
+                lo, hi = 2 * self.chord_base[p], 2 * self.chord_base[p + 1]
+                kept[lo:hi] = b"\x01" * (hi - lo)
         for p, q in zip(page.first_occurrence, page.second_occurrence):
-            if ([h[:2] for h in order[page.arc_side_pos(p)] if h[0] in keep]
-                    != [h[:2] for h in reversed(order[page.arc_side_pos(q)])
-                        if h[0] in keep]):
+            first = order[page.arc_side_pos(p)]
+            second = order[page.arc_side_pos(q)]
+            if kept is not None:
+                first = [h for h in first if kept[h]]
+                second = [h for h in second if kept[h]]
+            if list(map(other.__getitem__, first)) != second[::-1]:
                 return False
-        mate, stack = {}, []
-        for p in keep:
-            for a, b in self.chords[p]:
-                mate[a], mate[b] = b, a
-        for handle in self.position:
-            if handle[0] not in keep:
+        stack = []
+        for h in itertools.chain.from_iterable(order):
+            if kept is not None and not kept[h]:
                 continue
-            if stack and stack[-1] == mate[handle]:
+            if stack and stack[-1] == h ^ 1:
                 stack.pop()
             else:
-                stack.append(handle)
+                stack.append(h)
         return not stack
+
+    def _strands(self, p: int) -> dict[int, list]:
+        """Path p's crossings by arc, as (event, t_first, t_second)."""
+        by_arc = {}
+        for k, ev in enumerate(self.events[p]):
+            if ev[0] == "x":
+                by_arc.setdefault(ev[1], []).append(
+                    (k, *self.strand_params(p, k)))
+        return by_arc
 
     def flips_between(self, p: int, q: int) -> list[tuple[int, int, int]]:
         """Strip crossings between paths p and q as (arc, event_p, event_q)."""
+        strands_p = self._strands(p)
+        strands_q = strands_p if p == q else self._strands(q)
         out = []
         for arc in range(1, self.page.n_arcs + 1):
-            sq = self.strands[q].get(arc, ())
-            for kp in self.strands[p].get(arc, ()):
-                tf_p, ts_p = self.strand_params(p, kp)
-                for kq in sq:
+            sq = strands_q.get(arc, ())
+            for kp, tf_p, ts_p in strands_p.get(arc, ()):
+                for kq, tf_q, ts_q in sq:
                     if p == q and kp >= kq:
                         continue
-                    tf_q, ts_q = self.strand_params(q, kq)
                     if (tf_p - tf_q) * (ts_p - ts_q) < 0:
                         out.append((arc, kp, kq))
         return out
@@ -577,15 +581,17 @@ class Arrangement:
         common arc side, less those of chords that share one.
         """
         count = len(self.flips_between(p, q))
-        chords_q = self.chords[q]
-        for i, c1 in enumerate(self.chords[p]):
-            for c2 in (chords_q[i + 1:] if p == q else chords_q):
+        base = self.chord_base
+        for c1 in range(base[p], base[p + 1]):
+            for c2 in range(c1 + 1 if p == q else base[q], base[q + 1]):
                 if self._chords_cross(c1, c2):
                     count += -1 if self._share_arc_side(c1, c2) else 1
         return count
 
-    def _share_arc_side(self, c1, c2) -> bool:
-        shared = {self.side[h] for h in c1} & {self.side[h] for h in c2}
+    def _share_arc_side(self, c1: int, c2: int) -> bool:
+        side = self.side
+        shared = ({side[2 * c1], side[2 * c1 + 1]}
+                  & {side[2 * c2], side[2 * c2 + 1]})
         return any(map(self.page.is_arc_side, shared))
 
 

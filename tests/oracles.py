@@ -215,12 +215,31 @@ def oracle_self_crossings(page: Page, x) -> int:
                for orders in _order_choices(page, [x]))
 
 
-def _att_side(page: Page, ev, role):
+def att_side(page: Page, ev, role):
     """Polygon side of an attachment: role "in", "out" or "end"."""
     if role == "end":
         return page.segment_side_pos(ev[1])
     entry = (ev[2] > 0) != (role == "out")
     return page.arc_side_pos(page.occurrence_of(ev[1], entry_sign=1 if entry else -1))
+
+
+def handle_numbers(events):
+    """The int handle of every attachment (p, k, role), as documented.
+
+    Chords are numbered in (path, chord) order; chord k of a path runs
+    from its event k to its event k + 1, cyclically on a curve, and
+    chord c's ends are 2c and 2c + 1.
+    """
+    number, c = {}, 0
+    for p, evs in enumerate(events):
+        n_chords = len(evs) if evs[0][0] == "x" else len(evs) - 1
+        for k in range(n_chords):
+            k1 = (k + 1) % len(evs)
+            tail = (p, k, "out" if evs[k][0] == "x" else "end")
+            head = (p, k1, "in" if evs[k1][0] == "x" else "end")
+            number[tail], number[head] = 2 * c, 2 * c + 1
+            c += 1
+    return number
 
 
 def oracle_att_order(arr):
@@ -232,7 +251,8 @@ def oracle_att_order(arr):
     chord whose far sides differ, the strand aiming further
     counterclockwise from the common near side attaches first; when
     both reach boundary slots, the larger slot key (path, end)
-    attaches first.  Boundary sides are in slot-key order.
+    attaches first.  Boundary sides are in slot-key order.  Each side
+    lists handle_numbers' ints.
     """
     page, events = arr.page, arr.events
     twin = twin_occurrences(page)
@@ -245,9 +265,9 @@ def oracle_att_order(arr):
             k = (k + d) % len(events[p])
             ev = events[p][k]
             if ev[0] == "e":
-                yield _att_side(page, ev, "end"), (p, ev[2])
+                yield att_side(page, ev, "end"), (p, ev[2])
                 return
-            yield _att_side(page, ev, "in" if d > 0 else "out"), None
+            yield att_side(page, ev, "in" if d > 0 else "out"), None
 
     def compare(pos, h1, h2):
         near = pos
@@ -260,16 +280,18 @@ def oracle_att_order(arr):
             near = 2 * twin[s1 // 2]
         raise RuntimeError("could not separate parallel strands")
 
-    by_side = {pos: [] for pos in range(page.n_sides)}
+    by_side = [[] for _ in range(page.n_sides)]
     for p, evs in enumerate(events):
         for k, ev in enumerate(evs):
             for role in (("in", "out") if ev[0] == "x" else ("end",)):
-                by_side[_att_side(page, ev, role)].append((p, k, role))
-    for pos, atts in by_side.items():
+                by_side[att_side(page, ev, role)].append((p, k, role))
+    number = handle_numbers(events)
+    for pos, atts in enumerate(by_side):
         if not page.is_arc_side(pos):
             atts.sort(key=lambda h: (h[0], events[h[0]][h[1]][2]))
         else:
             atts.sort(key=functools.cmp_to_key(lambda a, b, pos=pos: compare(pos, a, b)))
+        by_side[pos] = [number[h] for h in atts]
     return by_side
 
 

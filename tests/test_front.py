@@ -472,6 +472,35 @@ def test_module_runs_as_a_command():
     assert "lantern.obk: NONVANISHING" in run.stdout.splitlines()
 
 
+
+def test_hash_seed_changes_no_report_or_dump(tmp_path):
+    # Python salts str hashes per process; nothing a check writes may
+    # depend on the salt
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    written = {}
+    for seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = seed
+        for name in ("lantern.obk", "lantern_stab.obk", "neg_hopf_stab.obk"):
+            out = tmp_path / seed / name[:-len(".obk")]
+            out.mkdir(parents=True)
+            book = out / name
+            book.write_text(open(corpus_path(name)).read()
+                            + f"option report={out / 'report'}\n")
+            run = subprocess.run(
+                [sys.executable, "-m", "obfloer", "check", str(book),
+                 "--export-pre", str(out / "pre.txt"),
+                 "--export-post", str(out / "post.txt"), "--format", "text"],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert run.returncode in (0, 1), run.stdout + run.stderr
+            written[seed, name] = [(out / f).read_bytes()
+                                   for f in ("report", "pre.txt", "post.txt")]
+    for name in ("lantern.obk", "lantern_stab.obk", "neg_hopf_stab.obk"):
+        assert written["0", name] == written["1", name], name
+
+
 # sha256 of _render_text of the built and the flattened diagram
 FRONT_HALF_SHA256 = {
     "annulus_id.obk": (

@@ -257,9 +257,9 @@ def test_build_diagram_raises_the_twists_crossing_error(monkeypatch):
     crossing = (dehn_twist(pants, c, -1, pushoff(pants, 1)), pushoff(pants, 2))
     splice = mapping._splice
 
-    def last_letter_crosses(page, arr, q, curve, sign, target):
+    def last_letter_crosses(arr, q, curve, sign, target):
         if sign < 0:
-            return splice(page, arr, q, curve, sign, target)
+            return splice(arr, q, curve, sign, target)
         return crossing[q - 1]
 
     monkeypatch.setattr(mapping, "_splice", last_letter_crosses)

@@ -204,7 +204,7 @@ def test_twist_rejects_a_self_crossing_image(monkeypatch):
     c = parse_curve(pants, [(1, 1), (2, 1)])
     p1 = pushoff(pants, 1)
     looped = ArcImage(p1.start_slot, p1.end_slot, ((2, -1),), normalized=True)
-    monkeypatch.setattr(mapping, "normalize", lambda page, path: looped)
+    monkeypatch.setattr(mapping, "_image", lambda target, tokens: looped)
     with pytest.raises(RuntimeError, match="self-crossing image"):
         dehn_twist(pants, c, -1, p1)
 
@@ -287,8 +287,8 @@ def test_apply_word_rejects_a_self_crossing_image(monkeypatch, letters):
     p1 = pushoff(pants, 1)
     looped = ArcImage(p1.start_slot, p1.end_slot, ((2, -1),), normalized=True)
     made = []
-    monkeypatch.setattr(mapping, "normalize",
-                        lambda page, path: made.append(path) or looped)
+    monkeypatch.setattr(mapping, "_image",
+                        lambda target, tokens: made.append(tokens) or looped)
     with pytest.raises(RuntimeError, match="self-crossing image"):
         apply_word(pants, TwistWord(((c, -1),) * letters), [p1])
     assert len(made) == 1
@@ -308,7 +308,7 @@ def test_apply_word_rejects_crossing_images(monkeypatch, four_holed):
 
     basis = [pushoff(four_holed, i) for i in (1, 2)]
     monkeypatch.setattr(mapping, "_splice",
-                        lambda page, arr, q, c, sign, target: crossing[q - 1])
+                        lambda arr, q, c, sign, target: crossing[q - 1])
     with pytest.raises(RuntimeError, match="two crossing images"):
         apply_word(four_holed, TwistWord(((d4, 1), (d4, 1))), basis)
 

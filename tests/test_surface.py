@@ -4,6 +4,10 @@ import re
 
 import pytest
 
+import test_acceptance
+from obfloer import heegaard, mapping
+from obfloer.front import parse_input
+from obfloer.heegaard import build_diagram
 from obfloer.mapping import dehn_twist
 from obfloer.surface import (
     ArcImage,
@@ -17,9 +21,11 @@ from obfloer.surface import (
     parse_curve,
     pushoff,
 )
-from oracles import (boundary_count, euler_characteristic_from_cut, oracle_att_order,
-                     oracle_is_embeddable, oracle_min_arc_tokens, oracle_pair_crossings,
+from oracles import (att_side, boundary_count, euler_characteristic_from_cut,
+                     handle_numbers, oracle_att_order, oracle_is_embeddable,
+                     oracle_min_arc_tokens, oracle_pair_crossings,
                      oracle_self_crossings)
+from test_front import BENCH_LADDER
 
 
 # -- page construction -------------------------------------------------------
@@ -187,6 +193,23 @@ def test_parse_curve_reports_minimal_self_crossings():
         parse_curve(page, word)
     assert oracle_self_crossings(page, Curve(tuple(word), normalized=True)) == 2
 
+
+
+def test_parse_curve_counts_crossings_only_to_word_its_error(monkeypatch):
+    # a long embedded curve: the torus curve a under (a b^-1)^6, whose
+    # word has 233 tokens
+    torus = make_page(1, 1)
+    a, b = (parse_curve(torus, [(i, 1)]) for i in (1, 2))
+    curve = a
+    for _ in range(6):
+        curve = dehn_twist(torus, b, -1, dehn_twist(torus, a, 1, curve))
+    assert len(curve.crossings) == 233
+
+    def no_count(*_args):
+        raise AssertionError("parse_curve counted the crossings")
+
+    monkeypatch.setattr(Arrangement, "crossing_number", no_count)
+    assert parse_curve(torus, curve.crossings) == curve
 
 def test_parse_curve_matches_oracle_embeddability():
     pages = [make_page(0, 4), make_page(1, 1)]
@@ -388,6 +411,52 @@ def test_att_order_matches_germ_walk():
             arr = Arrangement(page, [x, y])
             assert arr.att_order == oracle_att_order(arr)
 
+
+
+def test_handles_number_the_chord_ends(monkeypatch):
+    # every arrangement that building the bench ladder and 100
+    # property-suite draws makes
+    books = [(book.page, book.word) for book in
+             map(parse_input, BENCH_LADDER.values())]
+    monkeypatch.setattr(test_acceptance, "build_diagram",
+                        lambda page, word: books.append((page, word)))
+    rng = random.Random(2026)
+    for _ in range(100):
+        test_acceptance.random_book(rng)
+    built = []
+
+    class Recorded(Arrangement):
+        def __init__(self, page, paths):
+            super().__init__(page, paths)
+            built.append(self)
+
+    for module in (mapping, heegaard):
+        monkeypatch.setattr(module, "Arrangement", Recorded)
+    for page, word in books:
+        build_diagram(page, word)
+    assert len(built) > 200
+    for arr in built:
+        number = handle_numbers(arr.events)
+        n = len(arr.side)
+        assert sorted(number.values()) == list(range(n))
+        assert arr.chord_base[-1] == n // 2
+        attachment = {h: att for att, h in number.items()}
+        for h in range(0, n, 2):
+            # h and h ^ 1 end one chord, from event k to event k + 1
+            (p, k, tail), (q, k1, head) = attachment[h], attachment[h ^ 1]
+            assert p == q and k1 == (k + 1) % len(arr.events[p])
+            assert tail in ("out", "end") and head in ("in", "end")
+        for h, (p, k, role) in attachment.items():
+            assert arr.side[h] == att_side(arr.page, arr.events[p][k], role)
+            if role != "end":
+                assert attachment[arr.other[h]][:2] == (p, k)
+            else:
+                assert arr.other[h] == -1
+        listed = list(itertools.chain.from_iterable(arr.att_order))
+        assert sorted(listed) == list(range(n))
+        assert all(arr.side[h] == pos
+                   for pos, atts in enumerate(arr.att_order) for h in atts)
+        assert [arr.position[h] for h in listed] == list(range(n))
 
 def test_crossing_free_agrees_with_the_crossing_counts():
     # reduced curve words, embedded or not, and families of pushoffs each
