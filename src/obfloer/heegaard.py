@@ -15,8 +15,10 @@ The region complex is assembled from two copies of the cut polygon.
 Inside a sheet the chord systems are realized without crossings, so
 the polygon faces are immediate; faces are then merged across the
 stretches of page boundary between the sheets, since no attaching
-circle runs along the binding.  Euler characteristics are tracked
-through the merge, which is how non-disk regions are recognized.
+circle runs along the binding.  The surface cut along the "a" circles
+is planar, so a region's Euler characteristic is 2 less its number of
+boundary cycles, and a region is a disk exactly when it has one
+(docs/conventions.md).
 Every walk instance, a piece of polygon boundary or a chord walked
 one way, is an int: the top sheet's first, the bottom sheet's after
 them, each in the order described on _Chart.  Regions and their
@@ -33,11 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .mapping import TwistWord, apply_word
-from .surface import ArcImage, Arrangement, Page, pushoff
+from .surface import Arrangement, Page, pushoff
 
 _TOP, _BOTTOM = 0, 1
-_CROSSING_IMAGES = ("arc images must be embedded and pairwise disjoint to "
-                    "double into a diagram")
 
 
 @dataclass
@@ -45,11 +45,16 @@ class Region:
     """One complement component of the two attaching families.
 
     Boundary cycles list half-edge ids with the region on the left.
-    A region is a disk exactly when its Euler characteristic is 1.
+    The surface cut along the "a" circles is planar and connected, so
+    a region's Euler characteristic is 2 less its cycle count, and it
+    is a disk exactly when it has one cycle.
     """
 
     cycles: list
-    euler: int
+
+    @property
+    def euler(self) -> int:
+        return 2 - len(self.cycles)
 
     @property
     def corner_count(self) -> int:
@@ -57,15 +62,12 @@ class Region:
 
     @property
     def is_disk(self) -> bool:
-        return self.euler == 1
+        return len(self.cycles) == 1
 
     @property
     def tile(self) -> int:
-        """2 for a bigon disk, 4 for a square disk, 0 for any other region.
-
-        A disk has one boundary cycle, so its corners are that cycle's.
-        """
-        if self.euler != 1:
+        """2 for a bigon disk, 4 for a square disk, 0 for any other region."""
+        if len(self.cycles) != 1:
             return 0
         corners = len(self.cycles[0])
         return corners if corners in (2, 4) else 0
@@ -136,7 +138,7 @@ class HeegaardDiagram:
             v_tag=list(self.v_tag),
             edge_label=list(self.edge_label),
             he_origin=list(self.he_origin),
-            regions=[Region(cycles=[list(c) for c in r.cycles], euler=r.euler)
+            regions=[Region(cycles=[list(c) for c in r.cycles])
                      for r in self.regions],
             he_region=list(self.he_region),
             z0_region=self.z0_region)
@@ -144,7 +146,7 @@ class HeegaardDiagram:
     def contact_tuple(self) -> tuple[int, ...]:
         """The distinguished generator: the top-sheet point on each arc.
 
-        assemble_diagram numbers these n crossings first, and flattening
+        build_diagram numbers these n crossings first, and flattening
         only appends vertices, so they are vertices 0 .. n - 1; validate()
         checks their tags.
         """
@@ -248,7 +250,7 @@ class _Chart:
     """One sheet: the cut polygon subdivided by a crossing-free family.
 
     arr arranges the family, and has passed its crossing_free() before
-    it gets here (_arranged, or the twist's last check).
+    it gets here (_double's, or the twist's last check).
 
     The polygon boundary has m nodes, each side's corner followed by its
     attachments; corner[pos] and node_of[handle] give them.  Walk
@@ -300,68 +302,31 @@ def build_diagram(page: Page, monodromy: TwistWord) -> HeegaardDiagram:
     if not isinstance(monodromy, TwistWord):
         raise TypeError("monodromy must be a TwistWord")
     basis = tuple(pushoff(page, i) for i in range(1, page.n_arcs + 1))
-    images = apply_word(page, monodromy, basis)
-    # an untwisted word leaves the pushoffs, and their one arrangement
-    # serves both sheets
-    return _double(page, images, images.arrangement,
-                   images.arrangement is None)
+    return _double(page, basis, apply_word(page, monodromy, basis))
 
 
-def assemble_diagram(page: Page, images) -> HeegaardDiagram:
-    """Diagram of the book whose monodromy sends pushoff j to images[j-1].
-
-    The images are arranged here, and images that cross are the
-    caller's error.
-    """
-    return _double(page, images, None, False)
-
-
-def _arranged(page: Page, paths) -> Arrangement:
-    """A sheet's arrangement, rejecting a family whose paths cross."""
-    arr = Arrangement(page, paths)
-    if not arr.crossing_free():
-        raise ValueError(_CROSSING_IMAGES)
-    return arr
-
-
-def _double(page: Page, images, bottom_arr, untwisted) -> HeegaardDiagram:
+def _double(page: Page, pushoffs, images) -> HeegaardDiagram:
     """Glue the pushoffs' sheet to the images' sheet.
 
-    bottom_arr is the images' arrangement, already checked, or None to
-    arrange them here; untwisted images are the pushoffs and share the
-    top sheet's arrangement.
+    images is apply_word's result on pushoffs: its arrangement, already
+    checked, is the bottom sheet's, and when no letter moved an image
+    the pushoffs' own arrangement serves both sheets.
     """
     n = page.n_arcs
-    images = list(images)
-    if len(images) != n:
-        raise ValueError(f"need {n} monodromy images, got {len(images)}")
     if n == 0:
         # the disk page doubles to a sphere with no curves: one region,
         # the basepoint one, and the empty generator
         sphere = HeegaardDiagram(
             n=0, v_alpha=[], v_beta=[], v_tag=[], edge_label=[],
-            he_origin=[], regions=[Region(cycles=[], euler=2)],
+            he_origin=[], regions=[Region(cycles=[])],
             he_region=[], z0_region=0)
         sphere.validate()
         return sphere
-    pushoffs = [pushoff(page, i) for i in range(1, n + 1)]
-    for j, image in enumerate(images):
-        if not isinstance(image, ArcImage):
-            raise ValueError("monodromy images must be concrete arc images")
-        if not image.normalized:
-            raise ValueError("monodromy images must be normalized")
-        if (image.start_slot != pushoffs[j].start_slot
-                or image.end_slot != pushoffs[j].end_slot):
-            raise ValueError(
-                "monodromy images must keep the pushoff endpoints")
-
-    top_arr = _arranged(page, pushoffs)
-    if untwisted:
-        bottom_arr = top_arr
-    elif bottom_arr is None:
-        bottom_arr = _arranged(page, images)
+    top_arr = Arrangement(page, pushoffs)
+    if not top_arr.crossing_free():
+        raise RuntimeError("internal error: pushoffs cross")
     top = _Chart(page, top_arr, _TOP)
-    bottom = _Chart(page, bottom_arr, _BOTTOM)
+    bottom = _Chart(page, images.arrangement or top_arr, _BOTTOM)
     charts = (top, bottom)
 
     # vertices: one per strand through an arc, on either sheet; the top
@@ -459,7 +424,6 @@ def _double(page: Page, images, bottom_arr, untwisted) -> HeegaardDiagram:
         emit_edges(("b", j + 1), elems)
 
     parent = list(range(top.n_faces + bottom.n_faces))
-    euler = [1] * len(parent)
 
     def find(x):
         while parent[x] != x:
@@ -484,12 +448,7 @@ def _double(page: Page, images, bottom_arr, untwisted) -> HeegaardDiagram:
         for t in range(len(ends[_TOP]) + 1):
             a = top.corner[pos] + t
             b = base[_BOTTOM] + bottom.corner[pos] + t
-            ra, rb = find(face[a]), find(face[b])
-            if ra == rb:
-                euler[ra] -= 1
-            else:
-                parent[rb] = ra
-                euler[ra] += euler[rb] - 1
+            parent[find(face[b])] = find(face[a])
             glue[a], glue[b] = b, a
 
     # a walk reaching a binding piece crosses to the other sheet and goes
@@ -514,7 +473,7 @@ def _double(page: Page, images, bottom_arr, untwisted) -> HeegaardDiagram:
         rt = root[face[start]]
         if region_at[rt] < 0:
             region_at[rt] = len(regions)
-            regions.append(Region(cycles=[], euler=euler[rt]))
+            regions.append(Region(cycles=[]))
         r = region_at[rt]
         # the cycle starts at the first edge start at or after `start`
         i = start
@@ -556,4 +515,4 @@ def _double(page: Page, images, bottom_arr, untwisted) -> HeegaardDiagram:
     return diagram
 
 
-__all__ = ["HeegaardDiagram", "Region", "assemble_diagram", "build_diagram"]
+__all__ = ["HeegaardDiagram", "Region", "build_diagram"]

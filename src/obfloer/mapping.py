@@ -27,11 +27,11 @@ apply_word twists all images of a letter in one arrangement with its
 curve.  The splice reads positions only through cyclic betweenness and
 through distance order along one side, and any subset of an
 arrangement's paths keeps its own order, so each image comes out as
-dehn_twist makes it alone.  That arrangement's linear crossing_free()
+it would twisted alone.  That arrangement's linear crossing_free()
 also checks the images the previous letter made, as embedded and
 pairwise disjoint, and one more arrangement checks the last letter's;
-the doubling reuses that one as its bottom sheet.  dehn_twist checks
-its single image in an arrangement of its own.
+the doubling reuses that one as its bottom sheet.  dehn_twist is
+apply_word on one letter and one target.
 
 The handedness conventions are pinned by the annulus and four-holed
 sphere fixtures in the test suite rather than trusted.
@@ -61,8 +61,8 @@ from .surface import (
 _CHORD_CHIRALITY = -1
 _STRIP_CHIRALITY = 1
 
-_SELF_CROSSING = "internal error: twist produced a self-crossing image"
-_CROSSING_IMAGES = _SELF_CROSSING + " or two crossing images"
+_CROSSING_IMAGES = ("internal error: twist produced a self-crossing image "
+                    "or two crossing images")
 
 
 @dataclass(frozen=True)
@@ -108,12 +108,7 @@ def dehn_twist(page: Page, c: Curve, sign: int, target):
     if not target.normalized:
         raise ValueError("twist target must be normalized")
 
-    if parallel(c, target):
-        return target
-    image = _splice(Arrangement(page, [c, target]), 1, c, sign, target)
-    if image is not target and not Arrangement(page, [image]).crossing_free():
-        raise RuntimeError(_SELF_CROSSING)
-    return image
+    return apply_word(page, TwistWord(((c, sign),)), (target,))[0]
 
 
 def _splice(arr: Arrangement, q: int, c: Curve, sign: int, target):
@@ -147,11 +142,9 @@ def _splice(arr: Arrangement, q: int, c: Curve, sign: int, target):
 
     # strip crossings, attributed to the target token they sit at
     flips: dict[int, list] = {}
-    for arc, k_c, k_t in arr.flips_between(0, q):
+    for (k_c, tf_c, ts_c), (k_t, tf_t, ts_t) in arr.flips_between(0, q):
         eps_c = arr.events[0][k_c][2]
         eps_t = events_t[k_t][2]
-        tf_c, ts_c = arr.strand_params(0, k_c)
-        tf_t, ts_t = arr.strand_params(q, k_t)
         sigma = eps_t * eps_c * (1 if ts_t > ts_c else -1)
         loop = _loop(word_c, k_c + (eps_c != eps_t),
                      _STRIP_CHIRALITY * sign * sigma)

@@ -72,7 +72,7 @@ def _poke(d: HeegaardDiagram, h_beta: int, h_alpha: int) -> tuple:
     reg = d.regions[R]
     if R == d.z0_region:
         raise ValueError("the basepoint region cannot be pushed through")
-    if len(reg.cycles) != 1 or not reg.is_disk:
+    if not reg.is_disk:
         raise ValueError("a finger can only pass through a disk region")
 
     j = d.label(h_beta)[1]
@@ -105,7 +105,7 @@ def _poke(d: HeegaardDiagram, h_beta: int, h_alpha: int) -> tuple:
     c2 = cyc[1:pos_a] + [h_alpha, d.twin(h_beta)]
     reg.cycles[0] = [2 * e3 + 1, 2 * f3] + cyc[pos_a + 1:]
     new_r = len(d.regions)
-    d.regions.append(Region(cycles=[c2], euler=1))
+    d.regions.append(Region(cycles=[c2]))
     for h in c2:
         d.he_region[h] = new_r
     d.he_region[2 * e3 + 1] = R
@@ -138,7 +138,7 @@ def _poke(d: HeegaardDiagram, h_beta: int, h_alpha: int) -> tuple:
     d.he_region[2 * e2 + 1] = r_N
 
     bigon = len(d.regions)
-    d.regions.append(Region(cycles=[[2 * e2, 2 * f2 + 1]], euler=1))
+    d.regions.append(Region(cycles=[[2 * e2, 2 * f2 + 1]]))
     d.he_region[2 * e2] = bigon
     d.he_region[2 * f2 + 1] = bigon
 
@@ -183,7 +183,7 @@ def elementary_moves(diagram: HeegaardDiagram):
     downstream answers under gratuitous isotopies.
     """
     for r, reg in enumerate(diagram.regions):
-        if r == diagram.z0_region or len(reg.cycles) != 1 or not reg.is_disk:
+        if r == diagram.z0_region or not reg.is_disk:
             continue
         cyc = reg.cycles[0]
         for hh in cyc:
@@ -263,23 +263,25 @@ def _plan_finger(d: HeegaardDiagram, target: int) -> FingerMoveSpec:
 
 def _flatten(diagram: HeegaardDiagram, frontier_only: bool,
              trace) -> HeegaardDiagram:
-    for r in diagram.bad_regions():
-        if not diagram.regions[r].is_disk:
-            raise ValueError(
-                f"region {r} is not a disk; only disk regions can be "
-                "flattened")
+    """Flatten the bad regions, or only those on the frontier, in order.
+
+    A diagram with nothing to flatten is returned as it is.
+    """
+    def first_target(d):
+        return next((r for r in d.bad_regions()
+                     if not frontier_only or _frontier(d, r)), None)
+
+    target = first_target(diagram)
+    if target is None:
+        return diagram
     d = diagram.clone()
     moves = 0
     budget = 64 + 16 * (d.n_vertices + d.n_edges) ** 2
-    while True:
-        bad = d.bad_regions()
-        if frontier_only:
-            keep = _frontier(d)
-            bad = [r for r in bad if r in keep]
-        if not bad:
-            d.validate()
-            return d
-        target = bad[0]
+    while target is not None:
+        if not d.regions[target].is_disk:
+            raise ValueError(
+                f"region {target} is not a disk; only disk regions can be "
+                "flattened")
         move = _plan_finger(d, target)
         moves += len(move.crossings)
         if moves > budget:
@@ -294,25 +296,23 @@ def _flatten(diagram: HeegaardDiagram, frontier_only: bool,
             trace(f"finger region={target} sides={corners} "
                   f"crossings={len(move.crossings)} rest={move.terminal} "
                   f"vertices={d.n_vertices}")
+        target = first_target(d)
+    d.validate()
+    return d
 
 
-def _frontier(d: HeegaardDiagram) -> set:
-    """Regions with a corner on the page, where the contact points live.
+def _frontier(d: HeegaardDiagram, r: int) -> bool:
+    """Does region r have a corner on the page, where the contact points live?
 
-    These are the regions touching the thin strips between each arc
+    Such are the regions touching the thin strips between each arc
     and its pushoff: the regions at vertices 0 .. n - 1.  The lazy test
     assumes that the disks into the distinguished generator only ever
     tile through them.  That assumption is unproved (ROADMAP.md, the
     item on certifying the lazy NONVANISHING), and a lazy NONVANISHING
     rests on it.
     """
-    out = set()
-    for r, reg in enumerate(d.regions):
-        for cyc in reg.cycles:
-            for h in cyc:
-                if d.he_origin[h] < d.n:
-                    out.add(r)
-    return out
+    return any(d.he_origin[h] < d.n
+               for cyc in d.regions[r].cycles for h in cyc)
 
 
 def make_nice(diagram: HeegaardDiagram, trace=None) -> HeegaardDiagram:
@@ -323,8 +323,6 @@ def make_nice(diagram: HeegaardDiagram, trace=None) -> HeegaardDiagram:
     distinguished generator, are preserved.  Already-flat diagrams are
     returned as they are.
     """
-    if not diagram.bad_regions():
-        return diagram
     return _flatten(diagram, frontier_only=False, trace=trace)
 
 
@@ -336,9 +334,6 @@ def lazy_frontier(diagram: HeegaardDiagram, trace=None) -> HeegaardDiagram:
     count the differentials into the distinguished generator; other
     oversized regions may survive.
     """
-    keep = _frontier(diagram)
-    if not any(r in keep for r in diagram.bad_regions()):
-        return diagram
     return _flatten(diagram, frontier_only=True, trace=trace)
 
 

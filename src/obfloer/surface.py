@@ -554,19 +554,23 @@ class Arrangement:
                     (k, *self.strand_params(p, k)))
         return by_arc
 
-    def flips_between(self, p: int, q: int) -> list[tuple[int, int, int]]:
-        """Strip crossings between paths p and q as (arc, event_p, event_q)."""
+    def flips_between(self, p: int, q: int) -> list[tuple[tuple, tuple]]:
+        """Strip crossings between paths p and q as (strand_p, strand_q).
+
+        A strand is (event, t_first, t_second), its event on its path
+        and its strand_params.
+        """
         strands_p = self._strands(p)
         strands_q = strands_p if p == q else self._strands(q)
         out = []
         for arc in range(1, self.page.n_arcs + 1):
             sq = strands_q.get(arc, ())
-            for kp, tf_p, ts_p in strands_p.get(arc, ()):
-                for kq, tf_q, ts_q in sq:
-                    if p == q and kp >= kq:
+            for fp in strands_p.get(arc, ()):
+                for fq in sq:
+                    if p == q and fp[0] >= fq[0]:
                         continue
-                    if (tf_p - tf_q) * (ts_p - ts_q) < 0:
-                        out.append((arc, kp, kq))
+                    if (fp[1] - fq[1]) * (fp[2] - fq[2]) < 0:
+                        out.append((fp, fq))
         return out
 
     def crossing_number(self, p: int, q: int) -> int:

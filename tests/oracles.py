@@ -407,7 +407,8 @@ def read_dump(text: str) -> HeegaardDiagram:
     """The diagram whose canonical dump (front._render_text) is text.
 
     The census line and the sides and pointed fields are derived, so
-    they are skipped; he_region is read off the region cycles.
+    they are skipped; each euler field must be 2 less its cycle count,
+    and he_region is read off the region cycles.
     """
     lines = text.splitlines()
     head = dict(tok.split("=") for tok in lines[0].split()[1:])
@@ -427,10 +428,11 @@ def read_dump(text: str) -> HeegaardDiagram:
             he_origin.extend((int(f["from"]), int(f["to"])))
         else:
             # the disk page's sphere has a region without a boundary
-            regions.append(Region(
-                cycles=[[int(h) for h in cyc.split()]
-                        for cyc in cycles.split("|")] if cycles else [],
-                euler=int(f["euler"])))
+            region = Region(cycles=[[int(h) for h in cyc.split()]
+                                    for cyc in cycles.split("|")]
+                            if cycles else [])
+            assert int(f["euler"]) == 2 - len(region.cycles), line
+            regions.append(region)
     he_region = [0] * len(he_origin)
     for r, region in enumerate(regions):
         for cyc in region.cycles:

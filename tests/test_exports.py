@@ -143,3 +143,54 @@ def test_bench_runs_end_to_end(bench_tree, workload, trace):
             layers = [m["name"] for m in json.load(fh)["per_layer"]]
         assert len(layers) == 40
         assert set(layers) <= set(result["metrics"])
+
+
+# public functions that `obfloer check` never calls, each with its reason
+UNTRACED = {
+    "mapping.dehn_twist": "library API used by tests",
+    "mapping.same_action_on_basis": "library API used by tests",
+    "surface.normalize": "library API used by tests",
+    "surface.unoriented_canonical": "reached only through curve targets",
+    "surface.geometric_intersection":
+        "count checked against brute force; ROADMAP item 17",
+    "nicify.finger_move": "isotopy wiggles; ROADMAP item 17",
+    "nicify.elementary_moves": "isotopy wiggles; ROADMAP item 17",
+}
+
+
+def test_check_reaches_every_public_function(tmp_path):
+    # a public function that only tests call is dead weight in the
+    # pipeline's layers: trace the checks of the corpus and the bench
+    # ladder in every mode, and require a span from each function
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "tracer.py")
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    books = sorted(glob.glob(os.path.join(CORPUS, "*.obk")))
+    for name, text in BENCH_LADDER.items():
+        (tmp_path / name).write_text(text)
+        books.append(str(tmp_path / name))
+    layers = ("surface", "mapping", "heegaard", "nicify")
+    public = set()
+    for layer in layers:
+        module = importlib.import_module(f"obfloer.{layer}")
+        public |= {f"{layer}.{n}" for n, fn in vars(module).items()
+                   if inspect.isfunction(fn)
+                   and fn.__module__ == module.__name__
+                   and not n.startswith("_")}
+    assert set(UNTRACED) <= public
+    tracer = tracer_mod.Tracer([sys.modules[name] for name in sorted(sys.modules)
+                                if name.startswith("obfloer.")])
+    tracer.install()
+    try:
+        for book in books:
+            for mode in ({}, {"lazy": True}, {"rank": True}):
+                code, _ = obfloer.front.run_check(book, out=io.StringIO(),
+                                                  **mode)
+                assert code in (0, 1), (book, mode)
+    finally:
+        tracer.remove()
+    spanned = {span[0] for span in tracer.spans}
+    assert sorted(public - spanned - set(UNTRACED)) == []
+    assert sorted(set(UNTRACED) & spanned) == []

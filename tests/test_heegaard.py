@@ -8,7 +8,7 @@ import pytest
 from obfloer import heegaard, mapping
 from obfloer.floer import generators
 from obfloer.front import _render_text, parse_input
-from obfloer.heegaard import assemble_diagram, build_diagram
+from obfloer.heegaard import Region, build_diagram
 from obfloer.mapping import TwistWord, dehn_twist
 from obfloer.nicify import elementary_moves, finger_move, lazy_frontier, make_nice
 from obfloer.surface import ArcImage, Arrangement, make_page, parse_curve, pushoff
@@ -189,35 +189,29 @@ def test_rebuild_is_deterministic():
 def test_build_rejects_bad_input():
     with pytest.raises(TypeError, match="TwistWord"):
         build_diagram(annulus, [(None, 1)])
-    with pytest.raises(ValueError, match="need 2 monodromy images"):
-        assemble_diagram(pants, (pushoff(pants, 1),))
-    with pytest.raises(ValueError, match="pushoff endpoints"):
-        assemble_diagram(pants, (pushoff(pants, 2), pushoff(pants, 1)))
 
 
-def test_assemble_rejects_crossing_images():
+def test_crossing_free_rejects_crossing_images():
     c = parse_curve(pants, [(1, 1), (2, 1)])
     twisted = dehn_twist(pants, c, -1, pushoff(pants, 1))
-    with pytest.raises(ValueError, match="pairwise disjoint"):
-        assemble_diagram(pants, (twisted, pushoff(pants, 2)))
+    assert not Arrangement(pants, [twisted, pushoff(pants, 2)]).crossing_free()
     # pushoff 1's endpoints joined across arc 2 instead: it crosses itself
     p1 = pushoff(pants, 1)
     looped = ArcImage(p1.start_slot, p1.end_slot, ((2, -1),), normalized=True)
-    with pytest.raises(ValueError, match="must be embedded"):
-        assemble_diagram(pants, (looped, pushoff(pants, 2)))
+    assert not Arrangement(pants, [looped, pushoff(pants, 2)]).crossing_free()
 
 
-def test_assemble_rejects_interleaving_chords():
+def test_crossing_free_rejects_interleaving_chords():
     # pushoff 1 cut short to a chord that crosses no arc, and pushoff 2
     # led across arc 1 instead: the two chords interleave inside the
-    # polygon, while every arc's copies list their strands in reverse
+    # polygon, while every arc's copies list their strands in reverse,
+    # so only the bracket test sees the crossing
     p1, p2 = pushoff(pants, 1), pushoff(pants, 2)
     short = ArcImage(p1.start_slot, p1.end_slot, (), normalized=True)
     astray = ArcImage(p2.start_slot, p2.end_slot, ((1, 1),), normalized=True)
     arr = Arrangement(pants, [short, astray])
     assert arr.flips_between(0, 1) == [] and arr.crossing_number(0, 1) == 1
-    with pytest.raises(ValueError, match="pairwise disjoint"):
-        assemble_diagram(pants, (short, astray))
+    assert not arr.crossing_free()
 
 
 def _counted_arrangements(monkeypatch):
@@ -312,6 +306,22 @@ def test_validate_rejects_a_vertex_off_its_circles():
         with pytest.raises(RuntimeError,
                            match="circles disagree with its edges"):
             dia.validate()
+
+
+def test_validate_rejects_a_region_split_off_its_cycles():
+    # the annulus identity book's basepoint region has two boundary
+    # cycles; the Euler sum of regions read off their cycle counts
+    # catches one of them moved into a region of its own
+    dia = build_diagram(annulus, TwistWord(()))
+    cycles = dia.regions[dia.z0_region].cycles
+    assert len(cycles) >= 2
+    moved = cycles.pop()
+    dia.regions.append(Region(cycles=[moved]))
+    for h in moved:
+        dia.he_region[h] = len(dia.regions) - 1
+    with pytest.raises(RuntimeError,
+                       match="region complex has Euler number"):
+        dia.validate()
 
 
 def test_validate_rejects_an_edge_on_another_circle():
