@@ -32,7 +32,6 @@ evaluates to 1 on it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -63,8 +62,8 @@ class DomainCandidate:
 class BoundaryMatrix:
     """Sparse boundary operator: column x lists the targets of x.
 
-    The generators are sorted, as generators() emits them, so that
-    decide_vanishing finds the distinguished one by bisection.
+    The generators are sorted, as generators() emits them, so the
+    distinguished one, the lexicographically first, is generator 0.
     """
 
     generators: tuple        # generator tuples, in lexicographic order
@@ -513,17 +512,18 @@ def _closure(m: BoundaryMatrix, c_idx: int) -> tuple[list, list]:
 def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
     """Decide whether c bounds, with a certificate either way.
 
-    c is found by bisection in m's sorted generators.  Only c's closure
-    (_closure) is eliminated: if c = Σ ∂y over a set S, every y in S
-    outside C has ∂y disjoint from R, so the y in C already sum to c
-    (docs/conventions.md, "Deciding on c's closure").  One
-    elimination (_eliminate) of the C columns, restricted to R, reduces
-    c's unit vector.  When it reduces to zero, the pivot combinations
-    used sum to a chain w with ∂w = c: VANISHING.  Otherwise the
-    residual's lowest row r is no pivot, and clearing the residual's
-    pivot rows with basis vectors of higher pivots keeps r.  The
-    functional on R that is 1 on r and 0 on the other rows that are no
-    pivot, with its pivot values fixed by back-substitution from the
+    c must be m's generator 0, the lexicographically first of its sorted
+    generators (docs/conventions.md, "The doubled diagram"); any other
+    tuple is rejected.  Only c's closure (_closure) is eliminated: if
+    c = Σ ∂y over a set S, every y in S outside C has ∂y disjoint from
+    R, so the y in C already sum to c (docs/conventions.md, "Deciding
+    on c's closure").  One elimination (_eliminate) of the C columns,
+    restricted to R, reduces c's unit vector.  When it reduces to zero,
+    the pivot combinations used sum to a chain w with ∂w = c: VANISHING.
+    Otherwise the residual's lowest row r is no pivot, and clearing the
+    residual's pivot rows with basis vectors of higher pivots keeps r.
+    The functional on R that is 1 on r and 0 on the other rows that are
+    no pivot, with its pivot values fixed by back-substitution from the
     highest pivot down, kills every C column, yet is 1 on the cleared
     residual and so on c.  Extended by zero it also kills the columns
     outside C, which miss R: NONVANISHING.  Both certificates are
@@ -532,17 +532,16 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
     is a structural fact, so an entry in its column is an internal
     error.  The verdict carries m, and its rank is the closure block's.
     """
-    c_idx = bisect_left(m.generators, c)
-    if c_idx == m.n or m.generators[c_idx] != c:
+    if not m.generators or m.generators[0] != c:
         raise ValueError("c is not a generator of this complex")
-    if m.columns[c_idx]:
+    if m.columns[0]:
         raise RuntimeError(
             "internal error: the distinguished generator is not a cycle")
-    rows, cols = _closure(m, c_idx)
+    rows, cols = _closure(m, 0)
     local = {j: k for k, j in enumerate(rows)}
     basis = _eliminate([local[j] for j in m.columns[i]] for i in cols)
     rank = len(basis)
-    vec, used = 1 << local[c_idx], 0
+    vec, used = 1 << local[0], 0
     while vec and _low(vec) in basis:
         b_vec, b_combo = basis[_low(vec)]
         vec ^= b_vec
@@ -552,7 +551,7 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
         acc = set()
         for i in chain:
             acc ^= set(m.columns[i])
-        if acc != {c_idx}:
+        if acc != {0}:
             raise RuntimeError(
                 "internal error: bounding chain fails its own check")
         return Verdict(outcome=VANISHING,
@@ -568,7 +567,7 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
         if len(phi.intersection(col)) % 2:
             raise RuntimeError(
                 "internal error: functional fails to kill a boundary")
-    if c_idx not in phi:
+    if 0 not in phi:
         raise RuntimeError(
             "internal error: functional misses the distinguished cycle")
     cert = tuple(sorted(m.generators[i] for i in phi))

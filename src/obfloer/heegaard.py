@@ -12,18 +12,21 @@ top-sheet points, one per arc, is the distinguished cycle whose class
 the rest of the package decides about.
 
 The region complex is assembled from two copies of the cut polygon.
-Inside a sheet the chord systems are realized without crossings, so
-the polygon faces are immediate; faces are then merged across the
-stretches of page boundary between the sheets, since no attaching
-circle runs along the binding.  The surface cut along the "a" circles
-is planar, so a region's Euler characteristic is 2 less its number of
-boundary cycles, and a region is a disk exactly when it has one
-(docs/conventions.md).
 Every walk instance, a piece of polygon boundary or a chord walked
 one way, is an int: the top sheet's first, the bottom sheet's after
-them, each in the order described on _Chart.  Regions and their
-boundary cycles are found by scanning these ids upward, so a region
-comes before another when the least instance of its first cycle does.
+them, each in the order described on _Chart.  Inside a sheet the chord
+systems are realized without crossings, so each instance is followed
+by the next one along its polygon face.  One union-find over the
+instances joins each to that next one, and each stretch of page
+boundary to its partner on the other sheet, since no attaching circle
+runs along the binding; its classes are the regions.  The boundary
+cycles are the orbits of one successor on half-edges, which hops the
+binding.  Regions and their cycles are found by scanning the instance
+ids upward, so a region comes before another when the least instance
+of its first cycle does.  The surface cut along the "a" circles is
+planar, so a region's Euler characteristic is 2 less its number of
+boundary cycles, and a region is a disk exactly when it has one
+(docs/conventions.md).
 
 The basepoint region is the one touching the binding immediately
 counterclockwise of the first pushoff's starting endpoint on the top
@@ -259,9 +262,8 @@ class _Chart:
     which the doubling flips over, back from v + 1 to v.  A chord walked
     to its end h is m + h: chord c of arr, walked along its path, is
     m + 2c + 1, and against it m + 2c.  nxt[i] is the instance after i
-    with the face on the left, as the doubled surface sees it, and
-    face[i] numbers its face, in the order of the faces' least
-    instances.
+    with the face on the left, as the doubled surface sees it.  The
+    chart numbers no faces; _double's union-find groups the instances.
     """
 
     def __init__(self, page: Page, arr: Arrangement, sheet: int):
@@ -286,15 +288,6 @@ class _Chart:
                 a, b = b, a
             nxt[a] = m + (h ^ 1)
             nxt[m + h] = b
-        face = self.face = [-1] * len(nxt)
-        self.n_faces = 0
-        for start in range(len(nxt)):
-            if face[start] < 0:
-                i = start
-                while face[i] < 0:
-                    face[i] = self.n_faces
-                    i = nxt[i]
-                self.n_faces += 1
 
 
 def build_diagram(page: Page, monodromy: TwistWord) -> HeegaardDiagram:
@@ -310,7 +303,14 @@ def _double(page: Page, pushoffs, images) -> HeegaardDiagram:
 
     images is apply_word's result on pushoffs: its arrangement, already
     checked, is the bottom sheet's, and when no letter moved an image
-    the pushoffs' own arrangement serves both sheets.
+    the pushoffs' own arrangement serves both sheets.  Each sheet's
+    vertices are read off its paths' crossing words, in the order the
+    arrangement numbers their chords.
+
+    Regions are the classes of one union-find over walk instances, which
+    joins each instance to the next and each binding piece to its
+    partner.  A half-edge runs along a chain of instances, and the
+    boundary cycles are the orbits of after, its successor on half-edges.
     """
     n = page.n_arcs
     if n == 0:
@@ -322,6 +322,12 @@ def _double(page: Page, pushoffs, images) -> HeegaardDiagram:
             he_region=[], z0_region=0)
         sphere.validate()
         return sphere
+    # a boundary side lists its endpoints in handle order, which is the
+    # slot key order (path, end), so both sheets list the same ones in
+    # the same order when every image keeps its pushoff's slots
+    if any((b.start_slot, b.end_slot) != (h.start_slot, h.end_slot)
+           for b, h in zip(pushoffs, images)):
+        raise RuntimeError("internal error: sheets disagree on the binding")
     top_arr = Arrangement(page, pushoffs)
     if not top_arr.crossing_free():
         raise RuntimeError("internal error: pushoffs cross")
@@ -329,41 +335,40 @@ def _double(page: Page, pushoffs, images) -> HeegaardDiagram:
     bottom = _Chart(page, images.arrangement or top_arr, _BOTTOM)
     charts = (top, bottom)
 
-    # vertices: one per strand through an arc, on either sheet; the top
-    # sheet goes first, so pushoff j's contact crossing is vertex j - 1.
+    if any([arc for arc, _ in b.crossings] != [j]
+           for j, b in enumerate(pushoffs, start=1)):
+        raise RuntimeError("internal error: pushoff strays off its arc")
+    # vertices: one per token of a path, numbered by sheet, path and
+    # token, so pushoff j's contact crossing is vertex j - 1.  A path's
+    # chords run from its start through its tokens to its end, so
     # vertex_at[sheet][c] is the crossing that chord c of the sheet ends
-    # at, the one whose attachments are 2c + 1 and 2c + 2.
+    # at, the one whose attachments are 2c + 1 and 2c + 2, or -1 where
+    # the path ends.
     v_alpha, v_beta, v_tag, vertex_at = [], [], [], []
-    for sheet, chart in enumerate(charts):
-        at = [-1] * chart.arr.chord_base[-1]
-        for p, events in enumerate(chart.arr.events):
-            for k, ev in enumerate(events):
-                if ev[0] != "x":
-                    continue
-                at[chart.arr.chord_base[p] + k - 1] = len(v_alpha)
-                v_alpha.append(ev[1])
-                v_beta.append(p + 1)
-                v_tag.append(("contact", p + 1) if sheet == _TOP
-                             else ("token", p + 1, k - 1))
+    for sheet, paths in enumerate((pushoffs, images)):
+        at = []
+        for j, path in enumerate(paths, start=1):
+            for t, (arc, _sign) in enumerate(path.crossings):
+                at.append(len(v_alpha))
+                v_alpha.append(arc)
+                v_beta.append(j)
+                v_tag.append(("contact", j) if sheet == _TOP
+                             else ("token", j, t))
+            at.append(-1)
         vertex_at.append(at)
-    for j in range(n):
-        hits = [ev for ev in top.arr.events[j] if ev[0] == "x"]
-        if len(hits) != 1 or hits[0][1] != j + 1:
-            raise RuntimeError("internal error: pushoff strays off its arc")
 
     # walk instances of the surface: the top sheet's, then the bottom
     # sheet's numbered on after them
     base = (0, len(top.nxt))
     nxt = top.nxt + [i + base[1] for i in bottom.nxt]
-    face = top.face + [f + top.n_faces for f in bottom.face]
 
     # final edges: chains of directed pieces between consecutive crossings
     edge_label = []
-    edge_length = []
     he_origin = []
-    # the half-edge whose chain holds each instance, and its place there
-    home_he = [-1] * len(nxt)
-    home_at = [-1] * len(nxt)
+    # the half-edge whose chain holds each instance, and the first and
+    # last instance of each half-edge's chain
+    home = [-1] * len(nxt)
+    first, last = [], []
 
     def emit_edges(label, elems):
         """Split a cyclic piece/vertex sequence into edges at the vertices.
@@ -382,12 +387,11 @@ def _double(page: Page, pushoffs, images) -> HeegaardDiagram:
             head = elems[breaks[(which + 1) % len(breaks)]]
             h = 2 * len(edge_label)
             edge_label.append(label)
-            edge_length.append(len(chain))
             he_origin.extend((elems[t], head))
-            for s, (inst, _flipped) in enumerate(chain):
-                home_he[inst], home_at[inst] = h, s
-            for s, (_inst, flipped) in enumerate(reversed(chain)):
-                home_he[flipped], home_at[flipped] = h + 1, s
+            for inst, flipped in chain:
+                home[inst], home[flipped] = h, h + 1
+            first.extend((chain[0][0], chain[-1][1]))
+            last.extend((chain[-1][0], chain[0][1]))
 
     # circle a_i runs along arc i's first copy on the top sheet and back
     # on the bottom one; the first copy lists the strands through the arc
@@ -410,20 +414,22 @@ def _double(page: Page, pushoffs, images) -> HeegaardDiagram:
     for j in range(n):
         elems = []
         x = top.m
-        first, stop = top.arr.chord_base[j:j + 2]
-        for c in range(first, stop):
-            if c > first:
+        start, stop = top.arr.chord_base[j:j + 2]
+        for c in range(start, stop):
+            if c > start:
                 elems.append(vertex_at[_TOP][c - 1])
             elems.append((x + 2 * c + 1, x + 2 * c))
         x = base[_BOTTOM] + bottom.m
-        first, stop = bottom.arr.chord_base[j:j + 2]
-        for c in range(stop - 1, first - 1, -1):
+        start, stop = bottom.arr.chord_base[j:j + 2]
+        for c in range(stop - 1, start - 1, -1):
             elems.append((x + 2 * c, x + 2 * c + 1))
-            if c > first:
+            if c > start:
                 elems.append(vertex_at[_BOTTOM][c - 1])
         emit_edges(("b", j + 1), elems)
 
-    parent = list(range(top.n_faces + bottom.n_faces))
+    # an instance and the next one with the same face on the left share a
+    # region, and so do a top binding piece and its bottom partner
+    parent = list(range(len(nxt)))
 
     def find(x):
         while parent[x] != x:
@@ -431,81 +437,52 @@ def _double(page: Page, pushoffs, images) -> HeegaardDiagram:
             x = parent[x]
         return x
 
-    # each binding piece of the top sheet is glued to its bottom partner,
-    # and the faces on either side merge into one region; both sheets
-    # list a binding side's endpoints by slot key (path, end)
-    slot_key = [{h: (p, end) for p in range(n) for end, h in enumerate(
-                 (2 * arr.chord_base[p], 2 * arr.chord_base[p + 1] - 1))}
-                for arr in (top.arr, bottom.arr)]
+    for x, y in enumerate(nxt):
+        parent[find(y)] = find(x)
     glue = [-1] * len(nxt)
     for pos in range(page.n_sides):
         if page.is_arc_side(pos):
             continue
-        ends = [[keys[h] for h in chart.arr.att_order[pos]]
-                for keys, chart in zip(slot_key, charts)]
-        if ends[_TOP] != ends[_BOTTOM]:
-            raise RuntimeError("internal error: sheets disagree on the binding")
-        for t in range(len(ends[_TOP]) + 1):
+        for t in range(len(top.arr.att_order[pos]) + 1):
             a = top.corner[pos] + t
             b = base[_BOTTOM] + bottom.corner[pos] + t
-            parent[find(face[b])] = find(face[a])
+            parent[find(b)] = find(a)
             glue[a], glue[b] = b, a
 
-    # a walk reaching a binding piece crosses to the other sheet and goes
-    # on after the partner; binding pieces never follow one another
-    succ = list(nxt)
-    for x, y in enumerate(nxt):
-        if glue[y] >= 0 and glue[x] < 0:
-            succ[x] = y = nxt[glue[y]]
+    # after[h] is the half-edge after h on its boundary cycle: a walk
+    # reaching a binding piece crosses to the other sheet and goes on
+    # after the partner; binding pieces never follow one another
+    after = []
+    for x in last:
+        y = nxt[x]
+        if glue[y] >= 0:
+            y = nxt[glue[y]]
             if glue[y] >= 0:
                 raise RuntimeError("internal error: bare binding circle")
+        after.append(home[y])
 
-    # group the stitched cycles into regions, each in the order of its
-    # least instance and compressed to half-edges
-    root = [find(f) for f in range(len(parent))]
-    region_at = [-1] * len(parent)
-    regions = []
+    # regions in the order of their least instance; a cycle found at an
+    # instance inside h's chain starts at after[h]
+    region_at, regions = {}, []
     he_region = [-1] * len(he_origin)
-    seen = [g >= 0 for g in glue]
-    for start in range(len(nxt)):
-        if seen[start]:
+    for i, h in enumerate(home):
+        if h < 0 or he_region[h] >= 0:
             continue
-        rt = root[face[start]]
-        if region_at[rt] < 0:
-            region_at[rt] = len(regions)
+        r = region_at.setdefault(find(i), len(regions))
+        if r == len(regions):
             regions.append(Region(cycles=[]))
-        r = region_at[rt]
-        # the cycle starts at the first edge start at or after `start`
-        i = start
-        while home_at[i]:
-            i = succ[i]
-            if i == start:
-                raise RuntimeError(
-                    "internal error: boundary cycle never turns")
-        first, cycle = i, []
-        while True:
-            h = home_he[i]
-            if home_at[i]:
-                raise RuntimeError("internal error: chain starts mid-edge")
-            for s in range(edge_length[h // 2]):
-                if home_he[i] != h or home_at[i] != s:
-                    raise RuntimeError("internal error: chain broken in walk")
-                if root[face[i]] != rt:
-                    raise RuntimeError(
-                        "internal error: cycle spans two regions")
-                seen[i] = True
-                i = succ[i]
-            cycle.append(h)
+        if i != first[h]:
+            h = after[h]
+        cycle = []
+        while he_region[h] < 0:
             he_region[h] = r
-            if i == first:
-                break
+            cycle.append(h)
+            h = after[h]
         regions[r].cycles.append(cycle)
-    if -1 in he_region:
-        raise RuntimeError("internal error: half-edge on no boundary cycle")
 
     # the basepoint sits just counterclockwise of the first pushoff's
     # start, handle 0
-    z0_region = region_at[root[face[top.node_of[0]]]]
+    z0_region = region_at[find(top.node_of[0])]
 
     diagram = HeegaardDiagram(
         n=n, v_alpha=v_alpha, v_beta=v_beta, v_tag=v_tag,

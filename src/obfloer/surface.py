@@ -154,10 +154,6 @@ class Page:
     def segment_side_pos(self, seg: int) -> int:
         return 2 * seg + 1
 
-    def occurrence_of(self, arc: int, *, entry_sign: int) -> int:
-        """Occurrence index where a token of the given sign enters the arc."""
-        return self.first_occurrence[arc - 1] if entry_sign > 0 else self.second_occurrence[arc - 1]
-
     def check_arc_index(self, arc: int) -> None:
         if not 1 <= arc <= self.n_arcs:
             raise ValueError(f"unknown arc index {arc} (page has {self.n_arcs} arcs)")

@@ -220,7 +220,8 @@ def att_side(page: Page, ev, role):
     if role == "end":
         return page.segment_side_pos(ev[1])
     entry = (ev[2] > 0) != (role == "out")
-    return page.arc_side_pos(page.occurrence_of(ev[1], entry_sign=1 if entry else -1))
+    occ = page.first_occurrence if entry else page.second_occurrence
+    return page.arc_side_pos(occ[ev[1] - 1])
 
 
 def handle_numbers(events):

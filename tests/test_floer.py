@@ -454,11 +454,13 @@ def test_decision_agrees_with_rank_oracle():
 
 
 def test_generators_are_sorted():
-    # decide_vanishing finds c by bisection
+    # decide_vanishing takes c as generator 0, the lexicographically first
     for name, text in corpus_and_ladder().items():
         book = parse_input(text)
-        gens = generators(make_nice(build_diagram(book.page, book.word)))
+        nice = make_nice(build_diagram(book.page, book.word))
+        gens = generators(nice)
         assert gens == sorted(gens), name
+        assert gens[0] == nice.contact_tuple(), name
 
 
 def test_columns_match_all_pairs_oracle():

@@ -2,6 +2,7 @@ import glob
 import hashlib
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -261,6 +262,21 @@ def test_build_diagram_raises_the_twists_crossing_error(monkeypatch):
         build_diagram(pants, TwistWord(((c, 1), (c, -1))))
 
 
+def test_build_diagram_rejects_an_image_off_its_slots(monkeypatch):
+    # an image whose end moved to the other boundary segment leaves the
+    # two sheets listing different endpoints along the binding
+    c = parse_curve(annulus, [(1, 1)])
+    splice = mapping._splice
+
+    def moved_end(arr, q, curve, sign, target):
+        image = splice(arr, q, curve, sign, target)
+        return replace(image, end_slot=1 - image.end_slot)
+
+    monkeypatch.setattr(mapping, "_splice", moved_end)
+    with pytest.raises(RuntimeError, match="sheets disagree on the binding"):
+        build_diagram(annulus, TwistWord(((c, 1),)))
+
+
 def _no_count(*_args):
     raise AssertionError("the pipeline counted crossings")
 
@@ -321,6 +337,31 @@ def test_validate_rejects_a_region_split_off_its_cycles():
         dia.he_region[h] = len(dia.regions) - 1
     with pytest.raises(RuntimeError,
                        match="region complex has Euler number"):
+        dia.validate()
+
+
+def _unpointed_cycle(dia):
+    """An unpointed boundary cycle whose half-edges 0 and 2 differ in origin."""
+    return next(cycle for r, region in enumerate(dia.regions)
+                if r != dia.z0_region for cycle in region.cycles
+                if len(cycle) >= 3
+                and dia.he_origin[cycle[0]] != dia.he_origin[cycle[2]])
+
+
+def test_validate_rejects_a_cycle_out_of_order():
+    # swapping two adjacent half-edges breaks the link into the first
+    dia = lantern_file_diagram()
+    cycle = _unpointed_cycle(dia)
+    cycle[0], cycle[1] = cycle[1], cycle[0]
+    with pytest.raises(RuntimeError, match="broken cycle"):
+        dia.validate()
+
+
+def test_validate_rejects_a_cycle_reaching_into_another_region():
+    dia = lantern_file_diagram()
+    cycle = _unpointed_cycle(dia)
+    cycle.append(dia.regions[dia.z0_region].cycles[0][0])
+    with pytest.raises(RuntimeError, match="internal error"):
         dia.validate()
 
 
