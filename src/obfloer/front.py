@@ -149,11 +149,14 @@ def parse_input(text: str) -> OpenBookFile:
                 _fail(ln, tokens[1][1], f"unknown option '{key}'")
             if key in options:
                 _fail(ln, tokens[1][1], f"option '{key}' is already set")
-            choices = _OPTION_CHOICES.get(key, (value,))
-            if value not in choices:
+            choices = _OPTION_CHOICES.get(key)
+            if choices and value not in choices:
                 _fail(ln, tokens[1][1] + len(key) + 1,
                       f"option '{key}' takes {' or '.join(choices)}, "
                       f"not '{value}'")
+            if not value:
+                _fail(ln, tokens[1][1] + len(key) + 1,
+                      f"option '{key}' needs a path")
             options[key] = value
         else:
             _fail(ln, col0, f"unknown directive '{head}'")
@@ -228,27 +231,21 @@ def _check_book(book: OpenBookFile, name: str, *, lazy: bool, rank: bool,
     dia = build_diagram(book.page, book.word)
     if export_pre:
         export_diagram(dia, fmt, export_pre)
-    if lazy:
+    # the rank needs the full complex, so the lazy test could only add a walk
+    if lazy and not rank:
         verdict = floer.decide_lazy(dia, trace=trace)
         post = verdict.diagram
     else:
         post = make_nice(dia, trace=trace)
         verdict = floer.decide_vanishing(floer.boundary_matrix(post),
                                          floer.contact_class(post))
-    n_gens, rank_val = verdict.generator_count, None
-    if rank:
-        m = verdict.matrix
-        if m is None:
-            # the lazy test decided without the full complex
-            post = make_nice(post, trace=trace)
-            m = floer.boundary_matrix(post)
-        n_gens, rank_val = m.n, floer.homology_rank(m)
+    rank_val = floer.homology_rank(verdict.matrix) if rank else None
     if export_post:
         export_diagram(post, fmt, export_post)
     return Report(
         input=name, verdict=verdict.outcome,
         exit_code=0 if verdict.outcome == floer.NONVANISHING else 1,
-        lazy_mode=lazy, generators=n_gens, rank=rank_val,
+        lazy_mode=lazy, generators=verdict.generator_count, rank=rank_val,
         crossings_pre=dia.n_vertices, crossings_post=post.n_vertices,
         regions_pre=len(dia.regions), regions_post=len(post.regions),
         moves=(post.n_vertices - dia.n_vertices) // 2,
@@ -286,22 +283,31 @@ def run_check(path: str, *, lazy: bool = False, rank: bool = False,
             with open(opts["report"], "w", encoding="utf-8") as fh:
                 fh.write("\n".join(report.machine_lines()) + "\n")
         return report.exit_code, report
+    except (MemoryError, RecursionError) as err:
+        # a RecursionError is a RuntimeError whose message names no stage
+        what = ("out of memory" if isinstance(err, MemoryError)
+                else "recursion too deep")
+        print(f"error: {what} in {_innermost_stage(err)}", file=out)
+        return 2, None
     except (OSError, ValueError, RuntimeError) as err:
         print(f"error: {err}", file=out)
-        return 2, None
-    except MemoryError as err:
-        print(f"error: out of memory in {_innermost_stage(err)}", file=out)
         return 2, None
 
 
 def _innermost_stage(err: BaseException) -> str:
-    """module.function of the innermost package frame err unwound."""
+    """module.function of the innermost package frame err unwound.
+
+    From Python 3.11 on, a method is named Class.method, and a nested
+    function by the function it is defined in.
+    """
     stage, tb = "front.run_check", err.__traceback__
     while tb is not None:
         module = tb.tb_frame.f_globals.get("__name__", "")
         if module.startswith(__package__ + "."):
+            code = tb.tb_frame.f_code
+            name = getattr(code, "co_qualname", code.co_name)
             stage = (module[len(__package__) + 1:] + "."
-                     + tb.tb_frame.f_code.co_name)
+                     + name.split(".<locals>.")[0])
         tb = tb.tb_next
     return stage
 

@@ -30,8 +30,7 @@ arrangement's paths keeps its own order, so each image comes out as
 it would twisted alone.  That arrangement's linear crossing_free()
 also checks the images the previous letter made, as embedded and
 pairwise disjoint, and one more arrangement checks the last letter's;
-the doubling reuses that one as its bottom sheet.  dehn_twist is
-apply_word on one letter and one target.
+the doubling reuses that one as its bottom sheet.
 
 The handedness conventions are pinned by the annulus and four-holed
 sphere fixtures in the test suite rather than trusted.
@@ -49,7 +48,6 @@ from .surface import (
     canonical_rotation,
     invert_word,
     parallel,
-    pushoff,
     reduce_cyclic,
     reduce_linear,
 )
@@ -91,24 +89,6 @@ def _loop(curve_word, start, dir_sign):
     """
     forward = curve_word[start:] + curve_word[:start]
     return forward if dir_sign > 0 else invert_word(forward)
-
-
-def dehn_twist(page: Page, c: Curve, sign: int, target):
-    """Image of a curve or arc under the signed Dehn twist about c."""
-    if not isinstance(c, Curve):
-        raise TypeError("can only twist about a Curve")
-    if not c.normalized:
-        raise ValueError("twist curve must be normalized")
-    if not c.crossings:
-        raise ValueError("cannot twist about a trivial curve")
-    if sign not in (1, -1):
-        raise ValueError(f"twist sign must be +1 or -1, got {sign!r}")
-    if not isinstance(target, (Curve, ArcImage)):
-        raise TypeError(f"cannot twist {type(target).__name__}")
-    if not target.normalized:
-        raise ValueError("twist target must be normalized")
-
-    return apply_word(page, TwistWord(((c, sign),)), (target,))[0]
 
 
 def _splice(arr: Arrangement, q: int, c: Curve, sign: int, target):
@@ -179,8 +159,8 @@ def _splice(arr: Arrangement, q: int, c: Curve, sign: int, target):
 def _image(target, tokens):
     """The target's image: its spliced tokens, reduced.
 
-    Every token comes from a normalized word, so reducing them is all
-    that normalize would do.
+    Every token comes from a normalized word, so reducing them
+    normalizes the image.
     """
     if isinstance(target, Curve):
         return Curve(canonical_rotation(reduce_cyclic(tokens)),
@@ -209,8 +189,8 @@ def apply_word(page: Page, word: TwistWord, targets):
     is the caller's, and the previous letter's images after it.  One
     more arrangement checks the last letter's images; the returned
     tuple keeps it as its arrangement, None when no letter moved an
-    image.  Images parallel to a letter's curve sit that letter out, as
-    dehn_twist returns them.
+    image.  Images parallel to a letter's curve sit that letter out
+    unchanged.
     """
     images, twisted = list(targets), False
     for curve, sign in reversed(word.letters):
@@ -233,10 +213,4 @@ def apply_word(page: Page, word: TwistWord, targets):
     return out
 
 
-def same_action_on_basis(page: Page, w1: TwistWord, w2: TwistWord) -> bool:
-    """Do two twist words move every basis pushoff arc the same way?"""
-    basis = [pushoff(page, i) for i in range(1, page.n_arcs + 1)]
-    return apply_word(page, w1, basis) == apply_word(page, w2, basis)
-
-
-__all__ = ["TwistWord", "dehn_twist", "apply_word", "same_action_on_basis"]
+__all__ = ["TwistWord", "apply_word"]

@@ -176,27 +176,6 @@ def finger_move(diagram: HeegaardDiagram,
     return d
 
 
-def elementary_moves(diagram: HeegaardDiagram):
-    """All single-crossing finger moves legal on the diagram.
-
-    Yields FingerMoveSpec values; useful for exercising invariance of
-    downstream answers under gratuitous isotopies.
-    """
-    for r, reg in enumerate(diagram.regions):
-        if r == diagram.z0_region or not reg.is_disk:
-            continue
-        cyc = reg.cycles[0]
-        for hh in cyc:
-            if diagram.label(hh)[0] != "b":
-                continue
-            for ha in cyc:
-                if diagram.label(ha)[0] != "a":
-                    continue
-                yield FingerMoveSpec(
-                    source=hh, crossings=(ha,),
-                    terminal=diagram.he_region[diagram.twin(ha)])
-
-
 def _chain_from(d: HeegaardDiagram, start: int, exit_h: int):
     """Follow a finger straight through squares from a first crossing.
 
@@ -337,5 +316,4 @@ def lazy_frontier(diagram: HeegaardDiagram, trace=None) -> HeegaardDiagram:
     return _flatten(diagram, frontier_only=True, trace=trace)
 
 
-__all__ = ["FingerMoveSpec", "elementary_moves", "finger_move",
-           "lazy_frontier", "make_nice"]
+__all__ = ["FingerMoveSpec", "finger_move", "lazy_frontier", "make_nice"]

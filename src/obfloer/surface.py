@@ -23,7 +23,7 @@ Conventions (documented in docs/conventions.md):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "Page",
@@ -32,7 +32,6 @@ __all__ = [
     "Arrangement",
     "make_page",
     "parse_curve",
-    "normalize",
     "geometric_intersection",
     "parallel",
     "successor_cycles",
@@ -256,21 +255,6 @@ def _check_tokens(page: Page, tokens) -> tuple[Token, ...]:
             raise ValueError(f"crossing sign must be +1 or -1, got {sign!r}")
         word.append((int(arc), int(sign)))
     return tuple(word)
-
-
-def normalize(page: Page, path):
-    """Reduce a path's word to its minimal position representative.
-
-    Closed curves are reduced cyclically and stored in a canonical
-    rotation; arcs are reduced linearly rel endpoints.  Idempotent.
-    """
-    if isinstance(path, Curve):
-        word = canonical_rotation(reduce_cyclic(_check_tokens(page, path.crossings)))
-        return Curve(crossings=word, normalized=True)
-    if isinstance(path, ArcImage):
-        word = reduce_linear(_check_tokens(page, path.crossings))
-        return replace(path, crossings=word, normalized=True)
-    raise TypeError(f"expected Curve or ArcImage, got {type(path).__name__}")
 
 
 def parse_curve(page: Page, tokens) -> Curve:

@@ -12,7 +12,9 @@ oracle_columns assembles the boundary operator without the source
 index, trying every census disk on every generator through disk_move.
 The page oracles rebuild the gluing of the cut polygon from the
 occurrence tables.  read_dump rebuilds a diagram from its canonical
-text dump.
+text dump.  twist and elementary_moves only drive the library: one
+Dehn twist is apply_word on one letter, and the single-crossing finger
+moves are gratuitous isotopies for invariance tests.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import itertools
 
 from obfloer.floer import domain_census, generators
 from obfloer.heegaard import HeegaardDiagram, Region
+from obfloer.mapping import TwistWord, apply_word
+from obfloer.nicify import FingerMoveSpec
 from obfloer.surface import Curve, Page, reduce_cyclic, successor_cycles
 
 
@@ -443,3 +447,29 @@ def read_dump(text: str) -> HeegaardDiagram:
         n=int(head["arcs"]), v_alpha=v_alpha, v_beta=v_beta, v_tag=v_tag,
         edge_label=edge_label, he_origin=he_origin, regions=regions,
         he_region=he_region, z0_region=int(head["z0"]))
+
+
+def twist(page: Page, c: Curve, sign: int, target):
+    """Image of a curve or arc under the signed Dehn twist about c."""
+    return apply_word(page, TwistWord(((c, sign),)), (target,))[0]
+
+
+def elementary_moves(diagram: HeegaardDiagram):
+    """All single-crossing finger moves legal on the diagram.
+
+    Yields FingerMoveSpec values, one per pair of a "b" and an "a"
+    half-edge on the boundary of an unpointed disk region.
+    """
+    for r, reg in enumerate(diagram.regions):
+        if r == diagram.z0_region or not reg.is_disk:
+            continue
+        cyc = reg.cycles[0]
+        for hh in cyc:
+            if diagram.label(hh)[0] != "b":
+                continue
+            for ha in cyc:
+                if diagram.label(ha)[0] != "a":
+                    continue
+                yield FingerMoveSpec(
+                    source=hh, crossings=(ha,),
+                    terminal=diagram.he_region[diagram.twin(ha)])

@@ -23,14 +23,13 @@ from obfloer.floer import (boundary_matrix, contact_class, decide_lazy,
                            homology_rank)
 from obfloer.front import parse_input, run_check
 from obfloer.heegaard import build_diagram
-from obfloer.mapping import TwistWord, same_action_on_basis
-from obfloer.nicify import (elementary_moves, finger_move, lazy_frontier,
-                            make_nice)
-from obfloer.surface import make_page, parse_curve
+from obfloer.mapping import TwistWord, apply_word
+from obfloer.nicify import finger_move, lazy_frontier, make_nice
+from obfloer.surface import make_page, parse_curve, pushoff
 
 from floer_oracle import (as_boundary, oracle_bounds, oracle_complex,
                           oracle_decide, oracle_homology_rank)
-from oracles import disk_move
+from oracles import disk_move, elementary_moves
 from test_nicify import assert_disk_regions
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -131,9 +130,11 @@ def test_twist_relation_matches_two_curve_product():
     f3 = parse_curve(page, [(2, 1), (3, 1)])
     lhs = TwistWord(((d1, 1), (d2, 1), (d3, 1), (d4, 1), (f1, -1)))
     rhs = TwistWord(((f2, 1), (f3, 1)))
-    assert same_action_on_basis(page, lhs, rhs) is True
+    basis = [pushoff(page, i) for i in (1, 2, 3)]
+    images = apply_word(page, lhs, basis)
+    assert images == apply_word(page, rhs, basis)
     # control: the relation is not an artifact of a trivial comparator
-    assert same_action_on_basis(page, lhs, TwistWord(())) is False
+    assert images != apply_word(page, TwistWord(()), basis)
     wall = time.perf_counter() - t0
     assert wall < 1.0
     RESULTS.append(

@@ -32,6 +32,18 @@ def test_every_exported_name_resolves():
         assert not missing, (name, missing)
 
 
+def test_readme_library_snippet_runs():
+    # the README's example is the library's front door: a public name it
+    # uses must not go away unnoticed
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "import" in snippet and "assert" in snippet
+    exec(compile(snippet, "README.md", "exec"), {})
+
+
 @pytest.mark.parametrize("name", ["floer", "front", "heegaard", "mapping",
                                   "nicify", "surface"])
 def test_public_functions_are_exactly_the_exported_ones(name):
@@ -147,14 +159,10 @@ def test_bench_runs_end_to_end(bench_tree, workload, trace):
 
 # public functions that `obfloer check` never calls, each with its reason
 UNTRACED = {
-    "mapping.dehn_twist": "library API used by tests",
-    "mapping.same_action_on_basis": "library API used by tests",
-    "surface.normalize": "library API used by tests",
     "surface.unoriented_canonical": "reached only through curve targets",
     "surface.geometric_intersection":
         "count checked against brute force; ROADMAP item 17",
     "nicify.finger_move": "isotopy wiggles; ROADMAP item 17",
-    "nicify.elementary_moves": "isotopy wiggles; ROADMAP item 17",
 }
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from obfloer import floer
 from obfloer.floer import domain_census
-from obfloer.front import (_render_svg, _render_text, export_diagram, main,
-                           parse_input, run_check)
+from obfloer.front import (_innermost_stage, _render_svg, _render_text,
+                           export_diagram, main, parse_input, run_check)
 from obfloer.heegaard import build_diagram
 from obfloer.nicify import lazy_frontier, make_nice
 
@@ -119,6 +120,14 @@ def test_parse_skips_comments_and_blanks():
      "line 3, column 15: option 'format' takes text or svg, not 'png'"),
     ("page g=0 b=2\ncurve core: 1+ 0+\ntwists:\n",
      "line 2, column 16: unknown arc index 0 (page has 1 arcs)"),
+    ("page g=0 b=2\ntwists:\noption report=\n",
+     "line 3, column 15: option 'report' needs a path"),
+    ("page g=0 b=2\ntwists:\noption export-pre=\n",
+     "line 3, column 19: option 'export-pre' needs a path"),
+    ("page g=0 b=2\ntwists:\noption export-post=\n",
+     "line 3, column 20: option 'export-post' needs a path"),
+    ("page g=0 b=2\ntwists:\noption lazy=\n",
+     "line 3, column 13: option 'lazy' takes true or false, not ''"),
 ])
 def test_parse_errors_carry_positions(text, message):
     with pytest.raises(ValueError) as err:
@@ -278,6 +287,31 @@ def test_out_of_memory_exits_2_and_names_the_stage(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_too_deep_a_recursion_exits_2_and_names_the_stage(monkeypatch,
+                                                          capsys):
+    # a RecursionError is a RuntimeError, whose message names no stage
+    def bottomless(diagram, emit):
+        return bottomless(diagram, emit)
+    monkeypatch.setattr(floer, "walk_domains", bottomless)
+    assert main(["check", corpus_path("pos_hopf.obk")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "error: recursion too deep in floer.boundary_matrix\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="needs co_qualname")
+def test_a_nested_function_is_named_by_its_stage():
+    class Exhausted(list):
+        def __getitem__(self, v):
+            raise RecursionError
+    # generators() recurses through a nested extend(), which fails here
+    fake = SimpleNamespace(n=1, n_vertices=1, v_beta=[1],
+                           v_alpha=Exhausted([1]))
+    with pytest.raises(RecursionError) as err:
+        floer.generators(fake)
+    assert _innermost_stage(err.value) == "floer.generators"
+
+
 DISK = "page g=0 b=1\ntwists:\n"
 
 
@@ -360,12 +394,12 @@ def test_lazy_rank_trace_comes_from_one_flattening(tmp_path):
 
 
 @pytest.mark.parametrize("name, censuses", [
-    ("torus_abinv3.obk", 1), ("lantern_word1.obk", 2)])
+    ("torus_abinv3.obk", 1), ("lantern_word1.obk", 1)])
 def test_lazy_rank_fallback_runs_each_census_once(tmp_path, monkeypatch,
                                                   name, censuses):
-    # the lazy test falls back on both; (a b^-1)^3's frontier diagram is
-    # already flat, so one walk of its disks serves the decision and the
-    # rank, and lantern x1 adds one on its partly flat frontier diagram
+    # the lazy test would fall back on both; the rank needs the full
+    # complex anyway, so the lazy test is skipped and one walk of the
+    # flat diagram's disks serves the decision and the rank
     path = tmp_path / name
     path.write_text(BENCH_LADDER[name])
     _, full = run_check(str(path), rank=True, out=io.StringIO())
@@ -376,7 +410,11 @@ def test_lazy_rank_fallback_runs_each_census_once(tmp_path, monkeypatch,
         seen.append(diagram)
         walk(diagram, emit)
 
+    def skipped(diagram, trace=None):
+        raise AssertionError("the lazy test ran with --rank")
+
     monkeypatch.setattr(floer, "walk_domains", counted)
+    monkeypatch.setattr(floer, "decide_lazy", skipped)
     _, lazy = run_check(str(path), lazy=True, rank=True, out=io.StringIO())
     assert len(seen) == censuses
     assert len({id(d) for d in seen}) == censuses

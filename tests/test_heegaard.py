@@ -10,10 +10,11 @@ from obfloer import heegaard, mapping
 from obfloer.floer import generators
 from obfloer.front import _render_text, parse_input
 from obfloer.heegaard import Region, build_diagram
-from obfloer.mapping import TwistWord, dehn_twist
-from obfloer.nicify import elementary_moves, finger_move, lazy_frontier, make_nice
+from obfloer.mapping import TwistWord
+from obfloer.nicify import finger_move, lazy_frontier, make_nice
 from obfloer.surface import ArcImage, Arrangement, make_page, parse_curve, pushoff
 
+from oracles import elementary_moves, twist
 from test_acceptance import random_book as property_book
 from test_front import BENCH_LADDER, CORPUS, LANTERN, torus_word
 
@@ -194,7 +195,7 @@ def test_build_rejects_bad_input():
 
 def test_crossing_free_rejects_crossing_images():
     c = parse_curve(pants, [(1, 1), (2, 1)])
-    twisted = dehn_twist(pants, c, -1, pushoff(pants, 1))
+    twisted = twist(pants, c, -1, pushoff(pants, 1))
     assert not Arrangement(pants, [twisted, pushoff(pants, 2)]).crossing_free()
     # pushoff 1's endpoints joined across arc 2 instead: it crosses itself
     p1 = pushoff(pants, 1)
@@ -249,7 +250,7 @@ def test_build_diagram_raises_the_twists_crossing_error(monkeypatch):
     # the last letter's images cross each other: the twist's last check
     # rejects them as its own error, not as the caller's input
     c = parse_curve(pants, [(1, 1), (2, 1)])
-    crossing = (dehn_twist(pants, c, -1, pushoff(pants, 1)), pushoff(pants, 2))
+    crossing = (twist(pants, c, -1, pushoff(pants, 1)), pushoff(pants, 2))
     splice = mapping._splice
 
     def last_letter_crosses(arr, q, curve, sign, target):

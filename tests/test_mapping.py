@@ -16,9 +16,9 @@ from obfloer.surface import (
     parse_curve,
     pushoff,
 )
-from obfloer.mapping import TwistWord, apply_word, dehn_twist, same_action_on_basis
+from obfloer.mapping import TwistWord, apply_word
 
-from oracles import oracle_att_order, oracle_pair_crossings
+from oracles import oracle_att_order, oracle_pair_crossings, twist
 from test_front import BENCH_LADDER, LANTERN, torus_word
 
 LANTERN_WORD = "+d4 -f1 +f2"
@@ -41,33 +41,33 @@ def four_holed():
 
 def test_positive_twist_straightens_spanning_arc(annulus):
     core = parse_curve(annulus, [(1, 1)])
-    image = dehn_twist(annulus, core, +1, pushoff(annulus, 1))
+    image = twist(annulus, core, +1, pushoff(annulus, 1))
     assert image.crossings == ()
 
 
 def test_negative_twist_wraps_spanning_arc(annulus):
     core = parse_curve(annulus, [(1, 1)])
-    image = dehn_twist(annulus, core, -1, pushoff(annulus, 1))
+    image = twist(annulus, core, -1, pushoff(annulus, 1))
     assert image.crossings == ((1, -1), (1, -1))
 
 
 def test_twist_fixes_its_own_curve(annulus):
     core = parse_curve(annulus, [(1, 1)])
-    assert dehn_twist(annulus, core, +1, core) == core
+    assert twist(annulus, core, +1, core) == core
 
 
 def test_opposite_twists_cancel(annulus):
     core = parse_curve(annulus, [(1, 1)])
     b1 = pushoff(annulus, 1)
-    assert dehn_twist(annulus, core, -1, dehn_twist(annulus, core, +1, b1)) == b1
-    assert dehn_twist(annulus, core, +1, dehn_twist(annulus, core, -1, b1)) == b1
+    assert twist(annulus, core, -1, twist(annulus, core, +1, b1)) == b1
+    assert twist(annulus, core, +1, twist(annulus, core, -1, b1)) == b1
 
 
 def test_annulus_image_intersections(annulus):
     core = parse_curve(annulus, [(1, 1)])
     b1 = pushoff(annulus, 1)
-    plus = dehn_twist(annulus, core, +1, b1)
-    minus = dehn_twist(annulus, core, -1, b1)
+    plus = twist(annulus, core, +1, b1)
+    minus = twist(annulus, core, -1, b1)
     assert geometric_intersection(annulus, plus, core) == 1
     assert geometric_intersection(annulus, plus, b1) == 2
     assert geometric_intersection(annulus, minus, core) == 1
@@ -77,16 +77,16 @@ def test_annulus_image_intersections(annulus):
 def test_torus_twist_images(torus):
     t1 = parse_curve(torus, [(1, 1)])
     t2 = parse_curve(torus, [(2, 1)])
-    assert dehn_twist(torus, t1, +1, t2).crossings == ((1, 1), (2, 1))
-    assert dehn_twist(torus, t1, -1, t2).crossings == ((1, -1), (2, 1))
+    assert twist(torus, t1, +1, t2).crossings == ((1, 1), (2, 1))
+    assert twist(torus, t1, -1, t2).crossings == ((1, -1), (2, 1))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_torus_round_trip(torus, sign):
     t1 = parse_curve(torus, [(1, 1)])
     t2 = parse_curve(torus, [(2, 1)])
-    image = dehn_twist(torus, t1, sign, t2)
-    assert dehn_twist(torus, t1, -sign, image) == t2
+    image = twist(torus, t1, sign, t2)
+    assert twist(torus, t1, -sign, image) == t2
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -94,23 +94,23 @@ def test_torus_twist_preserves_intersections(torus, sign):
     t1 = parse_curve(torus, [(1, 1)])
     t2 = parse_curve(torus, [(2, 1)])
     t12 = parse_curve(torus, [(1, 1), (2, 1)])
-    a = dehn_twist(torus, t1, sign, t2)
-    b = dehn_twist(torus, t1, sign, t12)
+    a = twist(torus, t1, sign, t2)
+    b = twist(torus, t1, sign, t12)
     assert geometric_intersection(torus, a, b) == geometric_intersection(torus, t2, t12) == 1
 
 
 def test_disjoint_twist_returns_target_unchanged(four_holed):
     d1 = parse_curve(four_holed, [(1, 1)])
     b3 = pushoff(four_holed, 3)
-    assert dehn_twist(four_holed, d1, +1, b3) is b3
+    assert twist(four_holed, d1, +1, b3) is b3
 
 
 def test_disjoint_twists_commute(four_holed):
     d4 = parse_curve(four_holed, [(1, 1), (2, 1), (3, 1)])
     f1 = parse_curve(four_holed, [(1, 1), (2, 1)])
     b1 = pushoff(four_holed, 1)
-    one_way = dehn_twist(four_holed, d4, 1, dehn_twist(four_holed, f1, 1, b1))
-    other = dehn_twist(four_holed, f1, 1, dehn_twist(four_holed, d4, 1, b1))
+    one_way = twist(four_holed, d4, 1, twist(four_holed, f1, 1, b1))
+    other = twist(four_holed, f1, 1, twist(four_holed, d4, 1, b1))
     assert one_way == other
 
 
@@ -125,9 +125,9 @@ def _lantern_curves(page):
 
 def test_att_order_matches_germ_walk_on_twist_words(torus, four_holed):
     # for (ab)^5 and for the lantern word +d4 -f1 +f2 of the bench
-    # ladder, twice: every (c, target) pair that dehn_twist arranges,
-    # every [c, *images] that apply_word arranges, and the images of
-    # each step together, as a bottom sheet arranges them
+    # ladder, twice: every (c, target) pair that a one-target twist
+    # arranges, every [c, *images] that apply_word arranges, and the
+    # images of each step together, as a bottom sheet arranges them
     a, b = (parse_curve(torus, [(i, 1)]) for i in (1, 2))
     _d, d4, f12, _f23, f13 = _lantern_curves(four_holed)
     for page, letters in ((torus, ((a, 1), (b, 1)) * 5),
@@ -140,30 +140,38 @@ def test_att_order_matches_germ_walk_on_twist_words(torus, four_holed):
                     assert arr.att_order == oracle_att_order(arr)
             arr = Arrangement(page, [curve, *images])
             assert arr.att_order == oracle_att_order(arr)
-            images = [dehn_twist(page, curve, sign, t) for t in images]
+            images = [twist(page, curve, sign, t) for t in images]
             arr = Arrangement(page, images)
             assert arr.att_order == oracle_att_order(arr)
+
+
+def _basis_images(page, word):
+    basis = [pushoff(page, i) for i in range(1, page.n_arcs + 1)]
+    return apply_word(page, word, basis)
 
 
 def test_lantern_relation(four_holed):
     d, d4, f1, f2, f3 = _lantern_curves(four_holed)
     boundary = TwistWord(((d[0], 1), (d[1], 1), (d[2], 1), (d4, 1)))
     right = TwistWord(((f1, 1), (f2, 1), (f3, 1)))
-    assert same_action_on_basis(four_holed, boundary, right)
+    assert (_basis_images(four_holed, boundary)
+            == _basis_images(four_holed, right))
 
 
 def test_lantern_relation_needs_the_right_order(four_holed):
     d, d4, f1, f2, f3 = _lantern_curves(four_holed)
     boundary = TwistWord(((d[0], 1), (d[1], 1), (d[2], 1), (d4, 1)))
     wrong = TwistWord(((f1, 1), (f3, 1), (f2, 1)))
-    assert not same_action_on_basis(four_holed, boundary, wrong)
+    assert (_basis_images(four_holed, boundary)
+            != _basis_images(four_holed, wrong))
 
 
 def test_rearranged_lantern_relation(four_holed):
     d, d4, f1, f2, f3 = _lantern_curves(four_holed)
-    left = TwistWord(((d[0], 1), (d[1], 1), (d[2], 1), (d4, 1), (f1, -1)))
-    assert same_action_on_basis(four_holed, left, TwistWord(((f2, 1), (f3, 1))))
-    assert not same_action_on_basis(four_holed, left, TwistWord(((f3, 1), (f2, 1))))
+    left = _basis_images(four_holed, TwistWord(
+        ((d[0], 1), (d[1], 1), (d[2], 1), (d4, 1), (f1, -1))))
+    assert left == _basis_images(four_holed, TwistWord(((f2, 1), (f3, 1))))
+    assert left != _basis_images(four_holed, TwistWord(((f3, 1), (f2, 1))))
 
 
 def test_empty_word_is_identity(four_holed):
@@ -175,8 +183,8 @@ def test_word_times_inverse_is_identity(four_holed):
     _d, d4, f1, _f2, _f3 = _lantern_curves(four_holed)
     letters = ((f1, 1), (d4, -1), (f1, 1))
     inverse = tuple((c, -s) for c, s in reversed(letters))
-    assert same_action_on_basis(four_holed, TwistWord(letters + inverse),
-                                TwistWord(()))
+    assert (_basis_images(four_holed, TwistWord(letters + inverse))
+            == _basis_images(four_holed, TwistWord(())))
 
 
 def test_twist_word_rejects_bad_letters(four_holed):
@@ -187,14 +195,17 @@ def test_twist_word_rejects_bad_letters(four_holed):
         TwistWord(((f1, 0),))
 
 
-def test_dehn_twist_rejects_bad_input(four_holed):
+def test_apply_word_rejects_bad_input(four_holed):
+    # a letter's curve, its sign, and each target's normal form
     f1 = parse_curve(four_holed, [(1, 1), (2, 1)])
-    with pytest.raises(TypeError, match="twist about"):
-        dehn_twist(four_holed, pushoff(four_holed, 1), 1, f1)
+    b1 = pushoff(four_holed, 1)
+    with pytest.raises(TypeError, match="Curve"):
+        apply_word(four_holed, TwistWord(((b1, 1),)), (f1,))
     with pytest.raises(ValueError, match="sign"):
-        dehn_twist(four_holed, f1, 2, pushoff(four_holed, 1))
+        apply_word(four_holed, TwistWord(((f1, 2),)), (b1,))
     with pytest.raises(ValueError, match="normalized"):
-        dehn_twist(four_holed, f1, 1, Curve(((1, 1), (1, -1), (2, 1))))
+        apply_word(four_holed, TwistWord(((f1, 1),)),
+                   (Curve(((1, 1), (1, -1), (2, 1))),))
 
 
 def test_twist_rejects_a_self_crossing_image(monkeypatch):
@@ -206,7 +217,7 @@ def test_twist_rejects_a_self_crossing_image(monkeypatch):
     looped = ArcImage(p1.start_slot, p1.end_slot, ((2, -1),), normalized=True)
     monkeypatch.setattr(mapping, "_image", lambda target, tokens: looped)
     with pytest.raises(RuntimeError, match="self-crossing image"):
-        dehn_twist(pants, c, -1, p1)
+        twist(pants, c, -1, p1)
 
 
 def _book(text):
@@ -216,7 +227,7 @@ def _book(text):
 
 def test_shared_arrangement_twists_as_single_twists(monkeypatch):
     # each letter of apply_word twists all images in one arrangement;
-    # dehn_twist arranges each image alone with the curve
+    # twisting one target arranges it alone with the curve
     books = [_book(text) for text in BENCH_LADDER.values()]
     books += [_book(LANTERN + "twists: " + " ".join([LANTERN_WORD] * k)
                     + "\n") for k in (2, 3)]
@@ -232,7 +243,7 @@ def test_shared_arrangement_twists_as_single_twists(monkeypatch):
         basis = tuple(pushoff(page, i) for i in range(1, page.n_arcs + 1))
         images = basis
         for letter in reversed(letters):
-            single = tuple(dehn_twist(page, *letter, t) for t in images)
+            single = tuple(twist(page, *letter, t) for t in images)
             assert apply_word(page, TwistWord((letter,)), images) == single
             twisted += single != images
             images = single
@@ -246,7 +257,7 @@ def test_apply_word_lets_curves_parallel_to_a_letter_sit_it_out(four_holed):
     images = [d[0], f2]
     expected = images
     for curve, sign in reversed(letters):
-        expected = [dehn_twist(four_holed, curve, sign, t) for t in expected]
+        expected = [twist(four_holed, curve, sign, t) for t in expected]
     assert expected[0] is d[0] and expected[1] != f2
     assert apply_word(four_holed, TwistWord(letters), images) == tuple(expected)
 
@@ -299,7 +310,7 @@ def test_apply_word_rejects_crossing_images(monkeypatch, four_holed):
     # the caller's error, as a letter's images an internal one
     _d, d4, f1, _f2, _f3 = _lantern_curves(four_holed)
     b1 = pushoff(four_holed, 1)
-    crossing = [b1, dehn_twist(four_holed, f1, -1, b1)]
+    crossing = [b1, twist(four_holed, f1, -1, b1)]
     for path in crossing:
         assert Arrangement(four_holed, [path]).crossing_free()
     assert geometric_intersection(four_holed, *crossing) > 0
@@ -330,10 +341,10 @@ def test_random_round_trips_and_intersections():
             except ValueError:
                 continue
             sign = rng.choice((1, -1))
-            image = dehn_twist(page, c, sign, t)
-            assert dehn_twist(page, c, -sign, image) == t
+            image = twist(page, c, sign, t)
+            assert twist(page, c, -sign, image) == t
             u = pushoff(page, rng.randint(1, page.n_arcs))
-            image_u = dehn_twist(page, c, sign, u)
+            image_u = twist(page, c, sign, u)
             lib = geometric_intersection(page, image, image_u)
             assert lib == geometric_intersection(page, t, u)
             # the brute-force check enumerates strand orders, so keep it to
@@ -365,15 +376,15 @@ def test_twist_returns_target_exactly_when_disjoint(seed):
         c = random_curve(page)
         pushed = pushoff(page, rng.randint(1, page.n_arcs))
         targets = [random_curve(page), pushed,
-                   dehn_twist(page, random_curve(page), rng.choice((1, -1)),
+                   twist(page, random_curve(page), rng.choice((1, -1)),
                               pushed)]
         for t in targets:
             sign = rng.choice((1, -1))
             zero = geometric_intersection(page, c, t) == 0
-            assert (dehn_twist(page, c, sign, t) == t) == zero
+            assert (twist(page, c, sign, t) == t) == zero
             disjoint += zero
         reverse = parse_curve(page, invert_word(c.crossings))
         for sign in (1, -1):
-            assert dehn_twist(page, c, sign, c) == c
-            assert dehn_twist(page, c, sign, reverse) == reverse
+            assert twist(page, c, sign, c) == c
+            assert twist(page, c, sign, reverse) == reverse
     assert 0 < disjoint < 450

@@ -1,17 +1,18 @@
 import glob
 import os
 import random
-import signal
+import time
 
 import pytest
 
 from obfloer.front import parse_input
 from obfloer.heegaard import build_diagram
 from obfloer.mapping import TwistWord
-from obfloer.nicify import (FingerMoveSpec, elementary_moves, finger_move,
-                            lazy_frontier, make_nice)
+from obfloer.nicify import (FingerMoveSpec, finger_move, lazy_frontier,
+                            make_nice)
 from obfloer.surface import make_page, parse_curve
 
+from oracles import elementary_moves
 from test_front import BENCH_LADDER, CORPUS, LANTERN
 
 annulus = make_page(0, 2)
@@ -240,13 +241,11 @@ def test_flattening_spins_on_a_genus_one_book():
                        "curve d: 1+ 2+ 1- 2-\ntwists: -a -d\n")
     dia = build_diagram(book.page, book.word)
 
-    def expire(signum, frame):
-        raise TimeoutError("make_nice still running after 2 s")
+    deadline = time.monotonic() + 2
 
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(2)
-    try:
-        make_nice(dia)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    def expire(_line):
+        # checked after every finger, so no signal has to reach the run
+        if time.monotonic() > deadline:
+            raise TimeoutError("make_nice still running after 2 s")
+
+    make_nice(dia, trace=expire)

@@ -8,23 +8,24 @@ import test_acceptance
 from obfloer import heegaard, mapping
 from obfloer.front import parse_input
 from obfloer.heegaard import build_diagram
-from obfloer.mapping import dehn_twist
 from obfloer.surface import (
     ArcImage,
     Arrangement,
     Curve,
+    canonical_rotation,
     geometric_intersection,
     is_primitive,
     make_page,
-    normalize,
     parallel,
     parse_curve,
     pushoff,
+    reduce_cyclic,
+    reduce_linear,
 )
 from oracles import (att_side, boundary_count, euler_characteristic_from_cut,
                      handle_numbers, oracle_att_order, oracle_is_embeddable,
                      oracle_min_arc_tokens, oracle_pair_crossings,
-                     oracle_self_crossings)
+                     oracle_self_crossings, twist)
 from test_front import BENCH_LADDER
 
 
@@ -82,38 +83,35 @@ def test_occurrence_tables():
 # -- words and normalization ---------------------------------------------------
 
 
+def _normal_form(word):
+    # what parse_curve and a twist's image make of a closed word
+    return canonical_rotation(reduce_cyclic(word))
+
+
 def test_normalize_cancels_inverse_pair():
-    page = make_page(0, 4)
-    curve = Curve(((1, 1), (1, -1), (2, 1)))
-    assert normalize(page, curve).crossings == ((2, 1),)
+    assert _normal_form(((1, 1), (1, -1), (2, 1))) == ((2, 1),)
 
 
 def test_normalize_cyclic_cancellation():
-    page = make_page(0, 4)
-    curve = Curve(((2, 1), (1, 1), (2, -1)))
     # the leading and trailing tokens cancel around the cycle
-    assert normalize(page, curve).crossings == ((1, 1),)
+    assert _normal_form(((2, 1), (1, 1), (2, -1))) == ((1, 1),)
 
 
 def test_normalize_idempotent():
-    page = make_page(1, 1)
-    curve = normalize(page, Curve(((1, 1), (2, 1), (2, -1), (1, 1))))
-    assert normalize(page, curve) == curve
+    word = _normal_form(((1, 1), (2, 1), (2, -1), (1, 1)))
+    assert _normal_form(word) == word
 
 
 def test_normalize_arc_image_is_linear():
-    page = make_page(0, 2)
-    image = ArcImage(1, 0, ((1, 1), (1, -1), (1, -1)))
-    out = normalize(page, image)
-    # linear reduction only; no cyclic trimming across the endpoints
-    assert out.crossings == ((1, -1),)
-    assert out.start_slot == 1
+    assert reduce_linear(((1, 1), (1, -1), (1, -1))) == ((1, -1),)
+    # no cyclic trimming across the endpoints
+    assert reduce_linear(((1, 1), (2, 1), (1, -1))) == ((1, 1), (2, 1), (1, -1))
 
 
 def test_normalize_rejects_bad_arc():
     page = make_page(0, 2)
-    with pytest.raises(ValueError):
-        normalize(page, Curve(((2, 1),)))
+    with pytest.raises(ValueError, match="unknown arc index 2"):
+        parse_curve(page, [(2, 1)])
 
 
 def test_reduction_minimizes_arc_crossings():
@@ -123,20 +121,19 @@ def test_reduction_minimizes_arc_crossings():
         for _ in range(25):
             length = rng.randint(1, 4)
             word = tuple((rng.randint(1, 3), rng.choice((1, -1))) for _ in range(length))
-            reduced = normalize(page, Curve(word)).crossings
+            reduced = _normal_form(word)
             for arc in (1, 2, 3):
                 have = sum(1 for a, _s in reduced if a == arc)
                 assert have == oracle_min_arc_tokens(page, word, arc, budget=1)
 
 
 def test_normalize_preserves_algebraic_crossing_sums():
-    page = make_page(1, 2)
     for seed in (13, 113, 213, 313):
         rng = random.Random(seed)
         for _ in range(40):
             length = rng.randint(1, 6)
             word = tuple((rng.randint(1, 3), rng.choice((1, -1))) for _ in range(length))
-            reduced = normalize(page, Curve(word)).crossings
+            reduced = _normal_form(word)
             for arc in (1, 2, 3):
                 before = sum(s for a, s in word if a == arc)
                 after = sum(s for a, s in reduced if a == arc)
@@ -202,7 +199,7 @@ def test_parse_curve_counts_crossings_only_to_word_its_error(monkeypatch):
     a, b = (parse_curve(torus, [(i, 1)]) for i in (1, 2))
     curve = a
     for _ in range(6):
-        curve = dehn_twist(torus, b, -1, dehn_twist(torus, a, 1, curve))
+        curve = twist(torus, b, -1, twist(torus, a, 1, curve))
     assert len(curve.crossings) == 233
 
     def no_count(*_args):
@@ -405,7 +402,8 @@ def test_att_order_matches_germ_walk():
                 x = pushoff(page, rng.randint(1, page.n_arcs))
                 word = tuple((rng.randint(1, page.n_arcs), rng.choice((1, -1)))
                              for _ in range(rng.randint(0, 4)))
-                y = normalize(page, ArcImage(x.start_slot, x.end_slot, word))
+                y = ArcImage(x.start_slot, x.end_slot, reduce_linear(word),
+                             normalized=True)
             if parallel(x, y):
                 continue
             arr = Arrangement(page, [x, y])
@@ -479,17 +477,17 @@ def test_crossing_free_agrees_with_the_crossing_counts():
         paths = []
         if trial % 2:
             for _ in range(rng.randint(1, 3)):
-                c = normalize(page, Curve(word(page)))
+                c = Curve(_normal_form(word(page)), normalized=True)
                 if c.crossings and is_primitive(c.crossings):
                     paths.append(c)
         else:
-            twist = letters(page)
+            twists = letters(page)
             for arc in rng.sample(range(1, page.n_arcs + 1),
                                   rng.randint(1, min(3, page.n_arcs))):
-                twist = twist if rng.random() < 0.5 else letters(page)
+                twists = twists if rng.random() < 0.5 else letters(page)
                 image = pushoff(page, arc)
-                for c, sign in twist:
-                    image = dehn_twist(page, c, sign, image)
+                for c, sign in twists:
+                    image = twist(page, c, sign, image)
                 paths.append(image)
         if not paths or any(parallel(x, y)
                             for x, y in itertools.combinations(paths, 2)):
