@@ -566,6 +566,27 @@ def test_a_move_out_of_the_generators_is_an_internal_error(monkeypatch):
         boundary_matrix(nice)
 
 
+@pytest.mark.parametrize("name", ["lantern.obk", "lantern_stab.obk"])
+def test_a_code_that_names_no_generator_is_decoded(monkeypatch, name):
+    # one bigon moves c's first coordinate onto the last vertex of β
+    # circle 1 whose α circle another coordinate of c holds; the message
+    # names c and the decoded tuple exactly
+    with open(os.path.join(CORPUS, name)) as fh:
+        book = parse_input(fh.read())
+    nice = make_nice(build_diagram(book.page, book.word))
+    c = contact_class(nice)
+    held = {nice.v_alpha[v] for v in c[1:]}
+    target = max(v for v in range(nice.n_vertices)
+                 if nice.v_beta[v] == 1 and nice.v_alpha[v] in held)
+    monkeypatch.setattr(floer, "walk_domains", lambda diagram, emit: emit(
+        ((1, c[0], target),), 0, 0))
+    with pytest.raises(RuntimeError) as err:
+        boundary_matrix(nice)
+    assert str(err.value) == (
+        f"internal error: a disk moves generator {c} to "
+        f"{(target, *c[1:])}, which is no generator")
+
+
 def test_a_lazy_disk_out_of_the_generators_is_an_internal_error(monkeypatch):
     # decide_lazy reads the disks into c by the assembly's rule: a bigon
     # into c whose source repeats the α circle of c's second coordinate
