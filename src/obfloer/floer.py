@@ -15,19 +15,18 @@ off the walk; domain_census is a sorted list view of it, for tests and
 oracles.
 
 The boundary matrix looks up each generator's disks in that index.  It
-numbers generators by int codes, mixed-radix numerals of their
-vertices' ranks on their β circles, so that a disk moves a generator by
-adding a fixed int to its code (docs/conventions.md, "Generator
-codes").  The distinguished generator is the tuple of page crossings.
-It is always a cycle; the open book's contact class vanishes exactly
-when it is a boundary.  Only the columns that can reach it matter: its
-closure, grown from its row through the columns meeting it
-(docs/conventions.md, "Deciding on c's closure"), and one GF(2)
-elimination over int bitmask columns of that block settles it.
-Both answers come with certificates that are re-checked by plain
-multiplication against the whole matrix: a chain bounding the
-distinguished generator, or a functional that kills every boundary yet
-evaluates to 1 on it.
+numbers generators by int codes, their vertex ids read as base-V
+numerals for V vertices, so that a disk moves a generator by adding a
+fixed int to its code (docs/conventions.md, "Generator codes").  The
+distinguished generator is the tuple of page crossings.  It is always
+a cycle; the open book's contact class vanishes exactly when it is a
+boundary.  Only the columns that can reach it matter: its closure,
+grown from its row through the columns meeting it (docs/conventions.md,
+"Deciding on c's closure"), and one GF(2) elimination over int bitmask
+columns of that block settles it.  Both answers come with certificates
+that are re-checked by plain multiplication against the whole matrix:
+a chain bounding the distinguished generator, or a functional that
+kills every boundary yet evaluates to 1 on it.
 """
 
 from __future__ import annotations
@@ -40,6 +39,9 @@ from .nicify import lazy_frontier, make_nice
 
 NONVANISHING = "NONVANISHING"
 VANISHING = "VANISHING"
+# the most matchings generators() holds at once: page g=0 b=21, with
+# 2^20 generators, still decides, and b=22 stops here
+GENERATOR_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -76,13 +78,12 @@ class BoundaryMatrix:
 
 @dataclass(frozen=True)
 class Verdict:
+    """An outcome with its certificate; the matrix stays with its caller."""
+
     outcome: str
     certificate: tuple       # chain w (VANISHING) or functional (NONVANISHING)
     generator_count: int
     rank: int                # rank of c's closure block, -1 if skipped
-    # the matrix decide_vanishing decided on; None when the lazy test did
-    matrix: BoundaryMatrix | None = field(default=None, compare=False,
-                                          repr=False)
     # the diagram decide_lazy decided on; None from decide_vanishing
     diagram: HeegaardDiagram | None = field(default=None, compare=False,
                                             repr=False)
@@ -91,28 +92,29 @@ class Verdict:
 def generators(diagram: HeegaardDiagram) -> list[tuple]:
     """All matchings: one crossing per pushoff circle, arcs all distinct.
 
-    The tuples come in lexicographic order: each circle's vertices are
-    tried in increasing order, the first circle outermost.
+    The matchings are grown one β circle at a time, each held with the
+    bitmask of its α circles; a circle's vertices are tried in
+    increasing order for each matching in turn, so the tuples come in
+    lexicographic order.  Holding more than GENERATOR_BUDGET matchings
+    at once, complete or not, stops the enumeration with a ValueError
+    that names the count and the budget.
     """
-    n = diagram.n
-    by_beta = [[] for _ in range(n)]
-    for v in range(diagram.n_vertices):
-        by_beta[diagram.v_beta[v] - 1].append(v)
-    out = []
-    pick = [0] * n
-
-    def extend(j, used):
-        if j == n:
-            out.append(tuple(pick))
-            return
-        for v in by_beta[j]:
-            a = diagram.v_alpha[v]
-            if a in used:
-                continue
-            pick[j] = v
-            extend(j + 1, used | {a})
-
-    extend(0, frozenset())
+    steps = [[] for _ in range(diagram.n)]
+    for v, (a, j) in enumerate(zip(diagram.v_alpha, diagram.v_beta)):
+        steps[j - 1].append(((v,), 1 << a))
+    out, masks = [()], [0]
+    for step in steps:
+        grown, held = [], []
+        for x, used in zip(out, masks):
+            for last, a in step:
+                if not used & a:
+                    grown.append(x + last)
+                    held.append(used | a)
+            if len(grown) > GENERATOR_BUDGET:
+                raise ValueError(
+                    f"floer.generators: {len(grown):,} matchings, over the "
+                    f"generator budget of {GENERATOR_BUDGET:,}")
+        out, masks = grown, held
     return out
 
 
@@ -354,35 +356,27 @@ def boundary_matrix(diagram: HeegaardDiagram) -> BoundaryMatrix:
     whose source corners it holds, each once.  A disk fits x when its
     passthrough mask misses the mask of x's vertices.
 
-    Generators are handled as int codes: a vertex weighs its rank on its
-    β circle times the circle's stride, the product of the vertex counts
-    of the circles after it, and a generator's code is the sum of its
-    vertices' weights.  These are mixed-radix numerals with the first
-    circle most significant, so codes increase in generators() order and
-    name distinct vertex choices (docs/conventions.md, "Generator
-    codes").  A disk is filed with its delta, the weights of its targets
-    less those of its sources; it moves x to the generator whose code is
-    x's plus delta, since each source shares its α circle with a target
-    and the move keeps the α circles distinct.  A code that names no
-    generator is an internal error.  Column x lists, sorted, the
-    generators reached an odd number of times; ∂² = 0 is checked before
-    the matrix is returned.
+    Generators are handled as int codes: with V vertices, a generator's
+    code is its vertices read as a base-V numeral, the first circle's
+    most significant, so a vertex on β circle j of n weighs itself times
+    V^(n − j).  Codes increase in generators() order and name distinct
+    vertex tuples (docs/conventions.md, "Generator codes").  A disk is
+    filed with its delta, the weights of its targets less those of its
+    sources; it moves x to the generator whose code is x's plus delta,
+    since each source shares its α circle with a target and the move
+    keeps the α circles distinct.  A code that names no generator is an
+    internal error, and its digits are the tuple it names.  Column x
+    lists, sorted, the generators reached an odd number of times; ∂² = 0
+    is checked before the matrix is returned.
     """
     if diagram.bad_regions():
         raise ValueError(
             "the boundary operator needs a flattened diagram; "
             "run make_nice first")
     gens = generators(diagram)
-    v_beta = diagram.v_beta
-    count, rank = [0] * (diagram.n + 1), []
-    for j in v_beta:
-        rank.append(count[j])
-        count[j] += 1
-    stride = [1] * (diagram.n + 1)
-    for j in range(diagram.n - 1, 0, -1):
-        stride[j] = stride[j + 1] * count[j + 1]
-    weight = [r * stride[j] for r, j in zip(rank, v_beta)]
-    bit = [1 << v for v in range(len(v_beta))]
+    n, base = diagram.n, diagram.n_vertices
+    weight = [v * base ** (n - j) for v, j in enumerate(diagram.v_beta)]
+    bit = [1 << v for v in range(base)]
     by_source = {}
 
     def file(swap, regions, passthrough):
@@ -411,13 +405,10 @@ def boundary_matrix(diagram: HeegaardDiagram) -> BoundaryMatrix:
                 hits = [i for i in sorted(set(hits)) if hits.count(i) % 2]
             columns.append(tuple(hits))
     except KeyError as miss:
-        y = [0] * diagram.n
-        for v, r in enumerate(rank):
-            j = v_beta[v]
-            if miss.args[0] // stride[j] % count[j] == r:
-                y[j - 1] = v
+        y = tuple(miss.args[0] // base ** (n - j) % base
+                  for j in range(1, n + 1))
         raise RuntimeError(
-            f"internal error: a disk moves generator {x} to {tuple(y)}, "
+            f"internal error: a disk moves generator {x} to {y}, "
             "which is no generator") from None
     m = BoundaryMatrix(generators=tuple(gens), columns=tuple(columns))
     _check_square_zero(m)
@@ -530,7 +521,7 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
     re-checked here by direct multiplication against the whole matrix,
     independently of the closure and the elimination.  That c is a cycle
     is a structural fact, so an entry in its column is an internal
-    error.  The verdict carries m, and its rank is the closure block's.
+    error.  The verdict's rank is the closure block's.
     """
     if not m.generators or m.generators[0] != c:
         raise ValueError("c is not a generator of this complex")
@@ -557,7 +548,7 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
         return Verdict(outcome=VANISHING,
                        certificate=tuple(sorted(m.generators[i]
                                                 for i in chain)),
-                       generator_count=m.n, rank=rank, matrix=m)
+                       generator_count=m.n, rank=rank)
     phi = 1 << _low(vec)
     for p in sorted(basis, reverse=True):
         if (phi & basis[p][0]).bit_count() % 2:
@@ -572,7 +563,7 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
             "internal error: functional misses the distinguished cycle")
     cert = tuple(sorted(m.generators[i] for i in phi))
     return Verdict(outcome=NONVANISHING, certificate=cert,
-                   generator_count=m.n, rank=rank, matrix=m)
+                   generator_count=m.n, rank=rank)
 
 
 def _sources_into_c(diagram: HeegaardDiagram) -> set:
@@ -614,7 +605,7 @@ def decide_lazy(diagram: HeegaardDiagram, trace=None) -> Verdict:
     diagram that is already flat goes straight to the complete complex,
     so that its disks are walked once.  trace gets one line per
     flattening move, and the verdict carries the diagram it was decided
-    on and, from the complete complex, the matrix.
+    on.
     """
     lz = lazy_frontier(diagram, trace=trace)
     if lz.bad_regions():
@@ -632,7 +623,7 @@ def homology_rank(m: BoundaryMatrix) -> int:
     return m.n - 2 * len(_eliminate(m.columns, combos=False))
 
 
-__all__ = ["BoundaryMatrix", "DomainCandidate", "NONVANISHING", "VANISHING",
-           "Verdict", "boundary_matrix", "contact_class", "decide_lazy",
-           "decide_vanishing", "domain_census",
-           "generators", "homology_rank", "walk_domains"]
+__all__ = ["BoundaryMatrix", "DomainCandidate", "GENERATOR_BUDGET",
+           "NONVANISHING", "VANISHING", "Verdict", "boundary_matrix",
+           "contact_class", "decide_lazy", "decide_vanishing",
+           "domain_census", "generators", "homology_rank", "walk_domains"]

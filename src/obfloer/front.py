@@ -17,6 +17,7 @@ and trace take true or false, format takes text or svg.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -31,6 +32,9 @@ _OPTION_KEYS = ("export-post", "export-pre", "format", "lazy", "rank",
                 "report", "trace")
 _OPTION_CHOICES = {"format": ("text", "svg"), "lazy": ("true", "false"),
                    "rank": ("true", "false"), "trace": ("true", "false")}
+# ASCII digits only: int() also takes signs, underscores and other scripts
+_CROSSING = re.compile(r"[0-9]+[+-]")
+_PAGE_INT = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -93,10 +97,13 @@ def parse_input(text: str) -> OpenBookFile:
             if len(tokens) != 3 or not tokens[1][0].startswith("g=") \
                     or not tokens[2][0].startswith("b="):
                 _fail(ln, col0, "expected: page g=<int> b=<int>")
+            for tok, col in tokens[1:]:
+                if not _PAGE_INT.fullmatch(tok[2:]):
+                    _fail(ln, col + 2, f"'{tok[0]}' takes an integer, "
+                          f"not '{tok[2:]}'")
             try:
-                g = int(tokens[1][0][2:])
-                b = int(tokens[2][0][2:])
-                page = make_page(g, b)
+                page = make_page(int(tokens[1][0][2:]),
+                                 int(tokens[2][0][2:]))
             except ValueError as err:
                 _fail(ln, tokens[1][1], str(err))
         elif head == "curve":
@@ -114,8 +121,7 @@ def parse_input(text: str) -> OpenBookFile:
                       f"curve '{name}' needs at least one crossing token")
             sides = []
             for tok, col in tokens[2:]:
-                if len(tok) < 2 or tok[-1] not in "+-" \
-                        or not tok[:-1].isdigit():
+                if not _CROSSING.fullmatch(tok):
                     _fail(ln, col, f"malformed crossing token '{tok}'; "
                           "expected <arc><+|->")
                 arc = int(tok[:-1])
@@ -231,15 +237,17 @@ def _check_book(book: OpenBookFile, name: str, *, lazy: bool, rank: bool,
     dia = build_diagram(book.page, book.word)
     if export_pre:
         export_diagram(dia, fmt, export_pre)
+    rank_val = None
     # the rank needs the full complex, so the lazy test could only add a walk
     if lazy and not rank:
         verdict = floer.decide_lazy(dia, trace=trace)
         post = verdict.diagram
     else:
         post = make_nice(dia, trace=trace)
-        verdict = floer.decide_vanishing(floer.boundary_matrix(post),
-                                         floer.contact_class(post))
-    rank_val = floer.homology_rank(verdict.matrix) if rank else None
+        m = floer.boundary_matrix(post)
+        verdict = floer.decide_vanishing(m, floer.contact_class(post))
+        if rank:
+            rank_val = floer.homology_rank(m)
     if export_post:
         export_diagram(post, fmt, export_post)
     return Report(

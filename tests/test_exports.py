@@ -16,6 +16,7 @@ import pytest
 import obfloer
 import obfloer.front
 
+from loc import code_lines
 from test_front import BENCH_LADDER, CORPUS
 
 
@@ -42,6 +43,34 @@ def test_readme_library_snippet_runs():
     snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
     assert "import" in snippet and "assert" in snippet
     exec(compile(snippet, "README.md", "exec"), {})
+
+
+LOC_SAMPLE = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment keeps its line
+
+
+# a comment line
+class A:
+    """Class docstring."""
+
+    x = """a string that is
+    no docstring"""
+
+    def f(self):
+        \'\'\'Function docstring.\'\'\'
+        return os.sep
+'''
+
+
+def test_loc_counts_code_lines_only():
+    # CHANGES.md and ROADMAP quote code lines by tests/loc.py: blank
+    # lines, comment lines and docstrings are left out, other strings
+    # and trailing comments are not
+    assert code_lines(LOC_SAMPLE) == 6
+    assert code_lines("") == 0
+    assert code_lines("def f():\n    return 1\n") == 2
 
 
 @pytest.mark.parametrize("name", ["floer", "front", "heegaard", "mapping",

@@ -681,6 +681,22 @@ def test_random_books_have_consistent_complexes():
                 assert len(phi & {m.generators[k] for k in col}) % 2 == 0
 
 
+def test_generator_budget_is_checked_on_both_sides(tmp_path, monkeypatch):
+    # page g=0 b=5 holds 2, 4, 8 and 16 matchings after each β circle
+    path = tmp_path / "five.obk"
+    path.write_text("page g=0 b=5\ntwists:\n")
+    monkeypatch.setattr(floer, "GENERATOR_BUDGET", 16)
+    out = io.StringIO()
+    code, rep = run_check(str(path), out=out)
+    assert (code, rep.generators) == (0, 16)
+    monkeypatch.setattr(floer, "GENERATOR_BUDGET", 15)
+    out = io.StringIO()
+    assert run_check(str(path), out=out) == (2, None)
+    assert out.getvalue() == (
+        "error: floer.generators: 16 matchings, over the generator budget "
+        "of 15\n")
+
+
 def test_generator_enumeration_matches_brute_force():
     rng = random.Random(7)
     for _ in range(6):

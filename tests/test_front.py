@@ -5,9 +5,9 @@ import hashlib
 import io
 import os
 import re
+import resource
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +128,27 @@ def test_parse_skips_comments_and_blanks():
      "line 3, column 20: option 'export-post' needs a path"),
     ("page g=0 b=2\ntwists:\noption lazy=\n",
      "line 3, column 13: option 'lazy' takes true or false, not ''"),
+    ("page g=0 b=2\ncurve core: \u00b2+\ntwists:\n",
+     "line 2, column 13: malformed crossing token '\u00b2+'; "
+     "expected <arc><+|->"),
+    ("page g=0 b=2\ncurve core: \u0661+\ntwists:\n",
+     "line 2, column 13: malformed crossing token '\u0661+'; "
+     "expected <arc><+|->"),
+    ("page g=0 b=2\ncurve core: +1+\ntwists:\n",
+     "line 2, column 13: malformed crossing token '+1+'; "
+     "expected <arc><+|->"),
+    ("page g=+1 b=2\ntwists:\n",
+     "line 1, column 8: 'g' takes an integer, not '+1'"),
+    ("page g=0 b=1_0\ntwists:\n",
+     "line 1, column 12: 'b' takes an integer, not '1_0'"),
+    ("page g=\u0661 b=2\ntwists:\n",
+     "line 1, column 8: 'g' takes an integer, not '\u0661'"),
+    ("page g=0 b=\ntwists:\n",
+     "line 1, column 12: 'b' takes an integer, not ''"),
+    ("page g=-1 b=2\ntwists:\n",
+     "line 1, column 6: genus must be nonnegative"),
+    ("page g=0 b=-1\ntwists:\n",
+     "line 1, column 6: a page needs at least one boundary component"),
 ])
 def test_parse_errors_carry_positions(text, message):
     with pytest.raises(ValueError) as err:
@@ -300,16 +321,43 @@ def test_too_deep_a_recursion_exits_2_and_names_the_stage(monkeypatch,
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="needs co_qualname")
-def test_a_nested_function_is_named_by_its_stage():
-    class Exhausted(list):
-        def __getitem__(self, v):
-            raise RecursionError
-    # generators() recurses through a nested extend(), which fails here
-    fake = SimpleNamespace(n=1, n_vertices=1, v_beta=[1],
-                           v_alpha=Exhausted([1]))
-    with pytest.raises(RecursionError) as err:
-        floer.generators(fake)
-    assert _innermost_stage(err.value) == "floer.generators"
+def test_a_nested_function_is_named_by_its_stage(monkeypatch):
+    # boundary_matrix files each disk through its nested file(), which
+    # fails here on a target vertex that the diagram does not have
+    with open(corpus_path("pos_hopf.obk")) as fh:
+        book = parse_input(fh.read())
+    nice = make_nice(build_diagram(book.page, book.word))
+    monkeypatch.setattr(floer, "walk_domains", lambda diagram, emit: emit(
+        ((1, 0, nice.n_vertices),), 0, 0))
+    with pytest.raises(IndexError) as err:
+        floer.boundary_matrix(nice)
+    tb = err.value.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    assert tb.tb_frame.f_code.co_qualname == "boundary_matrix.<locals>.file"
+    assert _innermost_stage(err.value) == "floer.boundary_matrix"
+
+
+def test_a_page_past_the_generator_budget_exits_2_and_names_it(tmp_path):
+    # 2^1000 generators: the enumeration stops at its budget, long before
+    # a 1.5 GiB address space runs out
+    path = tmp_path / "wide.obk"
+    path.write_text("page g=0 b=1001\ntwists:\n")
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+             "from obfloer.front import main\n"
+             "sys.exit(main(['check', sys.argv[1]]))\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", child, str(path)],
+                          capture_output=True, text=True, timeout=10,
+                          env=env)
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert done.stdout.startswith("error: floer.generators: ")
+    assert f"generator budget of {floer.GENERATOR_BUDGET:,}" in done.stdout
+    assert "Traceback" not in done.stderr
 
 
 DISK = "page g=0 b=1\ntwists:\n"
