@@ -8,25 +8,30 @@ a rectangle is a grid of squares, walked once from its source corner,
 and a bigon is its one bigon tile with rows of squares stacked around
 it, walked once from that tile (docs/conventions.md, "Domains on a flat
 diagram").  walk_domains hands each disk to a callback once, with its
-tiles and its passthrough vertices as int masks.  The boundary matrix
-files the disks in an index keyed by their source vertices, and the
-lazy scan keeps those into the distinguished generator, both straight
-off the walk; domain_census is a sorted list view of it, for tests and
-oracles.
+tiles and its passthrough vertices as int masks.  The decision and the
+boundary matrix file the disks in one index keyed by their source
+vertices, and the lazy scan keeps those into the distinguished
+generator, both straight off the walk; domain_census is a sorted list
+view of it, for tests and oracles.
 
-The boundary matrix looks up each generator's disks in that index.  It
-numbers generators by int codes, their vertex ids read as base-V
+Generators are numbered by int codes, their vertex ids read as base-V
 numerals for V vertices, so that a disk moves a generator by adding a
 fixed int to its code (docs/conventions.md, "Generator codes").  The
-distinguished generator is the tuple of page crossings.  It is always
+distinguished generator c is the tuple of page crossings.  It is always
 a cycle; the open book's contact class vanishes exactly when it is a
-boundary.  Only the columns that can reach it matter: its closure,
-grown from its row through the columns meeting it (docs/conventions.md,
-"Deciding on c's closure"), and one GF(2) elimination over int bitmask
-columns of that block settles it.  Both answers come with certificates
-that are re-checked by plain multiplication against the whole matrix:
-a chain bounding the distinguished generator, or a functional that
-kills every boundary yet evaluates to 1 on it.
+boundary.  decide first reads off the index the columns of the
+generators next to c, c with one coordinate moved along its β and α
+circles: when one of them bounds c alone, that one generator is the
+certificate, and nothing is enumerated or assembled
+(docs/conventions.md, "Deciding VANISHING from a generator next to c").
+Otherwise the whole matrix is assembled from the same index, and only
+the columns that can reach c matter: its closure, grown from its row
+through the columns meeting it (docs/conventions.md, "Deciding on c's
+closure"), and one GF(2) elimination over int bitmask columns of that
+block settles it.  Those certificates are re-checked by plain
+multiplication against the whole matrix: a chain bounding the
+distinguished generator, or a functional that kills every boundary yet
+evaluates to 1 on it.
 """
 
 from __future__ import annotations
@@ -78,13 +83,18 @@ class BoundaryMatrix:
 
 @dataclass(frozen=True)
 class Verdict:
-    """An outcome with its certificate; the matrix stays with its caller."""
+    """An outcome with its certificate; the matrix stays with its caller.
+
+    rank is the rank of c's closure block, or -1 when no elimination
+    ran: a lazy NONVANISHING, or a VANISHING that decide settled from
+    one generator next to c, whose certificate is that generator alone.
+    """
 
     outcome: str
     certificate: tuple       # chain w (VANISHING) or functional (NONVANISHING)
     generator_count: int
     rank: int                # rank of c's closure block, -1 if skipped
-    # the diagram decide_lazy decided on; None from decide_vanishing
+    # the diagram decide_lazy decided on; None from decide, decide_vanishing
     diagram: HeegaardDiagram | None = field(default=None, compare=False,
                                             repr=False)
 
@@ -116,6 +126,33 @@ def generators(diagram: HeegaardDiagram) -> list[tuple]:
                     f"generator budget of {GENERATOR_BUDGET:,}")
         out, masks = grown, held
     return out
+
+
+def count_generators(diagram: HeegaardDiagram) -> int:
+    """The number of generators, counted without listing them.
+
+    The same growth as generators(), one β circle at a time, keeps only
+    each bitmask of α circles used, with the number of partial matchings
+    that use exactly those circles.  Holding more than GENERATOR_BUDGET
+    masks at once stops the count with a ValueError that names the
+    count and the budget.
+    """
+    steps = [[] for _ in range(diagram.n)]
+    for a, j in zip(diagram.v_alpha, diagram.v_beta):
+        steps[j - 1].append(1 << a)
+    counts = {0: 1}
+    for step in steps:
+        grown = {}
+        for used, k in counts.items():
+            for a in step:
+                if not used & a:
+                    grown[used | a] = grown.get(used | a, 0) + k
+            if len(grown) > GENERATOR_BUDGET:
+                raise ValueError(
+                    f"floer.count_generators: {len(grown):,} α masks, over "
+                    f"the generator budget of {GENERATOR_BUDGET:,}")
+        counts = grown
+    return sum(counts.values())
 
 
 def _cycle_tables(diagram: HeegaardDiagram):
@@ -329,8 +366,8 @@ def walk_domains(diagram: HeegaardDiagram, emit) -> None:
 def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
     """The disks of walk_domains as a list, sorted by region tuple.
 
-    A sorted view for tests, oracles and tracing: boundary_matrix and
-    decide_lazy read the walk directly, and build no list.
+    A sorted view for tests, oracles and tracing: decide, decide_lazy
+    and boundary_matrix read the walk directly, and build no list.
     """
     out = []
 
@@ -345,38 +382,29 @@ def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
     return out
 
 
-def boundary_matrix(diagram: HeegaardDiagram) -> BoundaryMatrix:
-    """Assemble the full boundary operator of a flattened diagram.
+def _disk_index(diagram: HeegaardDiagram) -> tuple[list, dict]:
+    """Walk the disks of a flattened diagram once, filed by their sources.
 
-    A vertex names its β circle, so the disks of walk_domains are
-    indexed, as the walk emits them, by their source corners alone: one
-    vertex for a bigon, the pair in circle order for a rectangle; no
-    census list is built.  A generator x looks up each of its
-    coordinates and each pair of them, so it meets exactly the disks
-    whose source corners it holds, each once.  A disk fits x when its
-    passthrough mask misses the mask of x's vertices.
-
-    Generators are handled as int codes: with V vertices, a generator's
-    code is its vertices read as a base-V numeral, the first circle's
-    most significant, so a vertex on β circle j of n weighs itself times
-    V^(n − j).  Codes increase in generators() order and name distinct
-    vertex tuples (docs/conventions.md, "Generator codes").  A disk is
-    filed with its delta, the weights of its targets less those of its
-    sources; it moves x to the generator whose code is x's plus delta,
-    since each source shares its α circle with a target and the move
-    keeps the α circles distinct.  A code that names no generator is an
-    internal error, and its digits are the tuple it names.  Column x
-    lists, sorted, the generators reached an odd number of times; ∂² = 0
-    is checked before the matrix is returned.
+    Returns (weight, by_source).  weight[v] is vertex v's weight in the
+    generator codes: with V vertices, a generator's code is its vertices
+    read as a base-V numeral, the first circle's most significant, so a
+    vertex on β circle j of n weighs itself times V^(n − j).  Codes
+    increase in generators() order and name distinct vertex tuples
+    (docs/conventions.md, "Generator codes").  A vertex names its β
+    circle, so the disks of walk_domains are filed, as the walk emits
+    them, by their source corners alone: one vertex for a bigon, the
+    pair in circle order for a rectangle.  Each is filed as
+    (passthrough, delta), delta the weights of its targets less those of
+    its sources; it moves a generator x that it fits to the generator
+    whose code is x's plus delta, since each source shares its α circle
+    with a target and the move keeps the α circles distinct.
     """
     if diagram.bad_regions():
         raise ValueError(
             "the boundary operator needs a flattened diagram; "
             "run make_nice first")
-    gens = generators(diagram)
     n, base = diagram.n, diagram.n_vertices
     weight = [v * base ** (n - j) for v, j in enumerate(diagram.v_beta)]
-    bit = [1 << v for v in range(base)]
     by_source = {}
 
     def file(swap, regions, passthrough):
@@ -387,6 +415,37 @@ def boundary_matrix(diagram: HeegaardDiagram) -> BoundaryMatrix:
         by_source.setdefault(key, []).append((passthrough, delta))
 
     walk_domains(diagram, file)
+    return weight, by_source
+
+
+def _decode(diagram: HeegaardDiagram, code: int) -> tuple:
+    """The vertex tuple a code names: its base-V digits, first circle first."""
+    n, base = diagram.n, diagram.n_vertices
+    return tuple(code // base ** (n - j) % base for j in range(1, n + 1))
+
+
+def boundary_matrix(diagram: HeegaardDiagram) -> BoundaryMatrix:
+    """Assemble the full boundary operator of a flattened diagram.
+
+    One walk files the disks (_disk_index), and _assemble reads every
+    generator's column off that index.
+    """
+    return _assemble(diagram, generators(diagram), *_disk_index(diagram))
+
+
+def _assemble(diagram: HeegaardDiagram, gens: list, weight,
+              by_source) -> BoundaryMatrix:
+    """The boundary operator on the generators gens, from one disk index.
+
+    A generator x looks up each of its coordinates and each pair of
+    them, so it meets exactly the disks whose source corners it holds,
+    each once.  A disk fits x when its passthrough mask misses the mask
+    of x's vertices, and moves x's code by its delta.  A code that names
+    no generator is an internal error, and its digits are the tuple it
+    names.  Column x lists, sorted, the generators reached an odd number
+    of times; ∂² = 0 is checked before the matrix is returned.
+    """
+    bit = [1 << v for v in range(diagram.n_vertices)]
     codes = [sum(map(weight.__getitem__, x)) for x in gens]
     index = dict(zip(codes, range(len(codes))))
     columns = []
@@ -405,11 +464,10 @@ def boundary_matrix(diagram: HeegaardDiagram) -> BoundaryMatrix:
                 hits = [i for i in sorted(set(hits)) if hits.count(i) % 2]
             columns.append(tuple(hits))
     except KeyError as miss:
-        y = tuple(miss.args[0] // base ** (n - j) % base
-                  for j in range(1, n + 1))
         raise RuntimeError(
-            f"internal error: a disk moves generator {x} to {y}, "
-            "which is no generator") from None
+            f"internal error: a disk moves generator {x} to "
+            f"{_decode(diagram, miss.args[0])}, which is no generator"
+        ) from None
     m = BoundaryMatrix(generators=tuple(gens), columns=tuple(columns))
     _check_square_zero(m)
     return m
@@ -566,6 +624,101 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
                    generator_count=m.n, rank=rank)
 
 
+def _bounding_candidate(diagram: HeegaardDiagram, c: tuple, weight,
+                        by_source):
+    """A generator x next to c with ∂x = c, or None.
+
+    The candidates are c with one coordinate c_j replaced by another
+    vertex on β circle j and on c_j's α circle, so each is a generator;
+    they are tried in tuple order (docs/conventions.md, "Deciding
+    VANISHING from a generator next to c").  A column is read off the
+    disk index by the assembly's rule: the disks whose sources x holds
+    and whose passthrough misses x, each moving x's code by its delta,
+    kept when hit an odd number of times.  The index is turned to file
+    each source key under its first vertex, so that a column costs a
+    lookup per coordinate, not per pair.  Every target code is decoded
+    and must name a generator, or it is an internal error.  c's column
+    must be empty, and ∂(∂x) = 0 is checked on every candidate column.
+    """
+    n, base = diagram.n, diagram.n_vertices
+    v_alpha, v_beta = diagram.v_alpha, diagram.v_beta
+    bit = [1 << v for v in range(base)]
+    top = base ** n
+    by_first = {}
+    for key, disks in by_source.items():
+        if isinstance(key, int):
+            by_first.setdefault(key, []).append((0, disks))
+        else:
+            by_first.setdefault(key[0], []).append((bit[key[1]], disks))
+    columns = {}
+
+    def column(x):
+        if x in columns:
+            return columns[x]
+        held = code = 0
+        for v in x:
+            held |= bit[v]
+            code += weight[v]
+        odd = set()
+        for v in x:
+            for need, disks in by_first.get(v, ()):
+                if held & need == need:
+                    for mask, delta in disks:
+                        if not held & mask:
+                            odd ^= {code + delta}
+        out = []
+        for k in sorted(odd):
+            y = _decode(diagram, k)
+            if not (0 <= k < top and len({v_alpha[v] for v in y}) == n
+                    and all(v_beta[v] == j for j, v in enumerate(y, 1))):
+                raise RuntimeError(
+                    f"internal error: a disk moves generator {x} to {y}, "
+                    "which is no generator")
+            out.append(y)
+        columns[x] = out
+        return out
+
+    if column(c):
+        raise RuntimeError(
+            "internal error: the distinguished generator is not a cycle")
+    candidates = sorted(
+        c[:j - 1] + (v,) + c[j:] for v, j in enumerate(v_beta)
+        if v != c[j - 1] and v_alpha[v] == v_alpha[c[j - 1]])
+    for x in candidates:
+        boundary = column(x)
+        acc = set()
+        for y in boundary:
+            acc ^= set(column(y))
+        if acc:
+            raise RuntimeError(
+                "internal error: the boundary operator fails to square "
+                f"to zero on generator {x}; composite hits {sorted(acc)}")
+        if boundary == [c]:
+            return x
+    return None
+
+
+def decide(diagram: HeegaardDiagram) -> Verdict:
+    """Decide whether a flattened diagram's contact class vanishes.
+
+    One walk files the disks (_disk_index).  When a generator x next to
+    c has ∂x = c (_bounding_candidate), c bounds: VANISHING, with the
+    chain (x,) as certificate, its generators counted by
+    count_generators and rank -1, since nothing was eliminated.
+    Otherwise the whole operator is assembled from the same index and
+    decide_vanishing settles it on c's closure, so only VANISHING is
+    ever decided early.
+    """
+    c = contact_class(diagram)
+    weight, by_source = _disk_index(diagram)
+    x = _bounding_candidate(diagram, c, weight, by_source)
+    if x is not None:
+        return Verdict(outcome=VANISHING, certificate=(x,),
+                       generator_count=count_generators(diagram), rank=-1)
+    m = _assemble(diagram, generators(diagram), weight, by_source)
+    return decide_vanishing(m, c)
+
+
 def _sources_into_c(diagram: HeegaardDiagram) -> set:
     """The generators that an odd number of disks move to c.
 
@@ -600,10 +753,10 @@ def decide_lazy(diagram: HeegaardDiagram, trace=None) -> Verdict:
 
     When no generator's boundary can hit the distinguished generator
     (_sources_into_c) it is not a boundary and the answer is
-    NONVANISHING outright, with rank -1; otherwise the diagram is
-    flattened fully and the complete complex decides.  A frontier
-    diagram that is already flat goes straight to the complete complex,
-    so that its disks are walked once.  trace gets one line per
+    NONVANISHING outright, with rank -1 and the generators counted, not
+    listed (count_generators); otherwise the diagram is flattened fully
+    and decide settles it.  A frontier diagram that is already flat goes
+    straight to decide, so that its disks are walked once.  trace gets one line per
     flattening move, and the verdict carries the diagram it was decided
     on.
     """
@@ -611,11 +764,10 @@ def decide_lazy(diagram: HeegaardDiagram, trace=None) -> Verdict:
     if lz.bad_regions():
         if not _sources_into_c(lz):
             return Verdict(outcome=NONVANISHING, certificate=(),
-                           generator_count=len(generators(lz)), rank=-1,
+                           generator_count=count_generators(lz), rank=-1,
                            diagram=lz)
     nice = make_nice(lz, trace=trace)
-    verdict = decide_vanishing(boundary_matrix(nice), contact_class(nice))
-    return replace(verdict, diagram=nice)
+    return replace(decide(nice), diagram=nice)
 
 
 def homology_rank(m: BoundaryMatrix) -> int:
@@ -625,5 +777,6 @@ def homology_rank(m: BoundaryMatrix) -> int:
 
 __all__ = ["BoundaryMatrix", "DomainCandidate", "GENERATOR_BUDGET",
            "NONVANISHING", "VANISHING", "Verdict", "boundary_matrix",
-           "contact_class", "decide_lazy", "decide_vanishing",
-           "domain_census", "generators", "homology_rank", "walk_domains"]
+           "contact_class", "count_generators", "decide", "decide_lazy",
+           "decide_vanishing", "domain_census", "generators",
+           "homology_rank", "walk_domains"]

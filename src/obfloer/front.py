@@ -244,10 +244,12 @@ def _check_book(book: OpenBookFile, name: str, *, lazy: bool, rank: bool,
         post = verdict.diagram
     else:
         post = make_nice(dia, trace=trace)
-        m = floer.boundary_matrix(post)
-        verdict = floer.decide_vanishing(m, floer.contact_class(post))
         if rank:
+            m = floer.boundary_matrix(post)
+            verdict = floer.decide_vanishing(m, floer.contact_class(post))
             rank_val = floer.homology_rank(m)
+        else:
+            verdict = floer.decide(post)
     if export_post:
         export_diagram(post, fmt, export_post)
     return Report(

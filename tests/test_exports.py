@@ -17,6 +17,7 @@ import obfloer
 import obfloer.front
 
 from loc import code_lines
+import stages
 from test_front import BENCH_LADDER, CORPUS
 
 
@@ -71,6 +72,22 @@ def test_loc_counts_code_lines_only():
     assert code_lines(LOC_SAMPLE) == 6
     assert code_lines("") == 0
     assert code_lines("def f():\n    return 1\n") == 2
+
+
+def test_stages_prints_every_stage_of_a_check(capsys):
+    # tests/stages.py splits one full-mode check into its stages; its
+    # verdict line must agree with the check's
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "corpus",
+                        "lantern.obk")
+    assert stages.main([path, "--repeat", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [line[:12].strip() for line in lines[:-1]]
+    assert names == ["parse", "build", "flatten", "index walk", "candidates",
+                     "count", "generators", "assembly", "decide"]
+    for line in lines[:-1]:
+        assert line.endswith(" ms") and float(line[12:-3]) >= 0
+    assert lines[-1] == ("verdict NONVANISHING, bounding candidate none, "
+                         "22 generators")
 
 
 @pytest.mark.parametrize("name", ["floer", "front", "heegaard", "mapping",

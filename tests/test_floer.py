@@ -1,12 +1,15 @@
 import glob
 import hashlib
+import importlib.util
 import io
 import os
 import random
+import re
+import sys
 
 import pytest
 
-from obfloer import floer
+from obfloer import floer, surface
 from obfloer.floer import (BoundaryMatrix, boundary_matrix, contact_class,
                            decide_lazy, decide_vanishing, domain_census,
                            generators, homology_rank)
@@ -702,3 +705,293 @@ def test_generator_enumeration_matches_brute_force():
     for _ in range(6):
         nice = make_nice(random_book(rng))
         assert sorted(generators(nice)) == sorted(oracle_generators(nice))
+
+
+def flat(text):
+    book = parse_input(text)
+    return make_nice(build_diagram(book.page, book.word))
+
+
+def lantern_word(k):
+    return LANTERN + "twists: " + " ".join(["+d4 -f1 +f2"] * k) + "\n"
+
+
+def small_books(seed):
+    """The distinct book texts of the bench's small_books draw."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(root, "bench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name while the class is made
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        books = module.make_books("small_books", root, seed, surface)
+    finally:
+        del sys.modules[spec.name]
+    return list(dict.fromkeys(book.text for book in books))
+
+
+def candidates(nice):
+    """c with one coordinate moved along its β and α circles, sorted."""
+    c = contact_class(nice)
+    return sorted(c[:j] + (v,) + c[j + 1:] for v in range(nice.n_vertices)
+                  for j in [nice.v_beta[v] - 1]
+                  if v != c[j] and nice.v_alpha[v] == nice.v_alpha[c[j]])
+
+
+def test_decide_agrees_with_the_full_matrix():
+    # decide tests the generators next to c before it assembles: the
+    # verdict and the generator count must be the full matrix's, and an
+    # early chain (x,) must be a generator whose column is c alone
+    texts = [*corpus_and_ladder().values(), lantern_word(1), lantern_word(2),
+             *(torus_word("+a -b", k) for k in range(1, 6))]
+    books = [("named", flat(text)) for text in texts]
+    for seed in (2026, 2126):
+        rng = random.Random(seed)
+        books += [("property", make_nice(property_book(rng)))
+                  for _ in range(100)]
+    books += [("small", flat(text)) for text in small_books(1)]
+    tally = {}
+    for source, nice in books:
+        c = contact_class(nice)
+        m = boundary_matrix(nice)
+        full = decide_vanishing(m, c)
+        v = floer.decide(nice)
+        assert (v.outcome, v.generator_count) == (full.outcome,
+                                                  full.generator_count)
+        early = v.rank == -1
+        if early:
+            (x,) = v.certificate
+            assert v.outcome == floer.VANISHING
+            assert x in candidates(nice)
+            assert m.columns[m.generators.index(x)] == (0,)
+        else:
+            assert v == full
+        key = (source, v.outcome, early)
+        tally[key] = tally.get(key, 0) + 1
+    # every VANISHING book of the bench's seed-1 draw has a bounding
+    # candidate; one property draw has none, and the fallback decides it
+    assert tally == {
+        ("named", floer.VANISHING, True): 14,
+        ("named", floer.NONVANISHING, False): 9,
+        ("property", floer.VANISHING, True): 82,
+        ("property", floer.VANISHING, False): 1,
+        ("property", floer.NONVANISHING, False): 117,
+        ("small", floer.VANISHING, True): 85,
+        ("small", floer.NONVANISHING, False): 82}
+
+
+def test_count_generators_matches_the_enumeration():
+    diagrams = []
+    for text in corpus_and_ladder().values():
+        book = parse_input(text)
+        dia = build_diagram(book.page, book.word)
+        diagrams += [make_nice(dia), lazy_frontier(dia)]
+    for seed in (2026, 2126):
+        rng = random.Random(seed)
+        diagrams += [make_nice(property_book(rng)) for _ in range(100)]
+    big = 0
+    for nice in diagrams:
+        count = floer.count_generators(nice)
+        assert count == len(generators(nice))
+        big += count > 100
+    assert big >= 4
+
+
+def test_count_budget_is_checked_on_both_sides(monkeypatch):
+    # the corpus lantern holds at most 3 α masks after any β circle
+    with open(os.path.join(CORPUS, "lantern.obk")) as fh:
+        nice = flat(fh.read())
+    monkeypatch.setattr(floer, "GENERATOR_BUDGET", 3)
+    assert floer.count_generators(nice) == 22
+    monkeypatch.setattr(floer, "GENERATOR_BUDGET", 2)
+    with pytest.raises(ValueError) as err:
+        floer.count_generators(nice)
+    assert str(err.value) == (
+        "floer.count_generators: 3 α masks, over the generator budget of 2")
+
+
+def refuse_enumeration(diagram):
+    raise AssertionError("generators() ran")
+
+
+def test_lantern_word_twice_decides_without_the_enumeration(tmp_path,
+                                                             monkeypatch):
+    # one generator next to c bounds it, so neither mode lists the 25,704
+    # generators, and the report counts them all the same
+    path = tmp_path / "lantern_word2.obk"
+    path.write_text(lantern_word(2))
+    monkeypatch.setattr(floer, "generators", refuse_enumeration)
+    for lazy in (False, True):
+        code, rep = run_check(str(path), lazy=lazy, out=io.StringIO())
+        assert (code, rep.verdict, rep.generators) == (1, floer.VANISHING,
+                                                       25704)
+    v = floer.decide(flat(lantern_word(2)))
+    assert (v.certificate, v.rank) == (((0, 1, 97),), -1)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_lazy_nonvanishing_counts_without_listing(tmp_path, monkeypatch, k):
+    # the lazy test settles these on a partial diagram; (ab)^2's frontier
+    # is already flat, so it takes the full path
+    path = tmp_path / f"torus_ab{k}.obk"
+    path.write_text(torus_word("+a +b", k))
+    _, expected = run_check(str(path), lazy=True, out=io.StringIO())
+    monkeypatch.setattr(floer, "generators", refuse_enumeration)
+    code, rep = run_check(str(path), lazy=True, out=io.StringIO())
+    assert code == 0
+    assert rep.machine_lines() == expected.machine_lines()
+
+
+# item r0568 of the bench's small_books draw for seed 3: VANISHING, and
+# the one book of seeds 1-3 whose chain is no candidate
+NO_CANDIDATE = ("page g=1 b=1\ncurve l1: 2- 1-\ncurve l2: 1-\n"
+                "twists: +l1 -l2\n")
+
+
+@pytest.mark.parametrize("text, outcome, listings", [
+    (torus_word("+a -b", 3), floer.VANISHING, 0),
+    (torus_word("+a +b", 3), floer.NONVANISHING, 1),
+    (NO_CANDIDATE, floer.VANISHING, 1),
+], ids=["candidate", "nonvanishing", "fallback"])
+def test_a_full_mode_check_walks_the_disks_once(tmp_path, monkeypatch, text,
+                                                outcome, listings):
+    # the candidates, and on a fallback the assembly, read one index
+    walked, listed = [], []
+    walk, enumerate_all = floer.walk_domains, floer.generators
+
+    def counted(diagram, emit):
+        walked.append(diagram)
+        walk(diagram, emit)
+
+    def listing(diagram):
+        listed.append(diagram)
+        return enumerate_all(diagram)
+
+    monkeypatch.setattr(floer, "walk_domains", counted)
+    monkeypatch.setattr(floer, "generators", listing)
+    path = tmp_path / "book.obk"
+    path.write_text(text)
+    _, rep = run_check(str(path), out=io.StringIO())
+    assert rep.verdict == outcome
+    assert len(walked) == 1 and not walked[0].bad_regions()
+    assert len(listed) == listings
+
+
+def first_candidate_move(nice):
+    """The first candidate x, the circle j it moves c on, and x_j."""
+    x = candidates(nice)[0]
+    j = next(i for i, (a, b) in enumerate(zip(x, contact_class(nice)))
+             if a != b)
+    return x, j, x[j]
+
+
+def test_a_bogus_disk_out_of_a_candidate_names_no_generator(monkeypatch):
+    # a bigon out of the first candidate onto a vertex whose α circle
+    # another coordinate holds moves it to no generator: the candidate
+    # test stops, before any enumeration or verdict
+    nice = flat(torus_word("+a -b", 3))
+    x, j, v = first_candidate_move(nice)
+    held = {nice.v_alpha[u] for i, u in enumerate(x) if i != j}
+    t = next(u for u in range(nice.n_vertices)
+             if nice.v_beta[u] == j + 1 and nice.v_alpha[u] in held)
+    walk = floer.walk_domains
+
+    def bogus(diagram, emit):
+        walk(diagram, emit)
+        emit(((j + 1, v, t),), 0, 0)
+
+    monkeypatch.setattr(floer, "walk_domains", bogus)
+    monkeypatch.setattr(floer, "generators", refuse_enumeration)
+    with pytest.raises(RuntimeError) as err:
+        floer.decide(nice)
+    assert str(err.value) == (
+        f"internal error: a disk moves generator {x} to "
+        f"{x[:j] + (t,) + x[j + 1:]}, which is no generator")
+
+
+def test_a_bogus_disk_out_of_a_candidate_breaks_square_zero(monkeypatch):
+    # a bigon out of the first candidate onto a generator y with ∂y ≠ 0
+    # adds ∂y to ∂(∂x): the local check stops the candidate test
+    nice = flat(torus_word("+a -b", 3))
+    m = boundary_matrix(nice)
+    x, j, v = first_candidate_move(nice)
+    w = next(u for u in range(nice.n_vertices)
+             if u != v and nice.v_beta[u] == j + 1
+             and nice.v_alpha[u] == nice.v_alpha[v]
+             and m.columns[m.generators.index(x[:j] + (u,) + x[j + 1:])])
+    walk = floer.walk_domains
+
+    def bogus(diagram, emit):
+        walk(diagram, emit)
+        emit(((j + 1, v, w),), 0, 0)
+
+    monkeypatch.setattr(floer, "walk_domains", bogus)
+    monkeypatch.setattr(floer, "generators", refuse_enumeration)
+    with pytest.raises(RuntimeError, match=(
+            "internal error: the boundary operator fails to square to "
+            rf"zero on generator {re.escape(str(x))}; composite hits")):
+        floer.decide(nice)
+
+
+def test_a_candidate_bounding_more_than_c_is_no_certificate(monkeypatch):
+    # a bigon out of a candidate x onto c, beside x's true targets, keeps
+    # ∂² = 0; ∂x is then c plus more, so x bounds nothing and the
+    # decision goes on to the enumeration
+    nice = flat(torus_word("+a +b", 3))
+    m = boundary_matrix(nice)
+    c = contact_class(nice)
+    column = {m.generators[i]: [m.generators[k] for k in col]
+              for i, col in enumerate(m.columns)}
+    x, j = next((x, j) for x in candidates(nice)
+                for j in [next(i for i in range(len(c)) if x[i] != c[i])]
+                if column[x] and all(y[j] != x[j] for y in column[x]))
+    walk = floer.walk_domains
+
+    def bogus(diagram, emit):
+        walk(diagram, emit)
+        emit(((j + 1, x[j], c[j]),), 0, 0)
+
+    monkeypatch.setattr(floer, "walk_domains", bogus)
+    monkeypatch.setattr(floer, "generators", refuse_enumeration)
+    with pytest.raises(AssertionError, match="generators"):
+        floer.decide(nice)
+
+
+def test_a_disk_through_a_candidate_is_skipped(monkeypatch):
+    # a bigon out of the first candidate x onto c whose passthrough
+    # holds x's other coordinates fits no generator: it must not cancel
+    # the disk that makes ∂x = c
+    nice = flat(torus_word("+a -b", 3))
+    c = contact_class(nice)
+    x, j, v = first_candidate_move(nice)
+    assert floer.decide(nice).certificate == (x,)
+    through = sum(1 << u for i, u in enumerate(x) if i != j)
+    walk = floer.walk_domains
+
+    def bogus(diagram, emit):
+        walk(diagram, emit)
+        emit(((j + 1, v, c[j]),), 0, through)
+
+    monkeypatch.setattr(floer, "walk_domains", bogus)
+    monkeypatch.setattr(floer, "generators", refuse_enumeration)
+    assert floer.decide(nice).certificate == (x,)
+
+
+def test_decide_rejects_a_disk_out_of_c(monkeypatch):
+    # c is a cycle by structure: a bigon out of it onto a candidate is
+    # an internal error before any candidate is tried
+    nice = flat(torus_word("+a -b", 3))
+    c = contact_class(nice)
+    x, j, v = first_candidate_move(nice)
+    walk = floer.walk_domains
+
+    def bogus(diagram, emit):
+        walk(diagram, emit)
+        emit(((j + 1, c[j], v),), 0, 0)
+
+    monkeypatch.setattr(floer, "walk_domains", bogus)
+    with pytest.raises(RuntimeError, match="distinguished generator is not "
+                                           "a cycle"):
+        floer.decide(nice)

@@ -304,7 +304,7 @@ def test_out_of_memory_exits_2_and_names_the_stage(monkeypatch, capsys):
     monkeypatch.setattr(floer, "walk_domains", exhausted)
     assert main(["check", corpus_path("pos_hopf.obk")]) == 2
     out, err = capsys.readouterr()
-    assert out == "error: out of memory in floer.boundary_matrix\n"
+    assert out == "error: out of memory in floer._disk_index\n"
     assert "Traceback" not in err
 
 
@@ -316,13 +316,13 @@ def test_too_deep_a_recursion_exits_2_and_names_the_stage(monkeypatch,
     monkeypatch.setattr(floer, "walk_domains", bottomless)
     assert main(["check", corpus_path("pos_hopf.obk")]) == 2
     out, err = capsys.readouterr()
-    assert out == "error: recursion too deep in floer.boundary_matrix\n"
+    assert out == "error: recursion too deep in floer._disk_index\n"
     assert "Traceback" not in err
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="needs co_qualname")
 def test_a_nested_function_is_named_by_its_stage(monkeypatch):
-    # boundary_matrix files each disk through its nested file(), which
+    # the disk index files each disk through its nested file(), which
     # fails here on a target vertex that the diagram does not have
     with open(corpus_path("pos_hopf.obk")) as fh:
         book = parse_input(fh.read())
@@ -334,8 +334,8 @@ def test_a_nested_function_is_named_by_its_stage(monkeypatch):
     tb = err.value.__traceback__
     while tb.tb_next is not None:
         tb = tb.tb_next
-    assert tb.tb_frame.f_code.co_qualname == "boundary_matrix.<locals>.file"
-    assert _innermost_stage(err.value) == "floer.boundary_matrix"
+    assert tb.tb_frame.f_code.co_qualname == "_disk_index.<locals>.file"
+    assert _innermost_stage(err.value) == "floer._disk_index"
 
 
 def test_a_page_past_the_generator_budget_exits_2_and_names_it(tmp_path):
@@ -485,7 +485,7 @@ def test_trace_streams_before_a_failure(monkeypatch):
     def broken(diagram):
         raise RuntimeError("internal error: assembly failed")
 
-    monkeypatch.setattr(floer, "boundary_matrix", broken)
+    monkeypatch.setattr(floer, "decide", broken)
     sink = io.StringIO()
     code, report = run_check(corpus_path("lantern.obk"), trace=True,
                              out=sink)
