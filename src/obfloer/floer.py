@@ -8,36 +8,41 @@ a rectangle is a grid of squares, walked once from its source corner,
 and a bigon is its one bigon tile with rows of squares stacked around
 it, walked once from that tile (docs/conventions.md, "Domains on a flat
 diagram").  walk_domains hands each disk to a callback once, with its
-tiles and its passthrough vertices as int masks.  The decision and the
-boundary matrix file the disks in one index keyed by their source
+tiles and its passthrough vertices as int masks.  The boundary matrix
+files the disks of one whole walk in an index keyed by their source
 vertices, and the lazy scan keeps those into the distinguished
 generator, both straight off the walk; domain_census is a sorted list
-view of it, for tests and oracles.
+view of it, for tests and oracles.  The decision fills the same kind
+of index on demand: every bigon at once, and the rectangles out of a
+vertex only when a column it reads holds that vertex, since every
+rectangle that fits a generator is walked from its lower source
+corner, one of the generator's vertices (docs/conventions.md,
+"Corner-local columns").
 
 Generators are numbered by int codes, their vertex ids read as base-V
 numerals for V vertices, so that a disk moves a generator by adding a
 fixed int to its code (docs/conventions.md, "Generator codes").  The
 distinguished generator c is the tuple of page crossings.  It is always
 a cycle; the open book's contact class vanishes exactly when it is a
-boundary.  decide first reads off the index the columns of the
-generators next to c, c with one coordinate moved along its β and α
-circles: when one of them bounds c alone, that one generator is the
-certificate, and nothing is enumerated or assembled
-(docs/conventions.md, "Deciding VANISHING from a generator next to c").
-Otherwise the whole matrix is assembled from the same index, and only
-the columns that can reach c matter: its closure, grown from its row
-through the columns meeting it (docs/conventions.md, "Deciding on c's
-closure"), and one GF(2) elimination over int bitmask columns of that
-block settles it.  Those certificates are re-checked by plain
-multiplication against the whole matrix: a chain bounding the
-distinguished generator, or a functional that kills every boundary yet
-evaluates to 1 on it.
+boundary.  decide first reads the columns of the generators next to
+c, c with one coordinate moved along its β and α circles: when one of
+them bounds c alone, that one generator is the certificate, and
+nothing else is walked, enumerated or assembled (docs/conventions.md,
+"Deciding VANISHING from a generator next to c").  Otherwise the rest
+of the disks are walked and the whole matrix is assembled from the
+same index, and only the columns that can reach c matter: its
+closure, grown from its row through the columns meeting it
+(docs/conventions.md, "Deciding on c's closure"), and one GF(2)
+elimination over int bitmask columns of that block settles it.  Those
+certificates are re-checked by plain multiplication against the whole
+matrix: a chain bounding the distinguished generator, or a functional
+that kills every boundary yet evaluates to 1 on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, islice
 
 from .heegaard import HeegaardDiagram
 from .nicify import lazy_frontier, make_nice
@@ -155,88 +160,143 @@ def count_generators(diagram: HeegaardDiagram) -> int:
     return sum(counts.values())
 
 
-def _cycle_tables(diagram: HeegaardDiagram):
-    """Per region its tile size and cycle, per half-edge the square across.
+class _Tiles:
+    """A diagram's tiles and rectangle starts, built in one pass; its climb.
 
     tile[r] is 2 for a bigon tile, 4 for a square tile and 0 for a wall:
     the basepoint region and every region that is not a bigon or square
     disk.  cycle[r] is a tile's boundary cycle and None for a wall.
     step[e] is (1 << r, turn) for the square tile r on the left of e's
     twin, with turn its cycle turned to start at that twin, and None
-    when no square tile is across e.
+    when no square tile is across e.  start[v] lists the β half-edges
+    out of v that bound a square tile, for v on every β circle but the
+    last: _rectangles walks from v up each of them.  bit[v] is 1 << v.
     """
-    tile = [reg.tile for reg in diagram.regions]
-    tile[diagram.z0_region] = 0
-    cycle = [None] * len(diagram.regions)
-    step = [None] * (2 * diagram.n_edges)
-    for r, size in enumerate(tile):
-        if size:
-            cycle[r] = c = diagram.regions[r].cycles[0]
-        if size == 4:
-            for q, h in enumerate(c):
-                step[h ^ 1] = (1 << r, c[q:] + c[:q])
-    return tile, cycle, step
+
+    def __init__(self, diagram: HeegaardDiagram):
+        self.diagram = diagram
+        origin, v_beta = diagram.he_origin, diagram.v_beta
+        self.tile = tile = [reg.tile for reg in diagram.regions]
+        tile[diagram.z0_region] = 0
+        self.cycle = cycle = [None] * len(diagram.regions)
+        self.step = step = [None] * (2 * diagram.n_edges)
+        self.start = start = {}
+        self.bit = bit = [1 << v for v in range(diagram.n_vertices)]
+        for r, size in enumerate(tile):
+            if size:
+                cycle[r] = c = diagram.regions[r].cycles[0]
+            if size == 4:
+                for q, h in enumerate(c):
+                    step[h ^ 1] = (1 << r, c[q:] + c[:q])
+                    if (diagram.label(h)[0] == "b"
+                            and v_beta[origin[h]] != diagram.n):
+                        start.setdefault(origin[h], []).append(h)
+
+        def climb(e, cap, line_of, sides):
+            """Stack at most cap squares across the half-edge e, row by row.
+
+            A square entered across the twin of a half-edge, at position
+            q of its cycle, has its lower left corner at q, lower right
+            at q + 1, upper right at q + 2 and upper left at q + 3; the
+            next row is entered across the twin of its half-edge at
+            q + 2; step[e] holds the square turned so that q is 0.  sides
+            holds the upper corner offset of each side to record, 3 for
+            the left and 2 for the right; on line 0 these are e's head
+            and origin, and on line k + 1 the corners of row k.
+
+            A stack whose vertex positions are not distinct vertices is
+            no embedded disk, and neither is any stack holding it; a
+            repeated square repeats its corners.  line_of keeps the
+            lowest line of every vertex met from one start, and a vertex
+            met on lines l and l' caps the height below max(l, l'), for
+            this column and every later one.  A region that is not a
+            square tile caps the height at its row.  Returns the mask of
+            the regions of the rows below each height, the mask of the
+            recorded vertices on lines 0..k at each k, the vertices of
+            each side by line and the lowered cap.
+            """
+            lines = [[origin[e ^ 1] if hi == 3 else origin[e]]
+                     for hi in sides]
+            regs, verts = [0], []
+            reg_mask = vert_mask = 0
+            k = 0
+            while True:
+                for line in lines:
+                    v = line[k]
+                    vert_mask |= bit[v]
+                    seen = line_of.get(v)
+                    if seen is None:
+                        line_of[v] = k
+                    else:
+                        cap = min(cap, max(seen, k) - 1)
+                        line_of[v] = min(seen, k)
+                verts.append(vert_mask)
+                if k >= cap:
+                    return regs, verts, lines, cap
+                row = step[e]
+                if row is None:
+                    return regs, verts, lines, k
+                reg_mask |= row[0]
+                regs.append(reg_mask)
+                turn = row[1]
+                for line, hi in zip(lines, sides):
+                    line.append(origin[turn[hi]])
+                e = turn[2]
+                k += 1
+
+        self.climb = climb
 
 
-def _rectangles(diagram: HeegaardDiagram, tile, cyc, step, bit, climb,
-                emit) -> None:
-    """Every rectangle, walked once as a grid from its lower source corner.
+def _rectangles(tiles: _Tiles, low: int, emit) -> None:
+    """Every rectangle whose lower source corner is low, each walked once.
 
-    The first column climbs from a square's β half-edge b whose origin
-    is the lower source corner, recording both sides; line 0 is the
-    grid's bottom side.  Widening moves to the square across the right
-    side of the bottom square, and climbs its right side only: the
-    square above a right neighbour is the right neighbour of the square
-    above, since every vertex is four-valent, so each width adds one
-    column, walked once.  At height k a width's masks are the previous
-    width's with the new column's, and the passthrough is the grid's
-    vertices on lines 0..k less its four corners.
+    A rectangle is walked as a grid from that corner, up each β
+    half-edge b of tiles.start[low].  The first column climbs from b's
+    square, recording both sides; line 0 is the grid's bottom side.
+    Widening moves to the square across the right side of the bottom
+    square, and climbs its right side only: the square above a right
+    neighbour is the right neighbour of the square above, since every
+    vertex is four-valent, so each width adds one column, walked once.
+    At height k a width's masks are the previous width's with the new
+    column's, and the passthrough is the grid's vertices on lines 0..k
+    less its four corners.
 
     A rectangle is emitted only from its corner on the lower β circle,
-    so a start on the last β circle is skipped.  The top side's β circle
-    at each height is read off the first column, so the height is also
-    capped at the last one above the lower corner's circle.
+    which is why no start lies on the last β circle.  The top side's β
+    circle at each height is read off the first column, so the height
+    is also capped at the last one above the lower corner's circle.
     """
-    origin, v_beta = diagram.he_origin, diagram.v_beta
-    for r0, size in enumerate(tile):
-        if size != 4:
-            continue
-        for t in (3, 0, 1, 2):
-            b = cyc[r0][t]
-            low = origin[b]
-            j = v_beta[low]
-            if diagram.label(b)[0] != "b" or j == diagram.n:
-                continue
-            line_of = {}
-            regs, verts, (left, right), cap = climb(b ^ 1, len(cyc),
-                                                    line_of, (3, 2))
-            while True:
-                while cap > 0 and v_beta[left[cap]] <= j:
-                    cap -= 1
-                if cap <= 0:
-                    break
-                lower = bit[low] | bit[right[0]]
-                for k in range(1, cap + 1):
-                    top_left, top_right = left[k], right[k]
-                    if v_beta[top_left] > j:
-                        corners = lower | bit[top_left] | bit[top_right]
-                        emit(((j, low, right[0]),
-                              (v_beta[top_right], top_right, top_left)),
-                             regs[k], verts[k] ^ corners)
-                # b's square turned to start at b, then the square
-                # across its next half-edge, turned to start at the twin
-                row = step[step[b ^ 1][1][1]]
-                if row is None:
-                    break
-                b = row[1][1]
-                column, line, (right,), cap = climb(b ^ 1, cap, line_of,
-                                                   (2,))
-                regs = [a | c for a, c in zip(regs, column)]
-                verts = [a | c for a, c in zip(verts, line)]
+    v_beta, step, bit = tiles.diagram.v_beta, tiles.step, tiles.bit
+    climb, j = tiles.climb, v_beta[low]
+    for b in tiles.start.get(low, ()):
+        line_of = {}
+        regs, verts, (left, right), cap = climb(b ^ 1, len(tiles.cycle),
+                                                line_of, (3, 2))
+        while True:
+            while cap > 0 and v_beta[left[cap]] <= j:
+                cap -= 1
+            if cap <= 0:
+                break
+            lower = bit[low] | bit[right[0]]
+            for k in range(1, cap + 1):
+                top_left, top_right = left[k], right[k]
+                if v_beta[top_left] > j:
+                    corners = lower | bit[top_left] | bit[top_right]
+                    emit(((j, low, right[0]),
+                          (v_beta[top_right], top_right, top_left)),
+                         regs[k], verts[k] ^ corners)
+            # b's square turned to start at b, then the square across
+            # its next half-edge, turned to start at the twin
+            row = step[step[b ^ 1][1][1]]
+            if row is None:
+                break
+            b = row[1][1]
+            column, line, (right,), cap = climb(b ^ 1, cap, line_of, (2,))
+            regs = [a | c for a, c in zip(regs, column)]
+            verts = [a | c for a, c in zip(verts, line)]
 
 
-def _bigons(diagram: HeegaardDiagram, tile, cyc, step, bit, climb,
-            emit) -> None:
+def _bigons(tiles: _Tiles, emit) -> None:
     """Every bigon, walked once from its one bigon tile.
 
     Let the tile's β half-edge run from p' to q' and its α half-edge
@@ -253,15 +313,16 @@ def _bigons(diagram: HeegaardDiagram, tile, cyc, step, bit, climb,
     The masks are the strip's with the columns'; the passthrough is the
     vertices less P and Q.
     """
-    v_beta = diagram.v_beta
-    for t, size in enumerate(tile):
+    diagram, step, bit = tiles.diagram, tiles.step, tiles.bit
+    climb, v_beta = tiles.climb, diagram.v_beta
+    for t, size in enumerate(tiles.tile):
         if size != 2:
             continue
-        beta, alpha = cyc[t]
+        beta, alpha = tiles.cycle[t]
         if diagram.label(beta)[0] != "b":
             beta, alpha = alpha, beta
         line_of = {}
-        regs, verts, (left, right), cap = climb(alpha, len(cyc),
+        regs, verts, (left, right), cap = climb(alpha, len(tiles.cycle),
                                                 line_of, (3, 2))
         strip = 1 << t
         while cap >= 0:
@@ -304,63 +365,10 @@ def walk_domains(diagram: HeegaardDiagram, emit) -> None:
     disk fits exactly the generators that hold its sources and miss
     its passthrough.
     """
-    tile, cyc, step = _cycle_tables(diagram)
-    origin = diagram.he_origin
-    bit = [1 << v for v in range(diagram.n_vertices)]
-
-    def climb(e, cap, line_of, sides):
-        """Stack at most cap squares across the half-edge e, row by row.
-
-        A square entered across the twin of a half-edge, at position q
-        of its cycle, has its lower left corner at q, lower right at
-        q + 1, upper right at q + 2 and upper left at q + 3; the next
-        row is entered across the twin of its half-edge at q + 2; step[e]
-        holds the square turned so that q is 0.  sides holds the upper
-        corner offset of each side to record, 3 for the left and 2 for
-        the right; on line 0 these are e's head and origin, and on line
-        k + 1 the corners of row k.
-
-        A stack whose vertex positions are not distinct vertices is no
-        embedded disk, and neither is any stack holding it; a repeated
-        square repeats its corners.  line_of keeps the lowest line of
-        every vertex met from one start, and a vertex met on lines l
-        and l' caps the height below max(l, l'), for this column and
-        every later one.  A region that is not a square tile caps the
-        height at its row.  Returns the mask of the regions of the rows
-        below each height, the mask of the recorded vertices on lines
-        0..k at each k, the vertices of each side by line and the
-        lowered cap.
-        """
-        lines = [[origin[e ^ 1] if hi == 3 else origin[e]] for hi in sides]
-        regs, verts = [0], []
-        reg_mask = vert_mask = 0
-        k = 0
-        while True:
-            for line in lines:
-                v = line[k]
-                vert_mask |= bit[v]
-                seen = line_of.get(v)
-                if seen is None:
-                    line_of[v] = k
-                else:
-                    cap = min(cap, max(seen, k) - 1)
-                    line_of[v] = min(seen, k)
-            verts.append(vert_mask)
-            if k >= cap:
-                return regs, verts, lines, cap
-            row = step[e]
-            if row is None:
-                return regs, verts, lines, k
-            reg_mask |= row[0]
-            regs.append(reg_mask)
-            turn = row[1]
-            for line, hi in zip(lines, sides):
-                line.append(origin[turn[hi]])
-            e = turn[2]
-            k += 1
-
-    _rectangles(diagram, tile, cyc, step, bit, climb, emit)
-    _bigons(diagram, tile, cyc, step, bit, climb, emit)
+    tiles = _Tiles(diagram)
+    for low in tiles.start:
+        _rectangles(tiles, low, emit)
+    _bigons(tiles, emit)
 
 
 def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
@@ -382,23 +390,38 @@ def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
     return out
 
 
-def _disk_index(diagram: HeegaardDiagram) -> tuple[list, dict]:
-    """Walk the disks of a flattened diagram once, filed by their sources.
+class _DiskIndex:
+    """Disks filed by their source corners, as a walk hands them to file.
 
-    Returns (weight, by_source).  weight[v] is vertex v's weight in the
-    generator codes: with V vertices, a generator's code is its vertices
-    read as a base-V numeral, the first circle's most significant, so a
-    vertex on β circle j of n weighs itself times V^(n − j).  Codes
-    increase in generators() order and name distinct vertex tuples
-    (docs/conventions.md, "Generator codes").  A vertex names its β
-    circle, so the disks of walk_domains are filed, as the walk emits
-    them, by their source corners alone: one vertex for a bigon, the
-    pair in circle order for a rectangle.  Each is filed as
-    (passthrough, delta), delta the weights of its targets less those of
-    its sources; it moves a generator x that it fits to the generator
-    whose code is x's plus delta, since each source shares its α circle
-    with a target and the move keeps the α circles distinct.
+    file(swap, regions, passthrough) files one disk, and is the emit of
+    every walk that fills the index.  weight[v] is vertex v's weight in
+    the generator codes: with V vertices, a generator's code is its
+    vertices read as a base-V numeral, the first circle's most
+    significant, so a vertex on β circle j of n weighs itself times
+    V^(n − j).  Codes increase in generators() order and name distinct
+    vertex tuples (docs/conventions.md, "Generator codes").  A vertex
+    names its β circle, so a disk is filed by its source corners alone:
+    one vertex for a bigon, the pair in circle order for a rectangle.
+    by_source maps each such key to its disks, each as (passthrough,
+    delta), delta the weights of its targets less those of its sources;
+    a disk moves a generator x that it fits to the generator whose code
+    is x's plus delta, since each source shares its α circle with a
+    target and the move keeps the α circles distinct.
+
+    An index made by _local_index also holds its diagram's tiles, and
+    unwalked holds the vertices whose rectangles _walk has not yet filed.
+    Its by_first[v] holds (need, disks) for each key whose first vertex
+    is v, need being 0 for a bigon and the bit of the second source for
+    a rectangle; disks is by_source's list, so each disk is filed once.
     """
+
+    def __init__(self, weight: list, by_source: dict, file):
+        self.weight, self.by_source, self.file = weight, by_source, file
+        self.by_first, self.tiles, self.unwalked = {}, None, set()
+
+
+def _disk_index(diagram: HeegaardDiagram) -> _DiskIndex:
+    """An empty disk index of a flattened diagram, with its filing rule."""
     if diagram.bad_regions():
         raise ValueError(
             "the boundary operator needs a flattened diagram; "
@@ -414,8 +437,58 @@ def _disk_index(diagram: HeegaardDiagram) -> tuple[list, dict]:
             delta += weight[tgt] - weight[src]
         by_source.setdefault(key, []).append((passthrough, delta))
 
-    walk_domains(diagram, file)
-    return weight, by_source
+    return _DiskIndex(weight, by_source, file)
+
+
+def _local_index(diagram: HeegaardDiagram) -> _DiskIndex:
+    """A disk index that files each vertex's rectangles on demand.
+
+    Every bigon is walked and filed at once, from its tile: a bigon's
+    walk starts at no corner, and the tiles are few.  The rectangles
+    out of a vertex are filed when _walk first reaches it
+    (docs/conventions.md, "Corner-local columns").
+    """
+    index = _disk_index(diagram)
+    index.tiles = _Tiles(diagram)
+    index.unwalked = set(index.tiles.start)
+    _bigons(index.tiles, index.file)
+    _list_by_first(index, 0)
+    return index
+
+
+def _walk(index: _DiskIndex, vertices) -> None:
+    """File the rectangles out of each of vertices not walked from yet.
+
+    A rectangle that fits a generator x has its lower source corner
+    among x's vertices, and _rectangles walks it from exactly that
+    corner, so once x's vertices are walked, x's column can be read off
+    a local index.
+    """
+    unwalked, by_source = index.unwalked, index.by_source
+    for v in vertices:
+        if v in unwalked:
+            unwalked.remove(v)
+            known = len(by_source)
+            _rectangles(index.tiles, v, index.file)
+            _list_by_first(index, known)
+
+
+def _list_by_first(index: _DiskIndex, known: int) -> None:
+    """List under its first vertex each key filed after the first known.
+
+    A dict keeps its keys in the order they were made, so the keys a
+    walk made are by_source's last ones.  Listing them after the walk,
+    not as each disk is filed, leaves the filing rule that
+    boundary_matrix runs on every disk as it was.
+    """
+    by_source, by_first = index.by_source, index.by_first
+    bit = index.tiles.bit
+    for key in islice(reversed(by_source), len(by_source) - known):
+        if isinstance(key, int):
+            by_first.setdefault(key, []).append((0, by_source[key]))
+        else:
+            by_first.setdefault(key[0], []).append(
+                (bit[key[1]], by_source[key]))
 
 
 def _decode(diagram: HeegaardDiagram, code: int) -> tuple:
@@ -427,15 +500,17 @@ def _decode(diagram: HeegaardDiagram, code: int) -> tuple:
 def boundary_matrix(diagram: HeegaardDiagram) -> BoundaryMatrix:
     """Assemble the full boundary operator of a flattened diagram.
 
-    One walk files the disks (_disk_index), and _assemble reads every
-    generator's column off that index.
+    One walk of walk_domains files every disk (_disk_index), and
+    _assemble reads every generator's column off that index.
     """
-    return _assemble(diagram, generators(diagram), *_disk_index(diagram))
+    index = _disk_index(diagram)
+    walk_domains(diagram, index.file)
+    return _assemble(diagram, generators(diagram), index)
 
 
-def _assemble(diagram: HeegaardDiagram, gens: list, weight,
-              by_source) -> BoundaryMatrix:
-    """The boundary operator on the generators gens, from one disk index.
+def _assemble(diagram: HeegaardDiagram, gens: list,
+              index: _DiskIndex) -> BoundaryMatrix:
+    """The boundary operator on the generators gens, from a full disk index.
 
     A generator x looks up each of its coordinates and each pair of
     them, so it meets exactly the disks whose source corners it holds,
@@ -445,9 +520,10 @@ def _assemble(diagram: HeegaardDiagram, gens: list, weight,
     names.  Column x lists, sorted, the generators reached an odd number
     of times; ∂² = 0 is checked before the matrix is returned.
     """
+    weight, by_source = index.weight, index.by_source
     bit = [1 << v for v in range(diagram.n_vertices)]
     codes = [sum(map(weight.__getitem__, x)) for x in gens]
-    index = dict(zip(codes, range(len(codes))))
+    position = dict(zip(codes, range(len(codes))))
     columns = []
     try:
         for x, code in zip(gens, codes):
@@ -458,7 +534,7 @@ def _assemble(diagram: HeegaardDiagram, gens: list, weight,
             for key in (*x, *combinations(x, 2)):
                 for mask, delta in by_source.get(key, ()):
                     if not held & mask:
-                        hits.append(index[code + delta])
+                        hits.append(position[code + delta])
             hits.sort()
             if len(set(hits)) < len(hits):
                 hits = [i for i in sorted(set(hits)) if hits.count(i) % 2]
@@ -624,65 +700,69 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
                    generator_count=m.n, rank=rank)
 
 
-def _bounding_candidate(diagram: HeegaardDiagram, c: tuple, weight,
-                        by_source):
+def _column(diagram: HeegaardDiagram, index: _DiskIndex, x: tuple) -> list:
+    """∂x as a sorted list of generators, read off a local index.
+
+    _walk first files the rectangles out of x's vertices, which are all
+    the rectangles that can fit x (docs/conventions.md, "Corner-local
+    columns").  The column is then read by the assembly's rule: the
+    disks whose sources x holds and whose passthrough misses x, each
+    moving x's code by its delta, kept when hit an odd number of times.
+    by_first makes it cost a lookup per coordinate, not per pair.  Every
+    target code is decoded and must name a generator, or it is an
+    internal error.
+    """
+    _walk(index, x)
+    n, v_alpha, v_beta = diagram.n, diagram.v_alpha, diagram.v_beta
+    weight, by_first, bit = index.weight, index.by_first, index.tiles.bit
+    held = code = 0
+    for v in x:
+        held |= bit[v]
+        code += weight[v]
+    odd = set()
+    for v in x:
+        for need, disks in by_first.get(v, ()):
+            if held & need == need:
+                for mask, delta in disks:
+                    if not held & mask:
+                        odd ^= {code + delta}
+    out = []
+    for k in sorted(odd):
+        y = _decode(diagram, k)
+        if not (sum(map(weight.__getitem__, y)) == k
+                and len({v_alpha[v] for v in y}) == n
+                and all(v_beta[v] == j for j, v in enumerate(y, 1))):
+            raise RuntimeError(
+                f"internal error: a disk moves generator {x} to {y}, "
+                "which is no generator")
+        out.append(y)
+    return out
+
+
+def _bounding_candidate(diagram: HeegaardDiagram, c: tuple,
+                        index: _DiskIndex):
     """A generator x next to c with ∂x = c, or None.
 
     The candidates are c with one coordinate c_j replaced by another
     vertex on β circle j and on c_j's α circle, so each is a generator;
     they are tried in tuple order (docs/conventions.md, "Deciding
-    VANISHING from a generator next to c").  A column is read off the
-    disk index by the assembly's rule: the disks whose sources x holds
-    and whose passthrough misses x, each moving x's code by its delta,
-    kept when hit an odd number of times.  The index is turned to file
-    each source key under its first vertex, so that a column costs a
-    lookup per coordinate, not per pair.  Every target code is decoded
-    and must name a generator, or it is an internal error.  c's column
-    must be empty, and ∂(∂x) = 0 is checked on every candidate column.
+    VANISHING from a generator next to c").  Each column is read off
+    the local index once (_column).  c's column must be empty, and
+    ∂(∂x) = 0 is checked on every candidate column.
     """
-    n, base = diagram.n, diagram.n_vertices
-    v_alpha, v_beta = diagram.v_alpha, diagram.v_beta
-    bit = [1 << v for v in range(base)]
-    top = base ** n
-    by_first = {}
-    for key, disks in by_source.items():
-        if isinstance(key, int):
-            by_first.setdefault(key, []).append((0, disks))
-        else:
-            by_first.setdefault(key[0], []).append((bit[key[1]], disks))
     columns = {}
 
     def column(x):
-        if x in columns:
-            return columns[x]
-        held = code = 0
-        for v in x:
-            held |= bit[v]
-            code += weight[v]
-        odd = set()
-        for v in x:
-            for need, disks in by_first.get(v, ()):
-                if held & need == need:
-                    for mask, delta in disks:
-                        if not held & mask:
-                            odd ^= {code + delta}
-        out = []
-        for k in sorted(odd):
-            y = _decode(diagram, k)
-            if not (0 <= k < top and len({v_alpha[v] for v in y}) == n
-                    and all(v_beta[v] == j for j, v in enumerate(y, 1))):
-                raise RuntimeError(
-                    f"internal error: a disk moves generator {x} to {y}, "
-                    "which is no generator")
-            out.append(y)
-        columns[x] = out
-        return out
+        if x not in columns:
+            columns[x] = _column(diagram, index, x)
+        return columns[x]
 
     if column(c):
         raise RuntimeError(
             "internal error: the distinguished generator is not a cycle")
+    v_alpha = diagram.v_alpha
     candidates = sorted(
-        c[:j - 1] + (v,) + c[j:] for v, j in enumerate(v_beta)
+        c[:j - 1] + (v,) + c[j:] for v, j in enumerate(diagram.v_beta)
         if v != c[j - 1] and v_alpha[v] == v_alpha[c[j - 1]])
     for x in candidates:
         boundary = column(x)
@@ -701,21 +781,25 @@ def _bounding_candidate(diagram: HeegaardDiagram, c: tuple, weight,
 def decide(diagram: HeegaardDiagram) -> Verdict:
     """Decide whether a flattened diagram's contact class vanishes.
 
-    One walk files the disks (_disk_index).  When a generator x next to
-    c has ∂x = c (_bounding_candidate), c bounds: VANISHING, with the
-    chain (x,) as certificate, its generators counted by
-    count_generators and rank -1, since nothing was eliminated.
-    Otherwise the whole operator is assembled from the same index and
-    decide_vanishing settles it on c's closure, so only VANISHING is
-    ever decided early.
+    The disks are filed on demand (_local_index): every bigon at once,
+    and the rectangles out of a vertex when a column first needs them.
+    When a generator x next to c has ∂x = c (_bounding_candidate), c
+    bounds: VANISHING, with the chain (x,) as certificate, its
+    generators counted by count_generators and rank -1, since nothing
+    was eliminated; only the vertices of c, of the candidates tried and
+    of their boundaries were walked from.  Otherwise the vertices not
+    walked from yet are walked, so that every disk is walked once, the
+    whole operator is assembled from the same index and decide_vanishing
+    settles it on c's closure.  Only VANISHING is ever decided early.
     """
     c = contact_class(diagram)
-    weight, by_source = _disk_index(diagram)
-    x = _bounding_candidate(diagram, c, weight, by_source)
+    index = _local_index(diagram)
+    x = _bounding_candidate(diagram, c, index)
     if x is not None:
         return Verdict(outcome=VANISHING, certificate=(x,),
                        generator_count=count_generators(diagram), rank=-1)
-    m = _assemble(diagram, generators(diagram), weight, by_source)
+    _walk(index, range(diagram.n_vertices))
+    m = _assemble(diagram, generators(diagram), index)
     return decide_vanishing(m, c)
 
 

@@ -2,9 +2,11 @@
 
 Each stage runs --repeat times (default 5) on the previous stage's
 result, and the minimum CPU time of a run is printed in ms: parse,
-build, flatten, index walk, candidates, count, generators, assembly and
-decide.  The stages after the candidates run whether or not a
-candidate bounds, so that a book shows what the fallback would cost.
+build, flatten, local walk + candidates, rest of walk, count,
+generators, assembly and decide.  A check whose candidate bounds pays
+the local walk + candidates and the count; the rest of the walk, the
+generators, the assembly and decide run whether or not a candidate
+bounds, so that a book shows what only a fallback would add.
 Standard library only.
 
     python tests/stages.py FILE [--repeat N]
@@ -50,21 +52,29 @@ def main(argv=None) -> int:
     rows.append(("build", ms))
     nice, ms = timed(n, make_nice, dia)
     rows.append(("flatten", ms))
-    (weight, by_source), ms = timed(n, floer._disk_index, nice)
-    rows.append(("index walk", ms))
     c = floer.contact_class(nice)
-    x, ms = timed(n, floer._bounding_candidate, nice, c, weight, by_source)
-    rows.append(("candidates", ms))
+
+    def local():
+        index = floer._local_index(nice)
+        return index, floer._bounding_candidate(nice, c, index)
+
+    (index, x), ms = timed(n, local)
+    rows.append(("local walk + candidates", ms))
+    rest = []
+    for _ in range(n):
+        index, _ = local()
+        rest.append(timed(1, floer._walk, index, range(nice.n_vertices))[1])
+    rows.append(("rest of walk", min(rest)))
     _, ms = timed(n, floer.count_generators, nice)
     rows.append(("count", ms))
     gens, ms = timed(n, floer.generators, nice)
     rows.append(("generators", ms))
-    m, ms = timed(n, floer._assemble, nice, gens, weight, by_source)
+    m, ms = timed(n, floer._assemble, nice, gens, index)
     rows.append(("assembly", ms))
     verdict, ms = timed(n, floer.decide_vanishing, m, c)
     rows.append(("decide", ms))
     for name, ms in rows:
-        print(f"{name:<12}{ms:10.3f} ms")
+        print(f"{name:<24}{ms:10.3f} ms")
     found = "none" if x is None else str(x)
     print(f"verdict {verdict.outcome}, bounding candidate {found}, "
           f"{m.n} generators")

@@ -81,11 +81,12 @@ def test_stages_prints_every_stage_of_a_check(capsys):
                         "lantern.obk")
     assert stages.main([path, "--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    names = [line[:12].strip() for line in lines[:-1]]
-    assert names == ["parse", "build", "flatten", "index walk", "candidates",
-                     "count", "generators", "assembly", "decide"]
+    names = [line[:24].strip() for line in lines[:-1]]
+    assert names == ["parse", "build", "flatten", "local walk + candidates",
+                     "rest of walk", "count", "generators", "assembly",
+                     "decide"]
     for line in lines[:-1]:
-        assert line.endswith(" ms") and float(line[12:-3]) >= 0
+        assert line.endswith(" ms") and float(line[24:-3]) >= 0
     assert lines[-1] == ("verdict NONVANISHING, bounding candidate none, "
                          "22 generators")
 

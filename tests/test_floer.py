@@ -5,6 +5,7 @@ import io
 import os
 import random
 import re
+import subprocess
 import sys
 
 import pytest
@@ -857,26 +858,168 @@ NO_CANDIDATE = ("page g=1 b=1\ncurve l1: 2- 1-\ncurve l2: 1-\n"
 ], ids=["candidate", "nonvanishing", "fallback"])
 def test_a_full_mode_check_walks_the_disks_once(tmp_path, monkeypatch, text,
                                                 outcome, listings):
-    # the candidates, and on a fallback the assembly, read one index
-    walked, listed = [], []
-    walk, enumerate_all = floer.walk_domains, floer.generators
+    # the candidates, and on a fallback the assembly, read one index: the
+    # bigons are walked once, no vertex's rectangles twice, and only a
+    # fallback walks from every start
+    bigon_walks, walked, listed = [], [], []
+    bigons, rectangles = floer._bigons, floer._rectangles
+    enumerate_all = floer.generators
 
-    def counted(diagram, emit):
-        walked.append(diagram)
-        walk(diagram, emit)
+    def counted_bigons(tiles, emit):
+        bigon_walks.append(tiles)
+        bigons(tiles, emit)
+
+    def counted_rectangles(tiles, low, emit):
+        walked.append((tiles, low))
+        rectangles(tiles, low, emit)
+
+    def whole_walk(diagram, emit):
+        raise AssertionError("walk_domains ran")
 
     def listing(diagram):
         listed.append(diagram)
         return enumerate_all(diagram)
 
-    monkeypatch.setattr(floer, "walk_domains", counted)
+    monkeypatch.setattr(floer, "_bigons", counted_bigons)
+    monkeypatch.setattr(floer, "_rectangles", counted_rectangles)
+    monkeypatch.setattr(floer, "walk_domains", whole_walk)
     monkeypatch.setattr(floer, "generators", listing)
     path = tmp_path / "book.obk"
     path.write_text(text)
     _, rep = run_check(str(path), out=io.StringIO())
     assert rep.verdict == outcome
-    assert len(walked) == 1 and not walked[0].bad_regions()
+    (tiles,) = bigon_walks
+    assert not tiles.diagram.bad_regions()
+    assert all(t is tiles for t, _ in walked)
+    starts = [low for _, low in walked]
+    assert len(set(starts)) == len(starts)
+    if listings:
+        assert set(starts) == set(tiles.start)
+    else:
+        assert set(starts) < set(tiles.start)
     assert len(listed) == listings
+
+
+def test_a_candidate_decided_check_walks_only_the_columns_it_reads(
+        monkeypatch):
+    # decide reads c's column, each candidate's in tuple order up to the
+    # certificate, and the columns of their boundaries: only their
+    # vertices are walked from, each once.  On the lantern word twice
+    # none of them starts a rectangle, so the check walks only bigons;
+    # some property draws walk from a few vertices
+    books = [("lantern_word2", flat(lantern_word(2)))]
+    for seed in (2026, 2126):
+        rng = random.Random(seed)
+        books += [("property", make_nice(property_book(rng)))
+                  for _ in range(100)]
+    rectangles = floer._rectangles
+    tally = {}
+    for source, nice in books:
+        m = boundary_matrix(nice)
+        column = {m.generators[i]: [m.generators[k] for k in col]
+                  for i, col in enumerate(m.columns)}
+        walked = []
+
+        def counted(tiles, low, emit):
+            walked.append(low)
+            rectangles(tiles, low, emit)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(floer, "_rectangles", counted)
+            v = floer.decide(nice)
+        if v.rank != -1:
+            continue
+        (x,) = v.certificate
+        tried = candidates(nice)[:candidates(nice).index(x) + 1]
+        read = {contact_class(nice), *tried,
+                *(y for t in tried for y in column[t])}
+        starts = set(floer._Tiles(nice).start)
+        assert len(set(walked)) == len(walked)
+        assert set(walked) == {u for y in read for u in y} & starts
+        if source == "lantern_word2":
+            assert (len(tried), len(read), len(walked), len(starts)) == (
+                7, 8, 0, 156)
+        key = (source, bool(walked))
+        tally[key] = tally.get(key, 0) + 1
+    assert tally == {("lantern_word2", False): 1, ("property", False): 74,
+                     ("property", True): 8}
+
+
+def test_local_columns_equal_the_full_matrix(monkeypatch):
+    # a column read off the local index, walked only from its own
+    # vertices, is the generator's column of boundary_matrix: both the
+    # columns decide reads and every column, read in a shuffled order
+    diagrams = [flat(text) for text in corpus_and_ladder().values()]
+    for seed in (2026, 2126):
+        rng = random.Random(seed)
+        diagrams += [make_nice(property_book(rng)) for _ in range(100)]
+    rng = random.Random(13)
+    read = []
+    local_column = floer._column
+
+    def recorded(diagram, index, x):
+        out = local_column(diagram, index, x)
+        read.append((x, out))
+        return out
+
+    monkeypatch.setattr(floer, "_column", recorded)
+    decided = everything = 0
+    for nice in diagrams:
+        m = boundary_matrix(nice)
+        column = {m.generators[i]: [m.generators[k] for k in col]
+                  for i, col in enumerate(m.columns)}
+        read.clear()
+        floer.decide(nice)
+        assert all(out == column[x] for x, out in read)
+        decided += len(read)
+        index = floer._local_index(nice)
+        gens = list(m.generators)
+        rng.shuffle(gens)
+        for x in gens:
+            assert local_column(nice, index, x) == column[x], x
+        assert index.unwalked.isdisjoint({u for x in gens for u in x})
+        everything += len(gens)
+    assert (decided, everything) == (570, 2335)
+
+
+# decide's whole walk took 10.6 s at 560 MiB on the lantern word three
+# times and 14.4 s at 911 MiB on (a b^-1)^7; the child caps itself at
+# 256 MiB of address space and records decide's verdicts
+WALL_CHILD = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+              "from obfloer import floer\n"
+              "from obfloer.front import main\n"
+              "decide, verdicts = floer.decide, []\n"
+              "floer.decide = lambda d: verdicts.append(decide(d)) or "
+              "verdicts[-1]\n"
+              "code = main(['check', sys.argv[1]])\n"
+              "print('certificate=' + repr([v.certificate "
+              "for v in verdicts]))\n"
+              "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("text, certificate, count", [
+    (lantern_word(3), ((0, 1, 502),), 16941665),
+    (torus_word("+a -b", 7), ((0, 610),), 284171),
+], ids=["lantern_word3", "torus_abinv7"])
+def test_a_wall_book_decides_in_a_capped_child(tmp_path, text, certificate,
+                                               count):
+    # the candidate test walks only next to c, so neither wall book
+    # needs the whole disk index: each decides within 10 s
+    path, report = tmp_path / "wall.obk", tmp_path / "wall.report"
+    path.write_text(text + f"option report={report}\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", WALL_CHILD, str(path)],
+                          capture_output=True, text=True, timeout=10,
+                          env=env)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == f"certificate={[certificate]!r}"
+    lines = report.read_text().splitlines()
+    assert "verdict=VANISHING" in lines
+    assert f"generators={count}" in lines
 
 
 def first_candidate_move(nice):
@@ -885,6 +1028,25 @@ def first_candidate_move(nice):
     j = next(i for i, (a, b) in enumerate(zip(x, contact_class(nice)))
              if a != b)
     return x, j, x[j]
+
+
+def inject_bigon(monkeypatch, disk):
+    """Emit disk after every walk of the bigons; the list of its emits.
+
+    The bogus disks below are bigons out of vertices on the last β
+    circle, where no rectangle starts, so no walk of a vertex's
+    rectangles would reach them; a bigon enters the index with the
+    bigons, all walked before any column is read.
+    """
+    bigons, sent = floer._bigons, []
+
+    def walk(tiles, emit):
+        bigons(tiles, emit)
+        emit(*disk)
+        sent.append(disk)
+
+    monkeypatch.setattr(floer, "_bigons", walk)
+    return sent
 
 
 def test_a_bogus_disk_out_of_a_candidate_names_no_generator(monkeypatch):
@@ -896,19 +1058,14 @@ def test_a_bogus_disk_out_of_a_candidate_names_no_generator(monkeypatch):
     held = {nice.v_alpha[u] for i, u in enumerate(x) if i != j}
     t = next(u for u in range(nice.n_vertices)
              if nice.v_beta[u] == j + 1 and nice.v_alpha[u] in held)
-    walk = floer.walk_domains
-
-    def bogus(diagram, emit):
-        walk(diagram, emit)
-        emit(((j + 1, v, t),), 0, 0)
-
-    monkeypatch.setattr(floer, "walk_domains", bogus)
+    sent = inject_bigon(monkeypatch, (((j + 1, v, t),), 0, 0))
     monkeypatch.setattr(floer, "generators", refuse_enumeration)
     with pytest.raises(RuntimeError) as err:
         floer.decide(nice)
     assert str(err.value) == (
         f"internal error: a disk moves generator {x} to "
         f"{x[:j] + (t,) + x[j + 1:]}, which is no generator")
+    assert len(sent) == 1
 
 
 def test_a_bogus_disk_out_of_a_candidate_breaks_square_zero(monkeypatch):
@@ -921,18 +1078,13 @@ def test_a_bogus_disk_out_of_a_candidate_breaks_square_zero(monkeypatch):
              if u != v and nice.v_beta[u] == j + 1
              and nice.v_alpha[u] == nice.v_alpha[v]
              and m.columns[m.generators.index(x[:j] + (u,) + x[j + 1:])])
-    walk = floer.walk_domains
-
-    def bogus(diagram, emit):
-        walk(diagram, emit)
-        emit(((j + 1, v, w),), 0, 0)
-
-    monkeypatch.setattr(floer, "walk_domains", bogus)
+    sent = inject_bigon(monkeypatch, (((j + 1, v, w),), 0, 0))
     monkeypatch.setattr(floer, "generators", refuse_enumeration)
     with pytest.raises(RuntimeError, match=(
             "internal error: the boundary operator fails to square to "
             rf"zero on generator {re.escape(str(x))}; composite hits")):
         floer.decide(nice)
+    assert len(sent) == 1
 
 
 def test_a_candidate_bounding_more_than_c_is_no_certificate(monkeypatch):
@@ -947,16 +1099,21 @@ def test_a_candidate_bounding_more_than_c_is_no_certificate(monkeypatch):
     x, j = next((x, j) for x in candidates(nice)
                 for j in [next(i for i in range(len(c)) if x[i] != c[i])]
                 if column[x] and all(y[j] != x[j] for y in column[x]))
-    walk = floer.walk_domains
+    sent = inject_bigon(monkeypatch, (((j + 1, x[j], c[j]),), 0, 0))
+    read = []
+    local_column = floer._column
 
-    def bogus(diagram, emit):
-        walk(diagram, emit)
-        emit(((j + 1, x[j], c[j]),), 0, 0)
+    def recorded(diagram, index, y):
+        out = local_column(diagram, index, y)
+        read.append((y, out))
+        return out
 
-    monkeypatch.setattr(floer, "walk_domains", bogus)
+    monkeypatch.setattr(floer, "_column", recorded)
     monkeypatch.setattr(floer, "generators", refuse_enumeration)
     with pytest.raises(AssertionError, match="generators"):
         floer.decide(nice)
+    assert len(sent) == 1
+    assert (x, sorted(set(column[x]) ^ {c})) in read
 
 
 def test_a_disk_through_a_candidate_is_skipped(monkeypatch):
@@ -967,16 +1124,15 @@ def test_a_disk_through_a_candidate_is_skipped(monkeypatch):
     c = contact_class(nice)
     x, j, v = first_candidate_move(nice)
     assert floer.decide(nice).certificate == (x,)
+    # the same bigon with no passthrough fits x and cancels that disk
+    with monkeypatch.context() as patch:
+        inject_bigon(patch, (((j + 1, v, c[j]),), 0, 0))
+        assert floer.decide(nice).certificate != (x,)
     through = sum(1 << u for i, u in enumerate(x) if i != j)
-    walk = floer.walk_domains
-
-    def bogus(diagram, emit):
-        walk(diagram, emit)
-        emit(((j + 1, v, c[j]),), 0, through)
-
-    monkeypatch.setattr(floer, "walk_domains", bogus)
+    sent = inject_bigon(monkeypatch, (((j + 1, v, c[j]),), 0, through))
     monkeypatch.setattr(floer, "generators", refuse_enumeration)
     assert floer.decide(nice).certificate == (x,)
+    assert len(sent) == 1
 
 
 def test_decide_rejects_a_disk_out_of_c(monkeypatch):
@@ -985,13 +1141,8 @@ def test_decide_rejects_a_disk_out_of_c(monkeypatch):
     nice = flat(torus_word("+a -b", 3))
     c = contact_class(nice)
     x, j, v = first_candidate_move(nice)
-    walk = floer.walk_domains
-
-    def bogus(diagram, emit):
-        walk(diagram, emit)
-        emit(((j + 1, c[j], v),), 0, 0)
-
-    monkeypatch.setattr(floer, "walk_domains", bogus)
+    sent = inject_bigon(monkeypatch, (((j + 1, c[j], v),), 0, 0))
     with pytest.raises(RuntimeError, match="distinguished generator is not "
                                            "a cycle"):
         floer.decide(nice)
+    assert len(sent) == 1

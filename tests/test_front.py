@@ -298,25 +298,26 @@ def test_run_check_error_paths(tmp_path):
 
 
 def test_out_of_memory_exits_2_and_names_the_stage(monkeypatch, capsys):
-    # exit 1 would read as "the class vanishes"
-    def exhausted(diagram, emit):
+    # exit 1 would read as "the class vanishes"; the check walks the
+    # rectangles out of one vertex at a time, and the lantern has some
+    def exhausted(tiles, low, emit):
         raise MemoryError
-    monkeypatch.setattr(floer, "walk_domains", exhausted)
-    assert main(["check", corpus_path("pos_hopf.obk")]) == 2
+    monkeypatch.setattr(floer, "_rectangles", exhausted)
+    assert main(["check", corpus_path("lantern.obk")]) == 2
     out, err = capsys.readouterr()
-    assert out == "error: out of memory in floer._disk_index\n"
+    assert out == "error: out of memory in floer._walk\n"
     assert "Traceback" not in err
 
 
 def test_too_deep_a_recursion_exits_2_and_names_the_stage(monkeypatch,
                                                           capsys):
     # a RecursionError is a RuntimeError, whose message names no stage
-    def bottomless(diagram, emit):
-        return bottomless(diagram, emit)
-    monkeypatch.setattr(floer, "walk_domains", bottomless)
-    assert main(["check", corpus_path("pos_hopf.obk")]) == 2
+    def bottomless(tiles, low, emit):
+        return bottomless(tiles, low, emit)
+    monkeypatch.setattr(floer, "_rectangles", bottomless)
+    assert main(["check", corpus_path("lantern.obk")]) == 2
     out, err = capsys.readouterr()
-    assert out == "error: recursion too deep in floer._disk_index\n"
+    assert out == "error: recursion too deep in floer._walk\n"
     assert "Traceback" not in err
 
 
