@@ -7,17 +7,18 @@ distinct tiles (the bigon and square regions away from the basepoint):
 a rectangle is a grid of squares, walked once from its source corner,
 and a bigon is its one bigon tile with rows of squares stacked around
 it, walked once from that tile (docs/conventions.md, "Domains on a flat
-diagram").  walk_domains hands each disk to a callback once, with its
-tiles and its passthrough vertices as int masks.  The boundary matrix
-files the disks of one whole walk in an index keyed by their source
-vertices, and the lazy scan keeps those into the distinguished
-generator, both straight off the walk; domain_census is a sorted list
-view of it, for tests and oracles.  The decision fills the same kind
-of index on demand: every bigon at once, and the rectangles out of a
-vertex only when a column it reads holds that vertex, since every
+diagram").  One disk index (_disk_index) serves every reader of a
+flattened diagram: it files every bigon at once, and the rectangles out
+of a vertex only when a column it reads holds that vertex, since every
 rectangle that fits a generator is walked from its lower source
 corner, one of the generator's vertices (docs/conventions.md,
-"Corner-local columns").
+"Corner-local columns").  One column rule (_moves) reads it, for the
+columns decide reads one at a time and for the whole matrix that
+boundary_matrix and decide's fallback assemble.  walk_domains hands
+each disk to a callback once, with its tiles and its passthrough
+vertices as int masks: the lazy scan keeps those into the
+distinguished generator straight off it, and domain_census is a sorted
+list view of it, for tests and oracles.
 
 Generators are numbered by int codes, their vertex ids read as base-V
 numerals for V vertices, so that a disk moves a generator by adding a
@@ -42,7 +43,6 @@ that kills every boundary yet evaluates to 1 on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations, islice
 
 from .heegaard import HeegaardDiagram
 from .nicify import lazy_frontier, make_nice
@@ -107,13 +107,18 @@ class Verdict:
 def generators(diagram: HeegaardDiagram) -> list[tuple]:
     """All matchings: one crossing per pushoff circle, arcs all distinct.
 
-    The matchings are grown one β circle at a time, each held with the
-    bitmask of its α circles; a circle's vertices are tried in
-    increasing order for each matching in turn, so the tuples come in
-    lexicographic order.  Holding more than GENERATOR_BUDGET matchings
-    at once, complete or not, stops the enumeration with a ValueError
-    that names the count and the budget.
+    The matchings are counted first (count_generators), and more than
+    GENERATOR_BUDGET of them stop the listing before it starts.  They
+    are then grown one β circle at a time, each held with the bitmask of
+    its α circles; a circle's vertices are tried in increasing order for
+    each matching in turn, so the tuples come in lexicographic order.
+    Partial matchings can outnumber complete ones, so holding more than
+    GENERATOR_BUDGET of them at once stops the growth too.  Either stop
+    is a ValueError that names the count and the budget.
     """
+    count = count_generators(diagram)
+    if count > GENERATOR_BUDGET:
+        raise _over_budget(count)
     steps = [[] for _ in range(diagram.n)]
     for v, (a, j) in enumerate(zip(diagram.v_alpha, diagram.v_beta)):
         steps[j - 1].append(((v,), 1 << a))
@@ -126,11 +131,15 @@ def generators(diagram: HeegaardDiagram) -> list[tuple]:
                     grown.append(x + last)
                     held.append(used | a)
             if len(grown) > GENERATOR_BUDGET:
-                raise ValueError(
-                    f"floer.generators: {len(grown):,} matchings, over the "
-                    f"generator budget of {GENERATOR_BUDGET:,}")
+                raise _over_budget(len(grown))
         out, masks = grown, held
     return out
+
+
+def _over_budget(count: int) -> ValueError:
+    """generators()' error for count matchings, over the budget."""
+    return ValueError(f"floer.generators: {count:,} matchings, over the "
+                      f"generator budget of {GENERATOR_BUDGET:,}")
 
 
 def count_generators(diagram: HeegaardDiagram) -> int:
@@ -375,7 +384,7 @@ def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
     """The disks of walk_domains as a list, sorted by region tuple.
 
     A sorted view for tests, oracles and tracing: decide, decide_lazy
-    and boundary_matrix read the walk directly, and build no list.
+    and boundary_matrix build no list.
     """
     out = []
 
@@ -391,68 +400,63 @@ def domain_census(diagram: HeegaardDiagram) -> list[DomainCandidate]:
 
 
 class _DiskIndex:
-    """Disks filed by their source corners, as a walk hands them to file.
+    """The disks of a flattened diagram, filed by their source corners.
+
+    weight[v] is vertex v's weight in the generator codes: with V
+    vertices, a generator's code is its vertices read as a base-V
+    numeral, the first circle's most significant, so a vertex on β
+    circle j of n weighs itself times V^(n − j).  Codes increase in
+    generators() order and name distinct vertex tuples
+    (docs/conventions.md, "Generator codes").  Each disk is held once,
+    as (passthrough, delta), delta the weights of its targets less
+    those of its sources: a disk moves a generator x that it fits to
+    the generator whose code is x's plus delta, since each source shares
+    its α circle with a target and the move keeps the α circles
+    distinct.  bigons[v] lists the bigons whose source is v, and
+    rects[v][u] the rectangles whose sources are v, on the lower β
+    circle, and u.
 
     file(swap, regions, passthrough) files one disk, and is the emit of
-    every walk that fills the index.  weight[v] is vertex v's weight in
-    the generator codes: with V vertices, a generator's code is its
-    vertices read as a base-V numeral, the first circle's most
-    significant, so a vertex on β circle j of n weighs itself times
-    V^(n − j).  Codes increase in generators() order and name distinct
-    vertex tuples (docs/conventions.md, "Generator codes").  A vertex
-    names its β circle, so a disk is filed by its source corners alone:
-    one vertex for a bigon, the pair in circle order for a rectangle.
-    by_source maps each such key to its disks, each as (passthrough,
-    delta), delta the weights of its targets less those of its sources;
-    a disk moves a generator x that it fits to the generator whose code
-    is x's plus delta, since each source shares its α circle with a
-    target and the move keeps the α circles distinct.
-
-    An index made by _local_index also holds its diagram's tiles, and
-    unwalked holds the vertices whose rectangles _walk has not yet filed.
-    Its by_first[v] holds (need, disks) for each key whose first vertex
-    is v, need being 0 for a bigon and the bit of the second source for
-    a rectangle; disks is by_source's list, so each disk is filed once.
+    every walk that fills the index.  Every bigon is filed when the
+    index is made; the rectangles out of a vertex are filed when _walk
+    first reaches it, and unwalked holds the vertices that start a
+    rectangle and that _walk has not reached yet (docs/conventions.md,
+    "Corner-local columns").
     """
 
-    def __init__(self, weight: list, by_source: dict, file):
-        self.weight, self.by_source, self.file = weight, by_source, file
-        self.by_first, self.tiles, self.unwalked = {}, None, set()
+    def __init__(self, tiles: _Tiles, weight: list, bigons: dict,
+                 rects: dict, file):
+        self.tiles, self.weight, self.file = tiles, weight, file
+        self.bigons, self.rects = bigons, rects
+        self.unwalked = set(tiles.start)
 
 
 def _disk_index(diagram: HeegaardDiagram) -> _DiskIndex:
-    """An empty disk index of a flattened diagram, with its filing rule."""
+    """The disk index of a flattened diagram, its bigons filed.
+
+    A bigon's walk starts at no corner, and the bigon tiles are few, so
+    every bigon is walked and filed at once, from its tile.
+    """
     if diagram.bad_regions():
         raise ValueError(
             "the boundary operator needs a flattened diagram; "
             "run make_nice first")
     n, base = diagram.n, diagram.n_vertices
     weight = [v * base ** (n - j) for v, j in enumerate(diagram.v_beta)]
-    by_source = {}
+    bigons, rects = {}, {}
 
     def file(swap, regions, passthrough):
-        key = swap[0][1] if len(swap) == 1 else (swap[0][1], swap[1][1])
         delta = 0
         for _, src, tgt in swap:
             delta += weight[tgt] - weight[src]
-        by_source.setdefault(key, []).append((passthrough, delta))
+        if len(swap) == 1:
+            bigons.setdefault(swap[0][1], []).append((passthrough, delta))
+        else:
+            rects.setdefault(swap[0][1], {}).setdefault(
+                swap[1][1], []).append((passthrough, delta))
 
-    return _DiskIndex(weight, by_source, file)
-
-
-def _local_index(diagram: HeegaardDiagram) -> _DiskIndex:
-    """A disk index that files each vertex's rectangles on demand.
-
-    Every bigon is walked and filed at once, from its tile: a bigon's
-    walk starts at no corner, and the tiles are few.  The rectangles
-    out of a vertex are filed when _walk first reaches it
-    (docs/conventions.md, "Corner-local columns").
-    """
-    index = _disk_index(diagram)
-    index.tiles = _Tiles(diagram)
-    index.unwalked = set(index.tiles.start)
-    _bigons(index.tiles, index.file)
-    _list_by_first(index, 0)
+    index = _DiskIndex(_Tiles(diagram), weight, bigons, rects, file)
+    _bigons(index.tiles, file)
     return index
 
 
@@ -462,33 +466,54 @@ def _walk(index: _DiskIndex, vertices) -> None:
     A rectangle that fits a generator x has its lower source corner
     among x's vertices, and _rectangles walks it from exactly that
     corner, so once x's vertices are walked, x's column can be read off
-    a local index.
+    the index.
     """
-    unwalked, by_source = index.unwalked, index.by_source
+    unwalked = index.unwalked
     for v in vertices:
         if v in unwalked:
             unwalked.remove(v)
-            known = len(by_source)
             _rectangles(index.tiles, v, index.file)
-            _list_by_first(index, known)
 
 
-def _list_by_first(index: _DiskIndex, known: int) -> None:
-    """List under its first vertex each key filed after the first known.
+def _moves(index: _DiskIndex, gens):
+    """For each generator x of gens, the codes of ∂x: sorted, kept mod 2.
 
-    A dict keeps its keys in the order they were made, so the keys a
-    walk made are by_source's last ones.  Listing them after the walk,
-    not as each disk is filed, leaves the filing rule that
-    boundary_matrix runs on every disk as it was.
+    x meets the bigons filed under each of its coordinates and, where
+    rects has a row for a coordinate, the rectangles filed under it and
+    each later coordinate, so it meets exactly the disks whose sources
+    it holds, each once.  A disk fits x when its passthrough mask misses
+    the mask of x's vertices, and moves x's code by its delta; a code
+    reached an even number of times cancels.  The rectangles of x's
+    vertices must be walked already (_walk).
     """
-    by_source, by_first = index.by_source, index.by_first
+    weight, bigons, rects = index.weight, index.bigons, index.rects
     bit = index.tiles.bit
-    for key in islice(reversed(by_source), len(by_source) - known):
-        if isinstance(key, int):
-            by_first.setdefault(key, []).append((0, by_source[key]))
-        else:
-            by_first.setdefault(key[0], []).append(
-                (bit[key[1]], by_source[key]))
+    for x in gens:
+        held = code = 0
+        for v in x:
+            held |= bit[v]
+            code += weight[v]
+        hits = []
+        later = 0
+        for v in x:
+            later += 1
+            disks = bigons.get(v)
+            if disks:
+                for mask, delta in disks:
+                    if not held & mask:
+                        hits.append(code + delta)
+            row = rects.get(v)
+            if row:
+                for u in x[later:]:
+                    disks = row.get(u)
+                    if disks:
+                        for mask, delta in disks:
+                            if not held & mask:
+                                hits.append(code + delta)
+        hits.sort()
+        if len(set(hits)) < len(hits):
+            hits = [k for k in sorted(set(hits)) if hits.count(k) % 2]
+        yield hits
 
 
 def _decode(diagram: HeegaardDiagram, code: int) -> tuple:
@@ -498,48 +523,33 @@ def _decode(diagram: HeegaardDiagram, code: int) -> tuple:
 
 
 def boundary_matrix(diagram: HeegaardDiagram) -> BoundaryMatrix:
-    """Assemble the full boundary operator of a flattened diagram.
+    """Assemble the full boundary operator of a flattened diagram."""
+    return _assemble(diagram, _disk_index(diagram))
 
-    One walk of walk_domains files every disk (_disk_index), and
-    _assemble reads every generator's column off that index.
+
+def _assemble(diagram: HeegaardDiagram, index: _DiskIndex) -> BoundaryMatrix:
+    """The whole boundary operator, read off the diagram's disk index.
+
+    The generators are listed first, so that a count over the budget
+    stops the assembly before any walk.  The vertices not walked from
+    yet are then walked (_walk), so that every disk is filed once, and
+    every generator's column is read by the one column rule (_moves).
+    Codes increase in generators() order, so a column's codes map to
+    sorted positions.  A code that names no generator is an internal
+    error, and its digits are the tuple it names.  ∂² = 0 is checked
+    before the matrix is returned.
     """
-    index = _disk_index(diagram)
-    walk_domains(diagram, index.file)
-    return _assemble(diagram, generators(diagram), index)
-
-
-def _assemble(diagram: HeegaardDiagram, gens: list,
-              index: _DiskIndex) -> BoundaryMatrix:
-    """The boundary operator on the generators gens, from a full disk index.
-
-    A generator x looks up each of its coordinates and each pair of
-    them, so it meets exactly the disks whose source corners it holds,
-    each once.  A disk fits x when its passthrough mask misses the mask
-    of x's vertices, and moves x's code by its delta.  A code that names
-    no generator is an internal error, and its digits are the tuple it
-    names.  Column x lists, sorted, the generators reached an odd number
-    of times; ∂² = 0 is checked before the matrix is returned.
-    """
-    weight, by_source = index.weight, index.by_source
-    bit = [1 << v for v in range(diagram.n_vertices)]
-    codes = [sum(map(weight.__getitem__, x)) for x in gens]
-    position = dict(zip(codes, range(len(codes))))
+    gens = generators(diagram)
+    _walk(index, range(diagram.n_vertices))
+    weight = index.weight
+    position = {sum(map(weight.__getitem__, x)): i
+                for i, x in enumerate(gens)}
     columns = []
     try:
-        for x, code in zip(gens, codes):
-            held = 0
-            for v in x:
-                held |= bit[v]
-            hits = []
-            for key in (*x, *combinations(x, 2)):
-                for mask, delta in by_source.get(key, ()):
-                    if not held & mask:
-                        hits.append(position[code + delta])
-            hits.sort()
-            if len(set(hits)) < len(hits):
-                hits = [i for i in sorted(set(hits)) if hits.count(i) % 2]
-            columns.append(tuple(hits))
+        for codes in _moves(index, gens):
+            columns.append(tuple(map(position.__getitem__, codes)))
     except KeyError as miss:
+        x = gens[len(columns)]
         raise RuntimeError(
             f"internal error: a disk moves generator {x} to "
             f"{_decode(diagram, miss.args[0])}, which is no generator"
@@ -701,33 +711,20 @@ def decide_vanishing(m: BoundaryMatrix, c: tuple) -> Verdict:
 
 
 def _column(diagram: HeegaardDiagram, index: _DiskIndex, x: tuple) -> list:
-    """∂x as a sorted list of generators, read off a local index.
+    """∂x as a sorted list of generators, read off the disk index.
 
     _walk first files the rectangles out of x's vertices, which are all
     the rectangles that can fit x (docs/conventions.md, "Corner-local
-    columns").  The column is then read by the assembly's rule: the
-    disks whose sources x holds and whose passthrough misses x, each
-    moving x's code by its delta, kept when hit an odd number of times.
-    by_first makes it cost a lookup per coordinate, not per pair.  Every
-    target code is decoded and must name a generator, or it is an
+    columns"); _moves then reads x's column by the assembly's rule.
+    Every target code is decoded and must name a generator, or it is an
     internal error.
     """
     _walk(index, x)
     n, v_alpha, v_beta = diagram.n, diagram.v_alpha, diagram.v_beta
-    weight, by_first, bit = index.weight, index.by_first, index.tiles.bit
-    held = code = 0
-    for v in x:
-        held |= bit[v]
-        code += weight[v]
-    odd = set()
-    for v in x:
-        for need, disks in by_first.get(v, ()):
-            if held & need == need:
-                for mask, delta in disks:
-                    if not held & mask:
-                        odd ^= {code + delta}
+    weight = index.weight
+    (codes,) = _moves(index, (x,))
     out = []
-    for k in sorted(odd):
+    for k in codes:
         y = _decode(diagram, k)
         if not (sum(map(weight.__getitem__, y)) == k
                 and len({v_alpha[v] for v in y}) == n
@@ -747,7 +744,7 @@ def _bounding_candidate(diagram: HeegaardDiagram, c: tuple,
     vertex on β circle j and on c_j's α circle, so each is a generator;
     they are tried in tuple order (docs/conventions.md, "Deciding
     VANISHING from a generator next to c").  Each column is read off
-    the local index once (_column).  c's column must be empty, and
+    the index once (_column).  c's column must be empty, and
     ∂(∂x) = 0 is checked on every candidate column.
     """
     columns = {}
@@ -781,32 +778,31 @@ def _bounding_candidate(diagram: HeegaardDiagram, c: tuple,
 def decide(diagram: HeegaardDiagram) -> Verdict:
     """Decide whether a flattened diagram's contact class vanishes.
 
-    The disks are filed on demand (_local_index): every bigon at once,
+    The disks are filed on demand (_disk_index): every bigon at once,
     and the rectangles out of a vertex when a column first needs them.
     When a generator x next to c has ∂x = c (_bounding_candidate), c
     bounds: VANISHING, with the chain (x,) as certificate, its
     generators counted by count_generators and rank -1, since nothing
     was eliminated; only the vertices of c, of the candidates tried and
-    of their boundaries were walked from.  Otherwise the vertices not
-    walked from yet are walked, so that every disk is walked once, the
-    whole operator is assembled from the same index and decide_vanishing
-    settles it on c's closure.  Only VANISHING is ever decided early.
+    of their boundaries were walked from.  Otherwise the whole operator
+    is assembled from the same index (_assemble), which walks the
+    vertices not walked from yet, so that every disk is walked once,
+    and decide_vanishing settles it on c's closure.  Only VANISHING is
+    ever decided early.
     """
     c = contact_class(diagram)
-    index = _local_index(diagram)
+    index = _disk_index(diagram)
     x = _bounding_candidate(diagram, c, index)
     if x is not None:
         return Verdict(outcome=VANISHING, certificate=(x,),
                        generator_count=count_generators(diagram), rank=-1)
-    _walk(index, range(diagram.n_vertices))
-    m = _assemble(diagram, generators(diagram), index)
-    return decide_vanishing(m, c)
+    return decide_vanishing(_assemble(diagram, index), c)
 
 
 def _sources_into_c(diagram: HeegaardDiagram) -> set:
     """The generators that an odd number of disks move to c.
 
-    The disks are read off walk_domains as boundary_matrix reads them:
+    The disks are read off walk_domains by the column rule's test:
     every target is c's vertex j - 1 on its circle j, and the
     passthrough mask misses the source tuple, whose α circles must be
     distinct; a repeat is an internal error.

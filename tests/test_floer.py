@@ -328,18 +328,21 @@ def test_square_zero_check_catches_a_missing_disk(monkeypatch, skipped):
     # from the walk leaves a matrix whose square is not zero
     book = parse_input(torus_word("+a +b", 3))
     nice = make_nice(build_diagram(book.page, book.word))
-    walk = floer.walk_domains
+    rectangles, bigons = floer._rectangles, floer._bigons
     dropped = []
 
-    def without(diagram, emit):
+    def without(emit):
         def keep(swap, regions, passthrough):
             if swap == skipped:
                 dropped.append(swap)
             else:
                 emit(swap, regions, passthrough)
-        walk(diagram, keep)
+        return keep
 
-    monkeypatch.setattr(floer, "walk_domains", without)
+    monkeypatch.setattr(floer, "_rectangles", lambda tiles, low, emit:
+                        rectangles(tiles, low, without(emit)))
+    monkeypatch.setattr(floer, "_bigons", lambda tiles, emit:
+                        bigons(tiles, without(emit)))
     with pytest.raises(RuntimeError, match="fails to square to zero"):
         boundary_matrix(nice)
     assert dropped == [skipped]
@@ -484,6 +487,31 @@ def test_columns_match_all_pairs_oracle():
     assert nonzeros > 4000
 
 
+@pytest.mark.parametrize("text, outcome", [
+    ("page g=0 b=7\ncurve d: 1+ 2+ 3+ 4+ 5+ 6+\ncurve e: 1+ 6+\n"
+     "twists: +e +d\n", floer.NONVANISHING),
+    ("page g=0 b=7\ncurve d: 1+ 2+ 3+ 4+ 5+ 6+\ncurve e: 3+ 4+\n"
+     "twists: +d -e\n", floer.VANISHING),
+    ("page g=0 b=8\ncurve d: 1+ 4+ 7+\ntwists: +d\n", floer.NONVANISHING),
+], ids=["b7_de", "b7_dinv_e", "b8_d"])
+def test_the_column_rule_on_many_arcs(text, outcome):
+    # property pages have at most four arcs; these have six and seven,
+    # and rectangles whose sources sit two or more β circles apart, so
+    # a rectangle row is read past a generator's next coordinate
+    nice = flat(text)
+    assert any(d.kind == "rectangle" and d.swap[1][0] - d.swap[0][0] >= 2
+               for d in domain_census(nice))
+    m = boundary_matrix(nice)
+    assert m.columns == oracle_columns(nice)
+    c = contact_class(nice)
+    v, full = floer.decide(nice), decide_vanishing(m, c)
+    assert v.outcome == full.outcome == outcome
+    if v.rank == -1:
+        assert boundary_of(m, v.certificate) == {c}
+    else:
+        assert v == full
+
+
 @pytest.mark.parametrize("text, rows, cols", [
     (open(os.path.join(CORPUS, "lantern.obk")).read(), 3, 3),
     (open(os.path.join(CORPUS, "neg_hopf.obk")).read(), 1, 2),
@@ -555,6 +583,13 @@ def test_boundary_matrix_refuses_oversized_regions():
         boundary_matrix(lantern_book())
 
 
+def only_disk(monkeypatch, swap):
+    """Make the bigon swap, with empty masks, the index's only disk."""
+    monkeypatch.setattr(floer, "_bigons",
+                        lambda tiles, emit: emit(swap, 0, 0))
+    monkeypatch.setattr(floer, "_rectangles", lambda tiles, low, emit: None)
+
+
 def test_a_move_out_of_the_generators_is_an_internal_error(monkeypatch):
     # a disk's move keeps α circles distinct; one that breaks this, here
     # a bigon whose target repeats the α circle of x's second coordinate,
@@ -564,8 +599,7 @@ def test_a_move_out_of_the_generators_is_an_internal_error(monkeypatch):
     target = next(v for v in range(nice.n_vertices)
                   if nice.v_beta[v] == 1
                   and nice.v_alpha[v] == nice.v_alpha[x[1]])
-    monkeypatch.setattr(floer, "walk_domains", lambda diagram, emit: emit(
-        ((1, x[0], target),), 0, 0))
+    only_disk(monkeypatch, ((1, x[0], target),))
     with pytest.raises(RuntimeError, match="internal error.*no generator"):
         boundary_matrix(nice)
 
@@ -582,8 +616,7 @@ def test_a_code_that_names_no_generator_is_decoded(monkeypatch, name):
     held = {nice.v_alpha[v] for v in c[1:]}
     target = max(v for v in range(nice.n_vertices)
                  if nice.v_beta[v] == 1 and nice.v_alpha[v] in held)
-    monkeypatch.setattr(floer, "walk_domains", lambda diagram, emit: emit(
-        ((1, c[0], target),), 0, 0))
+    only_disk(monkeypatch, ((1, c[0], target),))
     with pytest.raises(RuntimeError) as err:
         boundary_matrix(nice)
     assert str(err.value) == (
@@ -972,7 +1005,7 @@ def test_local_columns_equal_the_full_matrix(monkeypatch):
         floer.decide(nice)
         assert all(out == column[x] for x, out in read)
         decided += len(read)
-        index = floer._local_index(nice)
+        index = floer._disk_index(nice)
         gens = list(m.generators)
         rng.shuffle(gens)
         for x in gens:

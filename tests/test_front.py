@@ -328,7 +328,7 @@ def test_a_nested_function_is_named_by_its_stage(monkeypatch):
     with open(corpus_path("pos_hopf.obk")) as fh:
         book = parse_input(fh.read())
     nice = make_nice(build_diagram(book.page, book.word))
-    monkeypatch.setattr(floer, "walk_domains", lambda diagram, emit: emit(
+    monkeypatch.setattr(floer, "_bigons", lambda tiles, emit: emit(
         ((1, 0, nice.n_vertices),), 0, 0))
     with pytest.raises(IndexError) as err:
         floer.boundary_matrix(nice)
@@ -339,25 +339,43 @@ def test_a_nested_function_is_named_by_its_stage(monkeypatch):
     assert _innermost_stage(err.value) == "floer._disk_index"
 
 
-def test_a_page_past_the_generator_budget_exits_2_and_names_it(tmp_path):
-    # 2^1000 generators: the enumeration stops at its budget, long before
-    # a 1.5 GiB address space runs out
-    path = tmp_path / "wide.obk"
-    path.write_text("page g=0 b=1001\ntwists:\n")
+def check_in_capped_child(path, limit):
+    """obfloer check of path in a child with limit bytes of address space."""
     child = ("import resource, sys\n"
-             "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
              "from obfloer.front import main\n"
              "sys.exit(main(['check', sys.argv[1]]))\n")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-c", child, str(path)],
+    return subprocess.run([sys.executable, "-c", child, str(path)],
                           capture_output=True, text=True, timeout=10,
                           env=env)
+
+
+def test_a_page_past_the_generator_budget_exits_2_and_names_it(tmp_path):
+    # 2^1000 generators: the enumeration stops at its budget, long before
+    # a 1.5 GiB address space runs out
+    path = tmp_path / "wide.obk"
+    path.write_text("page g=0 b=1001\ntwists:\n")
+    done = check_in_capped_child(path, 3 << 29)
     assert done.returncode == 2, done.stdout + done.stderr
     assert done.stdout.startswith("error: floer.generators: ")
     assert f"generator budget of {floer.GENERATOR_BUDGET:,}" in done.stdout
+    assert "Traceback" not in done.stderr
+
+
+def test_generators_are_counted_before_they_are_listed(tmp_path):
+    # 2^21 generators: counted, not listed, so the budget error comes
+    # well within 64 MiB of address space, where listing runs out
+    path = tmp_path / "b22.obk"
+    path.write_text("page g=0 b=22\ntwists:\n")
+    done = check_in_capped_child(path, 1 << 26)
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert done.stdout == (
+        "error: floer.generators: 2,097,152 matchings, over the generator "
+        f"budget of {floer.GENERATOR_BUDGET:,}\n")
     assert "Traceback" not in done.stderr
 
 
@@ -447,27 +465,37 @@ def test_lazy_rank_trace_comes_from_one_flattening(tmp_path):
 def test_lazy_rank_fallback_runs_each_census_once(tmp_path, monkeypatch,
                                                   name, censuses):
     # the lazy test would fall back on both; the rank needs the full
-    # complex anyway, so the lazy test is skipped and one walk of the
-    # flat diagram's disks serves the decision and the rank
+    # complex anyway, so the lazy test is skipped and one disk index of
+    # the flat diagram, walked once from every start, serves the
+    # decision and the rank
     path = tmp_path / name
     path.write_text(BENCH_LADDER[name])
     _, full = run_check(str(path), rank=True, out=io.StringIO())
-    seen = []
-    walk = floer.walk_domains
+    seen, starts = [], []
+    index, rectangles = floer._disk_index, floer._rectangles
 
-    def counted(diagram, emit):
+    def counted(diagram):
         seen.append(diagram)
-        walk(diagram, emit)
+        return index(diagram)
+
+    def started(tiles, low, emit):
+        starts.append((tiles, low))
+        rectangles(tiles, low, emit)
 
     def skipped(diagram, trace=None):
         raise AssertionError("the lazy test ran with --rank")
 
-    monkeypatch.setattr(floer, "walk_domains", counted)
+    monkeypatch.setattr(floer, "_disk_index", counted)
+    monkeypatch.setattr(floer, "_rectangles", started)
     monkeypatch.setattr(floer, "decide_lazy", skipped)
     _, lazy = run_check(str(path), lazy=True, rank=True, out=io.StringIO())
     assert len(seen) == censuses
     assert len({id(d) for d in seen}) == censuses
     assert not seen[-1].bad_regions()
+    tiles = starts[0][0]
+    assert all(t is tiles for t, _ in starts)
+    assert tiles.diagram is seen[-1]
+    assert sorted(low for _, low in starts) == sorted(tiles.start)
     assert (lazy.verdict, lazy.rank, lazy.generators) == (
         full.verdict, full.rank, full.generators)
 
