@@ -42,6 +42,7 @@ that kills every boundary yet evaluates to 1 on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .heegaard import HeegaardDiagram
@@ -137,8 +138,19 @@ def generators(diagram: HeegaardDiagram) -> list[tuple]:
 
 
 def _over_budget(count: int) -> ValueError:
-    """generators()' error for count matchings, over the budget."""
-    return ValueError(f"floer.generators: {count:,} matchings, over the "
+    """generators()' error for count matchings, over the budget.
+
+    A count up to 10^12 is written out; a larger one is named by its
+    order of magnitude, as at least 10^k with 10^k <= count < 10^(k+1).
+    """
+    if count <= 10 ** 12:
+        amount = f"{count:,}"
+    else:
+        k = int(math.log10(count))
+        # the float logarithm can round across a power of ten
+        k += (10 ** (k + 1) <= count) - (10 ** k > count)
+        amount = f"at least 10^{k}"
+    return ValueError(f"floer.generators: {amount} matchings, over the "
                       f"generator budget of {GENERATOR_BUDGET:,}")
 
 
@@ -475,24 +487,24 @@ def _walk(index: _DiskIndex, vertices) -> None:
             _rectangles(index.tiles, v, index.file)
 
 
-def _moves(index: _DiskIndex, gens):
-    """For each generator x of gens, the codes of ∂x: sorted, kept mod 2.
+def _moves(index: _DiskIndex, gens, codes, at):
+    """For each generator x of gens, with its code, the entries of ∂x.
 
     x meets the bigons filed under each of its coordinates and, where
     rects has a row for a coordinate, the rectangles filed under it and
     each later coordinate, so it meets exactly the disks whose sources
     it holds, each once.  A disk fits x when its passthrough mask misses
-    the mask of x's vertices, and moves x's code by its delta; a code
-    reached an even number of times cancels.  The rectangles of x's
-    vertices must be walked already (_walk).
+    the mask of x's vertices, and moves x's code by its delta; at maps
+    the moved code to the column's entry as it is reached, and must
+    keep the order of codes.  The entries come sorted, and one reached
+    an even number of times cancels.  The rectangles of x's vertices
+    must be walked already (_walk).
     """
-    weight, bigons, rects = index.weight, index.bigons, index.rects
-    bit = index.tiles.bit
-    for x in gens:
-        held = code = 0
+    bigons, rects, bit = index.bigons, index.rects, index.tiles.bit
+    for x, code in zip(gens, codes):
+        held = 0
         for v in x:
             held |= bit[v]
-            code += weight[v]
         hits = []
         later = 0
         for v in x:
@@ -501,7 +513,7 @@ def _moves(index: _DiskIndex, gens):
             if disks:
                 for mask, delta in disks:
                     if not held & mask:
-                        hits.append(code + delta)
+                        hits.append(at(code + delta))
             row = rects.get(v)
             if row:
                 for u in x[later:]:
@@ -509,7 +521,7 @@ def _moves(index: _DiskIndex, gens):
                     if disks:
                         for mask, delta in disks:
                             if not held & mask:
-                                hits.append(code + delta)
+                                hits.append(at(code + delta))
         hits.sort()
         if len(set(hits)) < len(hits):
             hits = [k for k in sorted(set(hits)) if hits.count(k) % 2]
@@ -534,20 +546,21 @@ def _assemble(diagram: HeegaardDiagram, index: _DiskIndex) -> BoundaryMatrix:
     stops the assembly before any walk.  The vertices not walked from
     yet are then walked (_walk), so that every disk is filed once, and
     every generator's column is read by the one column rule (_moves).
-    Codes increase in generators() order, so a column's codes map to
-    sorted positions.  A code that names no generator is an internal
+    Each generator's code is derived once.  Codes increase in
+    generators() order, so _moves maps each one it reaches straight to
+    its position.  A code that names no generator is an internal
     error, and its digits are the tuple it names.  ∂² = 0 is checked
     before the matrix is returned.
     """
     gens = generators(diagram)
     _walk(index, range(diagram.n_vertices))
     weight = index.weight
-    position = {sum(map(weight.__getitem__, x)): i
-                for i, x in enumerate(gens)}
+    codes = [sum(map(weight.__getitem__, x)) for x in gens]
+    position = dict(zip(codes, range(len(codes))))
     columns = []
     try:
-        for codes in _moves(index, gens):
-            columns.append(tuple(map(position.__getitem__, codes)))
+        for hits in _moves(index, gens, codes, position.__getitem__):
+            columns.append(tuple(hits))
     except KeyError as miss:
         x = gens[len(columns)]
         raise RuntimeError(
@@ -722,7 +735,8 @@ def _column(diagram: HeegaardDiagram, index: _DiskIndex, x: tuple) -> list:
     _walk(index, x)
     n, v_alpha, v_beta = diagram.n, diagram.v_alpha, diagram.v_beta
     weight = index.weight
-    (codes,) = _moves(index, (x,))
+    code = sum(map(weight.__getitem__, x))
+    (codes,) = _moves(index, (x,), (code,), int)    # int: codes as they are
     out = []
     for k in codes:
         y = _decode(diagram, k)

@@ -21,15 +21,21 @@ oversized region per finger and routes the tip straight through
 squares until it can rest in a bigon or the basepoint region, where
 the damage of resting (two extra sides) is harmless.  When no harmless
 entry exists the finger accepts collateral damage on a neighboring
-region and the main loop picks the pieces up later.  That loop is not
-known to terminate: on some books each finger chops a hexagon or
-octagon and leaves a new one behind, and the global move budget, which
-grows with the square of the diagram's size, is too large to stop such
-a spin in practice.
+region and the main loop picks the pieces up later.  Neither choice
+rescans the diagram: the oversized regions wait in a heap, to which a
+finger adds back only the regions it touched or made, and a finger's
+candidate chains are walked in lockstep, so the search stops once no
+chain still walking can beat the best one that ended
+(docs/conventions.md, "Finding the same finger without rescans").
+The loop is not known to terminate: on some books each finger chops a
+hexagon or octagon and leaves a new one behind, until the global move
+budget, which grows with the square of the diagram's size, stops the
+run with an internal error.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .heegaard import HeegaardDiagram, Region
@@ -145,14 +151,24 @@ def _poke(d: HeegaardDiagram, h_beta: int, h_alpha: int) -> tuple:
     return 2 * e2, r_N
 
 
-def _execute(d: HeegaardDiagram, move: FingerMoveSpec) -> None:
+def _execute(d: HeegaardDiagram, move: FingerMoveSpec) -> set:
+    """Perform move on d in place; the old regions its pokes touched.
+
+    A poke touches the region pushed through, the one behind the pushed
+    edge and the one past the crossing, and no other old region; the
+    two it makes are numbered after all of them.
+    """
     h = d.twin(move.source)
+    touched = set()
     for cross in move.crossings:
+        touched.update((d.he_region[h ^ 1], d.he_region[h],
+                        d.he_region[cross ^ 1]))
         h, rest = _poke(d, h, cross)
     if rest != move.terminal:
         raise ValueError(
             f"the finger comes to rest in region {rest}, "
             f"not the declared terminal {move.terminal}")
+    return touched
 
 
 def finger_move(diagram: HeegaardDiagram,
@@ -176,62 +192,61 @@ def finger_move(diagram: HeegaardDiagram,
     return d
 
 
-def _chain_from(d: HeegaardDiagram, start: int, exit_h: int):
-    """Follow a finger straight through squares from a first crossing.
-
-    Returns (crossings, rest_region, rest_rank) or None when the chain
-    runs into a region it already cut.  Each step cuts a new square, so
-    the chain ends.
-    """
-    crossings = [exit_h]
-    visited = {start}
-    enter = d.twin(exit_h)
-    cur = d.he_region[enter]
-    while True:
-        reg = d.regions[cur]
-        if cur == d.z0_region or reg.is_bigon:
-            return crossings, cur, 0
-        if cur in visited:
-            return None
-        if not reg.is_square:
-            return crossings, cur, 2
-        visited.add(cur)
-        cyc = reg.cycles[0]
-        exit_h = cyc[(cyc.index(enter) + 2) % 4]
-        enter = d.twin(exit_h)
-        cur = d.he_region[enter]
-        crossings.append(exit_h)
-
-
 def _plan_finger(d: HeegaardDiagram, target: int) -> FingerMoveSpec:
-    """Choose a finger that chops a square off the oversized disk target."""
-    reg = d.regions[target]
-    cyc = reg.cycles[0]
+    """Choose a finger that chops a square off the oversized disk target.
+
+    Each candidate pushes a "b" edge hh of target and first crosses the
+    "a" edge p = 3 or L - 3 sides on, then goes straight through
+    squares until it rests.  Its key is (rank, crossings, hh, p), where
+    rank counts the extra sides of the region behind hh and of the rest
+    region (0 for a bigon or the basepoint region, else 2); a chain
+    that runs into a region it already cut is no candidate.  The least
+    key wins.  The chains are walked in lockstep, one square per round,
+    so a chain still walking is longer than every chain that ended; it
+    is dropped once its absorber's rank alone reaches the best rank.
+    """
+    regions, he_region, z0 = d.regions, d.he_region, d.z0_region
+    cyc = regions[target].cycles[0]
     L = len(cyc)
-    best = None
+    chains = []
     for pos, hh in enumerate(cyc):
         if d.label(hh)[0] != "b":
             continue
         # cost of the two sides the strip adds behind the pushed edge;
         # that region is never the target (docs/conventions.md)
-        absorber = d.he_region[d.twin(hh)]
-        if absorber == d.z0_region or d.regions[absorber].is_bigon:
-            a_rank = 0
-        else:
-            a_rank = 2
-        for p in (3, L - 3):
+        absorber = he_region[hh ^ 1]
+        a_rank = 0 if absorber == z0 or regions[absorber].is_bigon else 2
+        for p in {3, L - 3}:     # one exit on a hexagon, walked once
             exit_h = cyc[(pos + p) % L]
-            if d.he_region[d.twin(exit_h)] == target:
+            if he_region[exit_h ^ 1] != target:
+                chains.append((a_rank, hh, p, [exit_h], {target}))
+    best = None
+    while chains:
+        walking = []
+        for chain in chains:
+            a_rank, hh, p, crossings, visited = chain
+            enter = crossings[-1] ^ 1
+            cur = he_region[enter]
+            reg = regions[cur]
+            if cur == z0 or reg.is_bigon:
+                rank = a_rank
+            elif cur in visited:
                 continue
-            chain = _chain_from(d, target, exit_h)
-            if chain is None:
+            elif not reg.is_square:
+                rank = a_rank + 2
+            else:
+                visited.add(cur)
+                square = reg.cycles[0]
+                crossings.append(square[(square.index(enter) + 2) % 4])
+                walking.append(chain)
                 continue
-            crossings, rest, r_rank = chain
-            key = (a_rank + r_rank, len(crossings), hh, p)
+            key = (rank, len(crossings), hh, p)
             if best is None or key < best[0]:
                 best = (key, FingerMoveSpec(
-                    source=hh, crossings=tuple(crossings),
-                    terminal=rest))
+                    source=hh, crossings=tuple(crossings), terminal=cur))
+        if best is not None:
+            walking = [chain for chain in walking if chain[0] < best[0][0]]
+        chains = walking
     if best is None:
         raise RuntimeError(
             "internal error: no finger can leave the oversized region; "
@@ -244,11 +259,24 @@ def _flatten(diagram: HeegaardDiagram, frontier_only: bool,
              trace) -> HeegaardDiagram:
     """Flatten the bad regions, or only those on the frontier, in order.
 
-    A diagram with nothing to flatten is returned as it is.
+    The target is always the lowest-numbered region that is bad (and on
+    the frontier, for the lazy pass).  A heap holds every bad region,
+    maybe with stale entries: a region's status reads only its own
+    cycles, and a finger changes those only in the regions it touched
+    or made (_execute), which are pushed again after it.  An entry that
+    no longer qualifies is popped when it reaches the top.  A diagram
+    with nothing to flatten is returned as it is.
     """
+    heap = diagram.bad_regions()     # ascending, so already a heap
+
     def first_target(d):
-        return next((r for r in d.bad_regions()
-                     if not frontier_only or _frontier(d, r)), None)
+        while heap:
+            r = heap[0]
+            if not d.regions[r].tile and (not frontier_only
+                                          or _frontier(d, r)):
+                return r
+            heapq.heappop(heap)
+        return None
 
     target = first_target(diagram)
     if target is None:
@@ -270,7 +298,11 @@ def _flatten(diagram: HeegaardDiagram, frontier_only: bool,
                 "full circle, which the construction rules out) or the "
                 "planner is looping")
         corners = d.regions[target].corner_count
-        _execute(d, move)
+        n_regions = len(d.regions)
+        touched = _execute(d, move)
+        for r in (*touched, *range(n_regions, len(d.regions))):
+            if r != d.z0_region and not d.regions[r].tile:
+                heapq.heappush(heap, r)
         if trace is not None:
             trace(f"finger region={target} sides={corners} "
                   f"crossings={len(move.crossings)} rest={move.terminal} "

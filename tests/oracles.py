@@ -15,6 +15,9 @@ occurrence tables.  read_dump rebuilds a diagram from its canonical
 text dump.  twist and elementary_moves only drive the library: one
 Dehn twist is apply_word on one letter, and the single-crossing finger
 moves are gratuitous isotopies for invariance tests.
+exhaustive_flatten is the flattening planner that rescans bad_regions()
+after every finger and walks every candidate chain to its end; the
+library's planner must pick the same fingers.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import itertools
 from obfloer.floer import domain_census, generators
 from obfloer.heegaard import HeegaardDiagram, Region
 from obfloer.mapping import TwistWord, apply_word
-from obfloer.nicify import FingerMoveSpec
+from obfloer.nicify import FingerMoveSpec, _execute, _frontier
 from obfloer.surface import Curve, Page, reduce_cyclic, successor_cycles
 
 
@@ -473,3 +476,83 @@ def elementary_moves(diagram: HeegaardDiagram):
                 yield FingerMoveSpec(
                     source=hh, crossings=(ha,),
                     terminal=diagram.he_region[diagram.twin(ha)])
+
+
+def _chain_from(d: HeegaardDiagram, start: int, exit_h: int):
+    """Follow a finger straight through squares from a first crossing.
+
+    Returns (crossings, rest_region, rest_rank) or None when the chain
+    runs into a region it already cut.  Each step cuts a new square, so
+    the chain ends.
+    """
+    crossings = [exit_h]
+    visited = {start}
+    enter = d.twin(exit_h)
+    cur = d.he_region[enter]
+    while True:
+        reg = d.regions[cur]
+        if cur == d.z0_region or reg.is_bigon:
+            return crossings, cur, 0
+        if cur in visited:
+            return None
+        if not reg.is_square:
+            return crossings, cur, 2
+        visited.add(cur)
+        cyc = reg.cycles[0]
+        exit_h = cyc[(cyc.index(enter) + 2) % 4]
+        enter = d.twin(exit_h)
+        cur = d.he_region[enter]
+        crossings.append(exit_h)
+
+
+def exhaustive_finger(d: HeegaardDiagram, target: int) -> FingerMoveSpec:
+    """The finger with the least key (rank, crossings, hh, p) for target.
+
+    Every candidate chain is walked to its end (_chain_from).
+    """
+    cyc = d.regions[target].cycles[0]
+    L = len(cyc)
+    best = None
+    for pos, hh in enumerate(cyc):
+        if d.label(hh)[0] != "b":
+            continue
+        absorber = d.he_region[d.twin(hh)]
+        if absorber == d.z0_region or d.regions[absorber].is_bigon:
+            a_rank = 0
+        else:
+            a_rank = 2
+        for p in (3, L - 3):
+            exit_h = cyc[(pos + p) % L]
+            if d.he_region[d.twin(exit_h)] == target:
+                continue
+            chain = _chain_from(d, target, exit_h)
+            if chain is None:
+                continue
+            crossings, rest, r_rank = chain
+            key = (a_rank + r_rank, len(crossings), hh, p)
+            if best is None or key < best[0]:
+                best = (key, FingerMoveSpec(
+                    source=hh, crossings=tuple(crossings),
+                    terminal=rest))
+    return best[1]
+
+
+def exhaustive_flatten(diagram: HeegaardDiagram, frontier_only: bool):
+    """The fingers of the exhaustive planner and the diagram they leave.
+
+    After every finger, bad_regions() is scanned again for the first
+    target, which must be on the frontier when frontier_only is set,
+    and its finger is chosen by exhaustive_finger.  The input is not
+    touched.
+    """
+    d = diagram.clone()
+    fingers = []
+    while True:
+        target = next((r for r in d.bad_regions()
+                       if not frontier_only or _frontier(d, r)), None)
+        if target is None:
+            break
+        fingers.append(exhaustive_finger(d, target))
+        _execute(d, fingers[-1])
+    d.validate()
+    return fingers, d

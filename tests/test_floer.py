@@ -734,6 +734,26 @@ def test_generator_budget_is_checked_on_both_sides(tmp_path, monkeypatch):
         "of 15\n")
 
 
+def test_a_count_past_10_12_is_named_by_its_order_of_magnitude(tmp_path):
+    # page g=0 b=1001 has 2^1000 matchings, a 302-digit count
+    path = tmp_path / "wide.obk"
+    path.write_text("page g=0 b=1001\ntwists:\n")
+    out = io.StringIO()
+    assert run_check(str(path), out=out) == (2, None)
+    assert out.getvalue() == (
+        "error: floer.generators: at least 10^301 matchings, over the "
+        f"generator budget of {floer.GENERATOR_BUDGET:,}\n")
+    # counts up to 10^12 are written out; past it, the power of ten
+    # at or below the count
+    named = {count: str(floer._over_budget(count)).split(" matchings")[0]
+             for count in (10 ** 12, 10 ** 12 + 1, 10 ** 13 - 1, 10 ** 13)}
+    assert named == {
+        10 ** 12: "floer.generators: 1,000,000,000,000",
+        10 ** 12 + 1: "floer.generators: at least 10^12",
+        10 ** 13 - 1: "floer.generators: at least 10^12",
+        10 ** 13: "floer.generators: at least 10^13"}
+
+
 def test_generator_enumeration_matches_brute_force():
     rng = random.Random(7)
     for _ in range(6):
@@ -1016,10 +1036,12 @@ def test_local_columns_equal_the_full_matrix(monkeypatch):
 
 
 # decide's whole walk took 10.6 s at 560 MiB on the lantern word three
-# times and 14.4 s at 911 MiB on (a b^-1)^7; the child caps itself at
-# 256 MiB of address space and records decide's verdicts
+# times and 14.4 s at 911 MiB on (a b^-1)^7, and flattening the lantern
+# word four times took about 45 s; the child caps itself at the given
+# address space and records decide's verdicts
 WALL_CHILD = ("import resource, sys\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+              "limit = int(sys.argv[2])\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
               "from obfloer import floer\n"
               "from obfloer.front import main\n"
               "decide, verdicts = floer.decide, []\n"
@@ -1031,23 +1053,25 @@ WALL_CHILD = ("import resource, sys\n"
               "sys.exit(code)\n")
 
 
-@pytest.mark.parametrize("text, certificate, count", [
-    (lantern_word(3), ((0, 1, 502),), 16941665),
-    (torus_word("+a -b", 7), ((0, 610),), 284171),
-], ids=["lantern_word3", "torus_abinv7"])
+@pytest.mark.parametrize("text, certificate, count, limit, timeout", [
+    (lantern_word(3), ((0, 1, 502),), 16941665, 1 << 28, 10),
+    (torus_word("+a -b", 7), ((0, 610),), 284171, 1 << 28, 10),
+    (lantern_word(4), ((0, 1, 2819),), 85906812888, 1 << 29, 20),
+], ids=["lantern_word3", "torus_abinv7", "lantern_word4"])
 def test_a_wall_book_decides_in_a_capped_child(tmp_path, text, certificate,
-                                               count):
-    # the candidate test walks only next to c, so neither wall book
-    # needs the whole disk index: each decides within 10 s
+                                               count, limit, timeout):
+    # the candidate test walks only next to c, so neither of the first
+    # two wall books needs the whole disk index, and the lantern word
+    # four times flattens without rescans (3,181 fingers)
     path, report = tmp_path / "wall.obk", tmp_path / "wall.report"
     path.write_text(text + f"option report={report}\n")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-c", WALL_CHILD, str(path)],
-                          capture_output=True, text=True, timeout=10,
-                          env=env)
+    done = subprocess.run(
+        [sys.executable, "-c", WALL_CHILD, str(path), str(limit)],
+        capture_output=True, text=True, timeout=timeout, env=env)
     assert done.returncode == 1, done.stdout + done.stderr
     assert done.stdout.splitlines()[-1] == f"certificate={[certificate]!r}"
     lines = report.read_text().splitlines()

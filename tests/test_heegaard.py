@@ -374,6 +374,58 @@ def test_validate_rejects_an_edge_on_another_circle():
             dia.validate()
 
 
+def _an_empty_cycle(dia):
+    dia.regions[0].cycles.append([])
+
+
+def _a_cycle_listed_twice(dia):
+    # the first copy passes every check; the second reuses its half-edges
+    cycles = dia.regions[0].cycles
+    cycles.append(list(cycles[0]))
+
+
+def _a_half_edge_filed_elsewhere(dia):
+    h = dia.regions[0].cycles[0][0]
+    dia.he_region[h] = 1
+
+
+def _an_a_edge_relabelled_b(dia):
+    # the links still hold, so the first cycle through the edge meets two
+    # b edges in a row
+    e = dia.edge_label.index(("a", 1))
+    dia.edge_label[e] = ("b", 1)
+
+
+def _the_last_region_dropped(dia):
+    dia.regions.pop()
+
+
+def _a_bare_vertex(dia):
+    dia.v_alpha.append(1)
+    dia.v_beta.append(1)
+    dia.v_tag.append(("finger", dia.n_vertices - 1))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_an_empty_cycle, "internal error: empty boundary cycle"),
+    (_a_cycle_listed_twice, "internal error: half-edge reused"),
+    (_a_half_edge_filed_elsewhere, "internal error: he_region mismatch"),
+    (_an_a_edge_relabelled_b,
+     "internal error: boundary fails to alternate families"),
+    (_the_last_region_dropped, "internal error: unswept half-edges"),
+    (_a_bare_vertex, "internal error: vertex is not four-valent"),
+])
+def test_validate_names_each_fault(edit, message):
+    # the final validate() is the only whole-diagram check flattening
+    # makes; each edit of a valid diagram is named by its own message
+    dia = lantern_file_diagram()
+    dia.validate()
+    edit(dia)
+    with pytest.raises(RuntimeError) as err:
+        dia.validate()
+    assert str(err.value) == message
+
+
 # sha256 of repr(d.walks()) of the built, make_nice and lazy_frontier
 # diagrams: where each circle starts and which way it runs feeds the
 # bigon trace and the SVG layout
